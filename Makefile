@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: ci build vet lint test race matrix chaos precheck analyze daemon-smoke fuzz-smoke bench bench-parallel bench-symbolic bench-dataplane
+.PHONY: ci build vet lint test race matrix chaos precheck analyze daemon-smoke fuzz-smoke perfbench bench bench-parallel bench-symbolic bench-dataplane
 
 # ci is the gate every change must pass: build, vet, the determinism
 # lint, the full test suite under the race detector, the fault-detection
 # matrix, the chaos survival matrix, the static model preflight, the
-# zero-findings analyzer gate, and the daemon smoke test.
-ci: build vet lint race matrix chaos precheck analyze daemon-smoke fuzz-smoke
+# zero-findings analyzer gate, the daemon smoke test, the differential
+# fuzzers, and the benchmark module's own vet and tests.
+ci: build vet lint race matrix chaos precheck analyze daemon-smoke fuzz-smoke perfbench
 
 build:
 	$(GO) build ./...
@@ -65,6 +66,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDifferentialEngines' -fuzztime 10s ./internal/p4/compile
 	$(GO) test -run '^$$' -fuzz 'FuzzWitnessVsSolver' -fuzztime 10s ./internal/symbolic
 	$(GO) test -run '^$$' -fuzz 'FuzzSlicedVsFullBlast' -fuzztime 10s ./internal/symbolic
+
+# perfbench vets and tests the benchmark program. It is its own module
+# (perfbench/go.mod), so the root build and test targets never compile
+# it; this catches a change that breaks a symbol it calls.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # bench reruns the paper-evaluation benchmarks once each and records the
 # parallel-engine scaling run as machine-readable JSON.

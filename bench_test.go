@@ -17,6 +17,7 @@ import (
 	"switchv/internal/experiments"
 	"switchv/internal/fuzzer"
 	"switchv/internal/oracle"
+	"switchv/internal/p4/check"
 	"switchv/internal/p4/compile"
 	"switchv/internal/p4/constraints"
 	"switchv/internal/p4/p4info"
@@ -85,7 +86,9 @@ var table3Cases = []struct {
 }
 
 // BenchmarkTable3Generation measures cold p4-symbolic test-packet
-// generation (the "Generation" column).
+// generation (the "Generation" column) with the generator options
+// RunDataPlane uses: entry coverage plus the enriched goals, with the
+// preflight's unreachable tables pruned.
 func BenchmarkTable3Generation(b *testing.B) {
 	for _, c := range table3Cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -97,13 +100,11 @@ func BenchmarkTable3Generation(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			gopts := symbolic.GenOptions{Mode: symbolic.CoverEntries, Enriched: true,
+				UnreachableTables: check.Cached(prog).UnreachableSet()}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ex, err := symbolic.New(prog, store, symbolic.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				pkts, rep, err := ex.GeneratePackets(symbolic.CoverEntries)
+				pkts, rep, err := symbolic.GeneratePacketsParallel(prog, store, symbolic.Options{}, gopts)
 				if err != nil {
 					b.Fatal(err)
 				}

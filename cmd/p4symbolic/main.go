@@ -28,12 +28,12 @@ func main() {
 	seed := flag.Int64("seed", 42, "workload seed")
 	coverage := flag.String("coverage", "entries", "coverage mode: entries or branches")
 	emit := flag.Bool("emit", false, "print each synthesized packet")
-	dpWorkers := flag.Int("dp-workers", 0, "solve goals with the parallel pruning generator using N workers (0 = sequential one-check-per-goal)")
-	dpShards := flag.Int("dp-shards", 0, "goal-shard count for -dp-workers (0 = default; results depend on it)")
+	dpWorkers := flag.Int("dp-workers", 1, "concurrent goal-solving workers (results do not depend on it)")
+	dpShards := flag.Int("dp-shards", 0, "goal-shard count (0 = default; results depend on it)")
 	precheck := flag.String("precheck", "on", "static model preflight: on (refuse on error findings), warn (report only), off (skip)")
 	engine := flag.String("engine", "compiled", "reference simulator engine for replaying generated packets: compiled (closure-tree) or interp (IR walker)")
-	witness := flag.Bool("witness", true, "solver-free witness synthesis pre-pass (parallel generator only)")
-	slice := flag.Bool("slice", true, "cone-of-influence slice restriction on per-goal checks (parallel generator only)")
+	witness := flag.Bool("witness", true, "solver-free witness synthesis pre-pass")
+	slice := flag.Bool("slice", true, "cone-of-influence slice restriction on per-goal checks")
 	jsonOut := flag.Bool("json", false, "emit one machine-readable JSON report instead of text")
 	flag.Parse()
 
@@ -80,51 +80,26 @@ func main() {
 		mode = symbolic.CoverBranches
 	}
 
-	var packets []symbolic.TestPacket
-	var rep symbolic.Report
-	var execTime, genTime time.Duration
-	if *dpWorkers > 0 {
-		t0 := time.Now()
-		packets, rep, err = symbolic.GeneratePacketsParallel(prog, store, symbolic.Options{},
-			symbolic.GenOptions{Mode: mode, Workers: *dpWorkers, Shards: *dpShards,
-				UnreachableTables: dead, DisableWitness: !*witness, DisableSlicing: !*slice})
-		if err != nil {
-			log.Fatal(err)
-		}
-		genTime = time.Since(t0)
-	} else {
-		t0 := time.Now()
-		ex, err := symbolic.New(prog, store, symbolic.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		execTime = time.Since(t0)
-
-		t1 := time.Now()
-		packets, rep, err = ex.GeneratePackets(mode)
-		if err != nil {
-			log.Fatal(err)
-		}
-		genTime = time.Since(t1)
+	t0 := time.Now()
+	packets, rep, err := symbolic.GeneratePacketsParallel(prog, store, symbolic.Options{},
+		symbolic.GenOptions{Mode: mode, Workers: *dpWorkers, Shards: *dpShards,
+			UnreachableTables: dead, DisableWitness: !*witness, DisableSlicing: !*slice})
+	if err != nil {
+		log.Fatal(err)
 	}
+	genTime := time.Since(t0)
 
 	if !*jsonOut {
 		fmt.Printf("p4-symbolic: model %q, %d entries\n", prog.Name, len(entries))
-		if *dpWorkers > 0 {
-			fmt.Printf("symbolic execution: %d shards (%d terms, %d clauses)\n", rep.Shards, rep.Terms, rep.Clauses)
-			fmt.Printf("generation: %v for %d goals (%d covered, %d unreachable; %d solved, %d pruned, %d precheck-skipped, %d checks)\n",
-				genTime.Round(time.Millisecond), rep.Goals, rep.Covered, rep.Unreachable, rep.Solved, rep.Pruned, rep.Precheck, rep.SMTChecks)
-			fmt.Printf("checks avoided: %d/%d (witness %d, cache %d, prune %d)\n",
-				rep.Goals-rep.SMTChecks, rep.Goals,
-				rep.Witnessed+rep.WitnessUnsat, rep.Cached, rep.Pruned+rep.Precheck)
-			if rep.SlicedAsserts > 0 || rep.SlicedBits > 0 {
-				fmt.Printf("slicing: %d assertions and %d input bits left outside per-goal cones\n",
-					rep.SlicedAsserts, rep.SlicedBits)
-			}
-		} else {
-			fmt.Printf("symbolic execution: %v (%d terms, %d clauses)\n", execTime.Round(time.Millisecond), rep.Terms, rep.Clauses)
-			fmt.Printf("generation: %v for %d goals (%d covered, %d unreachable)\n",
-				genTime.Round(time.Millisecond), rep.Goals, rep.Covered, rep.Unreachable)
+		fmt.Printf("symbolic execution: %d shards (%d terms, %d clauses)\n", rep.Shards, rep.Terms, rep.Clauses)
+		fmt.Printf("generation: %v for %d goals (%d covered, %d unreachable; %d solved, %d pruned, %d precheck-skipped, %d checks)\n",
+			genTime.Round(time.Millisecond), rep.Goals, rep.Covered, rep.Unreachable, rep.Solved, rep.Pruned, rep.Precheck, rep.SMTChecks)
+		fmt.Printf("checks avoided: %d/%d (witness %d, cache %d, prune %d)\n",
+			rep.Goals-rep.SMTChecks, rep.Goals,
+			rep.Witnessed+rep.WitnessUnsat, rep.Cached, rep.Pruned+rep.Precheck)
+		if rep.SlicedAsserts > 0 || rep.SlicedBits > 0 {
+			fmt.Printf("slicing: %d assertions and %d input bits left outside per-goal cones\n",
+				rep.SlicedAsserts, rep.SlicedBits)
 		}
 		fmt.Printf("solver: %d decisions, %d propagations, %d conflicts (%d solve calls, %d kept learnts, %d assumption conflicts, %d cnf-reuse hits)\n",
 			rep.SATStats.Decisions, rep.SATStats.Propagations, rep.SATStats.Conflicts,

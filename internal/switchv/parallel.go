@@ -10,7 +10,8 @@
 //     fuzzer and coverage map, executed by a pool of workers;
 //   - within a shard: generation + write + read-back (the switch side)
 //     is pipelined against oracle checking (the model side), so the
-//     switch is never idle while the oracle judges the previous batch.
+//     switch is never idle while the oracle judges the previous batch
+//     (see runControlPlane for the modes that force lockstep).
 //
 // Determinism contract: the merged result — coverage counts, table
 // coverage set, deduplicated incident set — is a pure function of
@@ -32,7 +33,6 @@ import (
 
 	"switchv/internal/coverage"
 	"switchv/internal/fuzzer"
-	"switchv/internal/oracle"
 	"switchv/internal/p4/p4info"
 	"switchv/internal/p4rt"
 )
@@ -44,15 +44,10 @@ import (
 // client connections here.
 type StackFactory func(shard int) (dev p4rt.Device, close func(), err error)
 
-const (
-	// DefaultShards is the logical shard count. It is deliberately
-	// decoupled from the worker count: results depend on the shard split,
-	// so keeping it fixed makes campaigns comparable across machines.
-	DefaultShards = 8
-	// DefaultPipelineDepth is how many batches a shard's switch side may
-	// run ahead of its oracle side.
-	DefaultPipelineDepth = 4
-)
+// DefaultShards is the logical shard count. It is deliberately
+// decoupled from the worker count: results depend on the shard split, so
+// keeping it fixed makes campaigns comparable across machines.
+const DefaultShards = 8
 
 // ParallelOptions configures a sharded campaign.
 type ParallelOptions struct {
@@ -62,9 +57,6 @@ type ParallelOptions struct {
 	// Shards is the logical shard count (default DefaultShards). The
 	// merged result depends on it; the worker count must not.
 	Shards int
-	// PipelineDepth bounds the per-shard write-ahead (default
-	// DefaultPipelineDepth); < 0 disables pipelining.
-	PipelineDepth int
 	// Fuzz seeds the per-shard campaigns: Seed is the root seed each
 	// shard's stream is derived from, NumRequests is the total batch
 	// budget across all shards, and Coverage (optional) is the map the
@@ -244,10 +236,6 @@ func RunParallelCampaign(info *p4info.Info, opts ParallelOptions) (*ParallelRepo
 	if workers > shards {
 		workers = shards
 	}
-	depth := opts.PipelineDepth
-	if depth == 0 {
-		depth = DefaultPipelineDepth
-	}
 	total := opts.Fuzz.NumRequests
 	if total == 0 {
 		total = 1000
@@ -288,8 +276,7 @@ func RunParallelCampaign(info *p4info.Info, opts ParallelOptions) (*ParallelRepo
 					}
 					continue
 				}
-				res := runShard(info, opts, worker, shard,
-					shardBatches(total, shards, shard), depth)
+				res := runShard(info, opts, worker, shard, shardBatches(total, shards, shard))
 				if res.err == nil && opts.OnShard != nil {
 					if err := opts.OnShard(shard, &ShardCheckpoint{Stats: res.stats, Report: res.rep}); err != nil {
 						stopped.Store(true)
@@ -420,7 +407,7 @@ func (r *ParallelReport) Canon() *CanonicalReport {
 func (r *CanonicalReport) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
 
 // runShard executes one shard's campaign on a freshly built stack.
-func runShard(info *p4info.Info, opts ParallelOptions, worker, shard, batches, depth int) shardResult {
+func runShard(info *p4info.Info, opts ParallelOptions, worker, shard, batches int) shardResult {
 	res := shardResult{stats: ShardStats{
 		Shard:  shard,
 		Worker: worker,
@@ -454,7 +441,7 @@ func runShard(info *p4info.Info, opts ParallelOptions, worker, shard, batches, d
 	fo.Seed = res.stats.Seed
 	fo.NumRequests = batches
 	fo.Coverage = coverage.NewMapExcluding(info, dead) // private map, merged later
-	rep, err := h.RunControlPlanePipelined(fo, depth)
+	rep, err := h.runControlPlane(fo, pipelineDepth)
 	if err != nil {
 		res.err = fmt.Errorf("shard %d: %w", shard, err)
 	}
@@ -467,129 +454,4 @@ func runShard(info *p4info.Info, opts ParallelOptions, worker, shard, batches, d
 		res.stats.PlateauStopped = rep.PlateauStopped
 	}
 	return res
-}
-
-// RunControlPlanePipelined is RunControlPlane with the switch side and
-// the oracle side overlapped: a producer goroutine generates batches,
-// writes them and reads the switch back, while the caller's goroutine
-// drains the FIFO and runs the oracle. Up to depth batches are in
-// flight, so the switch never waits for verdict bookkeeping.
-//
-// The pipeline preserves the sequential loop's results exactly — the
-// producer performs the same generate/write/read/NoteAccepted sequence,
-// the checker sees batches in FIFO order, and the oracle (whose state
-// is adopted from each read-back) runs single-threaded — except that
-// Trajectory is not sampled (a mid-pipeline coverage reading would
-// depend on producer timing, breaking run-to-run determinism).
-//
-// Campaign modes that feed checker results back into generation cannot
-// be overlapped: plateau stops, incident-count stops, and
-// coverage-guided scheduling all fall back to the sequential loop, as
-// does depth < 1.
-func (h *Harness) RunControlPlanePipelined(opts fuzzer.Options, depth int) (*ControlPlaneReport, error) {
-	// Reconcile needs the sequential loop too: torn-write resolution
-	// reads the oracle's pre-batch state, which the pipelined producer
-	// races ahead of.
-	if depth < 1 || opts.PlateauBatches > 0 || opts.StopAfterIncidents > 0 || opts.CoverageGuided || h.Reconcile {
-		return h.RunControlPlane(opts)
-	}
-	crep, err := h.precheckGate("p4-fuzzer")
-	if err != nil {
-		return nil, err
-	}
-	if opts.Coverage == nil {
-		var dead map[string]bool
-		if crep != nil {
-			dead = crep.UnreachableSet()
-		}
-		opts.Coverage = coverage.NewMapExcluding(h.Info, dead)
-	}
-	cov := opts.Coverage
-	f := fuzzer.New(h.Info, opts)
-	orc := oracle.New(h.Info)
-	orc.SetCoverage(cov)
-	rep := &ControlPlaneReport{}
-	start := time.Now()
-	n := opts.NumRequests
-	if n == 0 {
-		n = 1000
-	}
-
-	type batchWork struct {
-		batch    int
-		req      p4rt.WriteRequest
-		meta     []fuzzer.GeneratedUpdate
-		resp     p4rt.WriteResponse
-		observed p4rt.ReadResponse
-		readErr  error
-	}
-	work := make(chan batchWork, depth-1)
-	var genErr error
-	go func() {
-		defer close(work)
-		for batch := 0; batch < n; batch++ {
-			req, meta, err := f.NextBatch()
-			if err != nil {
-				genErr = err
-				return
-			}
-			resp := h.Dev.Write(req)
-			observed, readErr := h.Dev.Read(p4rt.ReadRequest{})
-			if readErr == nil {
-				// The fuzzer's reference pool must track switch acceptance
-				// before the next NextBatch, so this lives on the producer
-				// side (it only touches fuzzer + coverage state, both safe
-				// against the concurrent checker).
-				for i, st := range resp.Statuses {
-					if i < len(req.Updates) && st.Code == p4rt.OK {
-						f.NoteAccepted(req.Updates[i])
-					}
-				}
-			}
-			work <- batchWork{batch, req, meta, resp, observed, readErr}
-		}
-	}()
-
-	for w := range work {
-		rep.Batches++
-		rep.Updates += len(w.req.Updates)
-		if w.readErr != nil {
-			rep.Incidents = append(rep.Incidents, Incident{
-				Tool: "p4-fuzzer", Kind: "read-failed",
-				Detail: fmt.Sprintf("reading back after batch %d: %v", w.batch, w.readErr),
-			})
-			continue
-		}
-		verdicts, violations := orc.CheckBatch(w.req, w.resp, w.observed)
-		for i, v := range verdicts {
-			switch v {
-			case oracle.MustAccept:
-				rep.MustAccept++
-			case oracle.MustReject:
-				rep.MustReject++
-			case oracle.MayReject:
-				rep.MayReject++
-			}
-			if i < len(w.meta) && i < len(w.resp.Statuses) {
-				cov.NoteMutationOutcome(w.meta[i].Mutation, v.String(),
-					w.resp.Statuses[i].Code == p4rt.OK)
-			}
-		}
-		for _, viol := range violations {
-			detail := viol.String()
-			if viol.UpdateIndex >= 0 && viol.UpdateIndex < len(w.meta) {
-				m := w.meta[viol.UpdateIndex]
-				detail += fmt.Sprintf(" (update: %s %v", m.Update.Type, m.Update.Entry.TableID)
-				if m.Mutation != "" {
-					detail += ", mutation: " + m.Mutation
-				}
-				detail += ")"
-			}
-			rep.Incidents = append(rep.Incidents, Incident{Tool: "p4-fuzzer", Kind: viol.Kind, Detail: detail})
-		}
-	}
-	rep.Elapsed = time.Since(start)
-	rep.PerMutation = f.PerMutation
-	rep.Coverage = cov.Snapshot()
-	return rep, genErr
 }

@@ -1,7 +1,9 @@
 package switchv
 
 import (
+	"errors"
 	"reflect"
+	"sync"
 	"testing"
 
 	"switchv/internal/fuzzer"
@@ -47,42 +49,82 @@ func TestShardBatchSplit(t *testing.T) {
 	}
 }
 
-// TestPipelinedMatchesSequential: overlapping the switch side with the
-// oracle side must not change any campaign result — same verdicts, same
-// incidents, same final coverage counts.
-func TestPipelinedMatchesSequential(t *testing.T) {
+// readFailDevice wraps the simulator and fails one Read call.
+type readFailDevice struct {
+	*switchsim.Switch
+	mu     sync.Mutex
+	calls  int
+	failAt int
+}
+
+func (d *readFailDevice) Read(req p4rt.ReadRequest) (p4rt.ReadResponse, error) {
+	d.mu.Lock()
+	d.calls++
+	fail := d.calls == d.failAt
+	d.mu.Unlock()
+	if fail {
+		return p4rt.ReadResponse{}, errors.New("read-back lost")
+	}
+	return d.Switch.Read(req)
+}
+
+// TestOverlappedMatchesLockstep: letting the switch side run ahead of
+// the oracle side must not change any campaign result — same verdicts,
+// incidents, per-mutation counts and final coverage — on a clean
+// switch, on a faulty one that raises incidents, and across a failed
+// read-back. Only Trajectory differs: the overlapped schedule samples
+// none.
+func TestOverlappedMatchesLockstep(t *testing.T) {
 	opts := fuzzer.Options{Seed: 3, NumRequests: 30, UpdatesPerRequest: 15}
-
-	hSeq, _ := newHarness(t, "middleblock")
-	seq, err := hSeq.RunControlPlane(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hPipe, _ := newHarness(t, "middleblock")
-	pipe, err := hPipe.RunControlPlanePipelined(opts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if seq.Batches != pipe.Batches || seq.Updates != pipe.Updates {
-		t.Errorf("batches/updates: sequential %d/%d, pipelined %d/%d",
-			seq.Batches, seq.Updates, pipe.Batches, pipe.Updates)
-	}
-	if seq.MustAccept != pipe.MustAccept || seq.MustReject != pipe.MustReject ||
-		seq.MayReject != pipe.MayReject {
-		t.Errorf("verdicts: sequential %d/%d/%d, pipelined %d/%d/%d",
-			seq.MustAccept, seq.MustReject, seq.MayReject,
-			pipe.MustAccept, pipe.MustReject, pipe.MayReject)
-	}
-	if !reflect.DeepEqual(seq.Incidents, pipe.Incidents) {
-		t.Errorf("incidents differ:\nsequential: %v\npipelined:  %v", seq.Incidents, pipe.Incidents)
-	}
-	if !reflect.DeepEqual(seq.Coverage.Counts, pipe.Coverage.Counts) {
-		t.Error("final coverage counts differ between sequential and pipelined runs")
-	}
-	if !reflect.DeepEqual(seq.PerMutation, pipe.PerMutation) {
-		t.Errorf("per-mutation stats differ:\nsequential: %v\npipelined:  %v",
-			seq.PerMutation, pipe.PerMutation)
+	info := p4info.New(models.MustLoad("middleblock"))
+	for _, tc := range []struct {
+		name  string
+		stack func(sw *switchsim.Switch) p4rt.Device
+		fault []switchsim.Fault
+	}{
+		{"clean", func(sw *switchsim.Switch) p4rt.Device { return sw }, nil},
+		{"fault", func(sw *switchsim.Switch) p4rt.Device { return sw },
+			[]switchsim.Fault{switchsim.FaultAcceptInvalidReference}},
+		{"read-failed", func(sw *switchsim.Switch) p4rt.Device {
+			return &readFailDevice{Switch: sw, failAt: 7}
+		}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(depth int) *ControlPlaneReport {
+				sw := switchsim.New("middleblock", tc.fault...)
+				defer sw.Close()
+				h := New(info, tc.stack(sw), nil)
+				if err := h.PushPipeline(); err != nil {
+					t.Fatal(err)
+				}
+				rep, err := h.runControlPlane(opts, depth)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
+			}
+			lock, over := run(1), run(pipelineDepth)
+			if len(lock.Trajectory) == 0 || len(over.Trajectory) != 0 {
+				t.Errorf("trajectory samples: lockstep %d, overlapped %d; want some and none",
+					len(lock.Trajectory), len(over.Trajectory))
+			}
+			lc, oc := lock.Canon(), over.Canon()
+			lc.Trajectory = nil
+			want, err := lc.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := oc.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Errorf("overlapped report differs from lockstep:\nlockstep:   %s\noverlapped: %s", want, got)
+			}
+			if tc.name != "clean" && len(lock.Incidents) == 0 {
+				t.Error("campaign raised no incidents")
+			}
+		})
 	}
 }
 

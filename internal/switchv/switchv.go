@@ -135,7 +135,9 @@ type ControlPlaneReport struct {
 	PerMutation map[string]int
 	// Coverage is the final coverage snapshot of the campaign.
 	Coverage *coverage.Snapshot
-	// Trajectory holds one BatchCoverage sample per executed batch.
+	// Trajectory holds one BatchCoverage sample per judged batch of a
+	// lockstep campaign; a batch whose read-back failed takes none. An
+	// overlapped shard (see runControlPlane) leaves it empty.
 	Trajectory []BatchCoverage
 	// PlateauStopped reports that the campaign ended early because
 	// Options.PlateauBatches consecutive batches added no new coverage.
@@ -195,6 +197,40 @@ func (r *CanonicalControlPlaneReport) JSON() ([]byte, error) {
 // and mutated updates, each followed by a full read-back that the oracle
 // judges (§4.3, §4.4).
 func (h *Harness) RunControlPlane(opts fuzzer.Options) (*ControlPlaneReport, error) {
+	return h.runControlPlane(opts, 1)
+}
+
+// pipelineDepth is how many batches runShard lets a shard's switch side
+// run ahead of its oracle side.
+const pipelineDepth = 4
+
+// switchBatch is one batch's switch side, handed to the oracle side.
+type switchBatch struct {
+	batch     int
+	covBefore int64 // coverage before the batch was generated
+	req       p4rt.WriteRequest
+	meta      []fuzzer.GeneratedUpdate
+	resp      p4rt.WriteResponse
+	observed  p4rt.ReadResponse
+	readErr   error
+}
+
+// runControlPlane is the campaign loop. Each batch has a switch side
+// (generate, write, read back, reconcile a torn write, update the
+// fuzzer's reference pool) and an oracle side (judge the batch, count
+// verdicts, record incidents, sample the trajectory, check the stops).
+//
+// With depth 1 the two sides run in lockstep. With a larger depth the
+// switch side runs on its own goroutine up to depth batches ahead, so
+// the switch never waits for verdict bookkeeping. Results are the same
+// either way — the oracle side sees the batches in order and only it
+// touches the oracle — except that the overlapped schedule samples no
+// Trajectory, since a mid-pipeline coverage reading would depend on
+// how far the switch side has run. Modes that feed the oracle side back
+// into the switch side need lockstep: plateau and incident-count stops,
+// coverage-guided picks, and torn-write reconciliation, which reads the
+// oracle's pre-batch state.
+func (h *Harness) runControlPlane(opts fuzzer.Options, depth int) (*ControlPlaneReport, error) {
 	crep, err := h.precheckGate("p4-fuzzer")
 	if err != nil {
 		return nil, err
@@ -205,6 +241,9 @@ func (h *Harness) RunControlPlane(opts fuzzer.Options) (*ControlPlaneReport, err
 			dead = crep.UnreachableSet()
 		}
 		opts.Coverage = coverage.NewMapExcluding(h.Info, dead)
+	}
+	if opts.PlateauBatches > 0 || opts.StopAfterIncidents > 0 || opts.CoverageGuided || h.Reconcile {
+		depth = 1
 	}
 	cov := opts.Coverage
 	f := fuzzer.New(h.Info, opts)
@@ -217,30 +256,53 @@ func (h *Harness) RunControlPlane(opts fuzzer.Options) (*ControlPlaneReport, err
 	if n == 0 {
 		n = 1000
 	}
-	plateauRun := 0
-	for batch := 0; batch < n; batch++ {
-		covBefore := cov.Covered()
-		req, meta, err := f.NextBatch()
-		if err != nil {
-			return rep, err
+
+	// produce runs the switch side of every batch, handing each to emit
+	// until emit asks to stop.
+	produce := func(emit func(switchBatch) bool) error {
+		for batch := 0; batch < n; batch++ {
+			sb := switchBatch{batch: batch, covBefore: cov.Covered()}
+			var err error
+			if sb.req, sb.meta, err = f.NextBatch(); err != nil {
+				return err
+			}
+			sb.resp = h.Dev.Write(sb.req)
+			sb.observed, sb.readErr = h.Dev.Read(p4rt.ReadRequest{})
+			if sb.readErr == nil {
+				if h.Reconcile && isTransportFailure(sb.resp) {
+					// Torn write: the ACK died in transit, so resolve what
+					// actually landed from the read-back before judging.
+					sb.resp = reconcileWriteResponse(h.Info, orc.State(), sb.observed, sb.req)
+				}
+				// Keep the fuzzer's reference pool in sync with what the
+				// switch accepted, before the next batch is generated.
+				for i, st := range sb.resp.Statuses {
+					if i < len(sb.req.Updates) && st.Code == p4rt.OK {
+						f.NoteAccepted(sb.req.Updates[i])
+					}
+				}
+			}
+			if !emit(sb) {
+				return nil
+			}
 		}
+		return nil
+	}
+
+	// judge runs the oracle side of one batch and reports whether the
+	// campaign goes on.
+	plateauRun := 0
+	judge := func(sb switchBatch) bool {
 		rep.Batches++
-		rep.Updates += len(req.Updates)
-		resp := h.Dev.Write(req)
-		observed, err := h.Dev.Read(p4rt.ReadRequest{})
-		if err != nil {
+		rep.Updates += len(sb.req.Updates)
+		if sb.readErr != nil {
 			rep.Incidents = append(rep.Incidents, Incident{
 				Tool: "p4-fuzzer", Kind: "read-failed",
-				Detail: fmt.Sprintf("reading back after batch %d: %v", batch, err),
+				Detail: fmt.Sprintf("reading back after batch %d: %v", sb.batch, sb.readErr),
 			})
-			continue
+			return true
 		}
-		if h.Reconcile && isTransportFailure(resp) {
-			// Torn write: the ACK died in transit, so resolve what actually
-			// landed from the read-back before judging the batch.
-			resp = reconcileWriteResponse(h.Info, orc.State(), observed, req)
-		}
-		verdicts, violations := orc.CheckBatch(req, resp, observed)
+		verdicts, violations := orc.CheckBatch(sb.req, sb.resp, sb.observed)
 		for i, v := range verdicts {
 			switch v {
 			case oracle.MustAccept:
@@ -252,15 +314,15 @@ func (h *Harness) RunControlPlane(opts fuzzer.Options) (*ControlPlaneReport, err
 			}
 			// Per-mutation-class verdict-outcome accounting: which oracle
 			// verdict and switch decision each mutation class has reached.
-			if i < len(meta) && i < len(resp.Statuses) {
-				cov.NoteMutationOutcome(meta[i].Mutation, v.String(),
-					resp.Statuses[i].Code == p4rt.OK)
+			if i < len(sb.meta) && i < len(sb.resp.Statuses) {
+				cov.NoteMutationOutcome(sb.meta[i].Mutation, v.String(),
+					sb.resp.Statuses[i].Code == p4rt.OK)
 			}
 		}
 		for _, viol := range violations {
 			detail := viol.String()
-			if viol.UpdateIndex >= 0 && viol.UpdateIndex < len(meta) {
-				m := meta[viol.UpdateIndex]
+			if viol.UpdateIndex >= 0 && viol.UpdateIndex < len(sb.meta) {
+				m := sb.meta[viol.UpdateIndex]
 				detail += fmt.Sprintf(" (update: %s %v", m.Update.Type, m.Update.Entry.TableID)
 				if m.Mutation != "" {
 					detail += ", mutation: " + m.Mutation
@@ -269,37 +331,49 @@ func (h *Harness) RunControlPlane(opts fuzzer.Options) (*ControlPlaneReport, err
 			}
 			rep.Incidents = append(rep.Incidents, Incident{Tool: "p4-fuzzer", Kind: viol.Kind, Detail: detail})
 		}
-		// Keep the fuzzer's reference pool in sync with what the switch
-		// accepted.
-		for i, st := range resp.Statuses {
-			if i < len(req.Updates) && st.Code == p4rt.OK {
-				f.NoteAccepted(req.Updates[i])
-			}
+		if depth > 1 {
+			return true
 		}
 		rep.Trajectory = append(rep.Trajectory, BatchCoverage{
 			Points: cov.Covered(),
 			Tables: cov.TablesAccepted(),
 		})
 		if opts.StopAfterIncidents > 0 && len(rep.Incidents) >= opts.StopAfterIncidents {
-			break
+			return false
 		}
 		// Coverage-plateau early stop: a batch that exercises no new point
 		// extends the plateau; PlateauBatches of them in a row end the
 		// campaign (nothing left that this schedule is going to reach).
-		if cov.Covered() == covBefore {
+		if cov.Covered() == sb.covBefore {
 			plateauRun++
 			if opts.PlateauBatches > 0 && plateauRun >= opts.PlateauBatches {
 				rep.PlateauStopped = true
-				break
+				return false
 			}
 		} else {
 			plateauRun = 0
 		}
+		return true
+	}
+
+	if depth > 1 {
+		// The buffer plus the batch the switch side holds while blocked
+		// on a send let it run at most depth batches ahead.
+		work := make(chan switchBatch, depth-1)
+		go func() {
+			defer close(work)
+			err = produce(func(sb switchBatch) bool { work <- sb; return true })
+		}()
+		for sb := range work {
+			judge(sb)
+		}
+	} else {
+		err = produce(judge)
 	}
 	rep.Elapsed = time.Since(start)
 	rep.PerMutation = f.PerMutation
 	rep.Coverage = cov.Snapshot()
-	return rep, nil
+	return rep, err
 }
 
 // DataPlaneReport summarizes a symbolic data-plane campaign (§5).
@@ -327,8 +401,6 @@ type DataPlaneOptions struct {
 	// Churn re-applies every installed entry with MODIFY before testing,
 	// exercising update paths (the class of WCMP-update bugs).
 	Churn bool
-	// MaxBehaviors bounds the simulator behavior-set loop.
-	MaxBehaviors int
 	// CoverageMap, when non-nil, is seeded with the symbolic trace map's
 	// goal list and credited with per-table/per-entry hits harvested from
 	// the reference simulator's execution traces.
@@ -346,14 +418,14 @@ type DataPlaneOptions struct {
 	Engine EngineKind
 }
 
+// maxBehaviors bounds the simulator behavior-set loop.
+const maxBehaviors = 32
+
 // RunDataPlane installs the given entries on the switch, generates test
 // packets with p4-symbolic, runs them against both the switch and the
 // reference simulator, and flags every switch behavior that is not in the
 // simulator's set of valid behaviors.
 func (h *Harness) RunDataPlane(entries []*pdpi.Entry, opts DataPlaneOptions) (*DataPlaneReport, error) {
-	if opts.MaxBehaviors == 0 {
-		opts.MaxBehaviors = 32
-	}
 	crep, err := h.precheckGate("p4-symbolic")
 	if err != nil {
 		return nil, err
@@ -410,11 +482,6 @@ func (h *Harness) RunDataPlane(entries []*pdpi.Entry, opts DataPlaneOptions) (*D
 		}
 	}
 
-	// Packet-IO checks (§6.1's packet-out bug class): direct packet-outs
-	// must not echo back as packet-ins, and a submit-to-ingress packet
-	// that the model punts must come back on the stream.
-	rep.Incidents = append(rep.Incidents, h.checkPacketIO(store)...)
-
 	// Generate test packets: structural goals of the coverage mode plus
 	// the standing "test engineer" assertions (§5 "Coverage
 	// Constraints"), via the parallel, solve-avoiding generator.
@@ -453,6 +520,18 @@ func (h *Harness) RunDataPlane(entries []*pdpi.Entry, opts DataPlaneOptions) (*D
 	rep.Unreachable = srep.Unreachable
 	rep.CacheHit = srep.Goals > 0 && srep.Cached == srep.Goals
 	rep.GenElapsed = time.Since(genStart)
+
+	// Packet-IO checks (§6.1's packet-out bug class): direct packet-outs
+	// must not echo back as packet-ins, and a submit-to-ingress packet
+	// that the model punts must come back on the stream.
+	var punt *symbolic.TestPacket
+	for i := range packets {
+		if packets[i].GoalKey == "enriched:punt" {
+			punt = &packets[i]
+			break
+		}
+	}
+	rep.Incidents = append(rep.Incidents, h.checkPacketIO(punt)...)
 
 	// Differential execution. Background traffic rides along: frames a
 	// production network carries regardless of the installed entries
@@ -503,7 +582,7 @@ func (h *Harness) RunDataPlane(entries []*pdpi.Entry, opts DataPlaneOptions) (*D
 					continue
 				}
 				sim.Reset()
-				incidents[i] = h.comparePacket(sim, &all[i], injected[i], opts.MaxBehaviors, opts.CoverageMap)
+				incidents[i] = h.comparePacket(sim, &all[i], injected[i], opts.CoverageMap)
 			}
 		}()
 	}
@@ -595,7 +674,7 @@ func (h *Harness) injectPacket(pkt *symbolic.TestPacket) (p4rt.InjectResult, *In
 // simulator's execution traces (which tables matched which entries,
 // which actions ran) are harvested into it — the data-plane half of the
 // coverage map.
-func (h *Harness) comparePacket(sim bmv2.Simulator, pkt *symbolic.TestPacket, swRes p4rt.InjectResult, maxBehaviors int, cov *coverage.Map) *Incident {
+func (h *Harness) comparePacket(sim bmv2.Simulator, pkt *symbolic.TestPacket, swRes p4rt.InjectResult, cov *coverage.Map) *Incident {
 	behaviors, err := sim.BehaviorSet(bmv2.Input{Port: pkt.Port, Packet: pkt.Data}, maxBehaviors)
 	if err != nil {
 		return &Incident{Tool: "p4-symbolic", Kind: "simulator-error",
@@ -739,8 +818,10 @@ func (h *Harness) drainPacketIns() {
 	}
 }
 
-// checkPacketIO exercises the PacketOut paths.
-func (h *Harness) checkPacketIO(store *pdpi.Store) []Incident {
+// checkPacketIO exercises the PacketOut paths. punt is a generated packet
+// the model punts (nil when no packet can be punted, which skips the
+// submit-to-ingress probe).
+func (h *Harness) checkPacketIO(punt *symbolic.TestPacket) []Incident {
 	var incidents []Incident
 	h.drainPacketIns()
 
@@ -756,17 +837,12 @@ func (h *Harness) checkPacketIO(store *pdpi.Store) []Incident {
 	case <-time.After(100 * time.Millisecond): //detlint:allow timeafter — bounded wait for a device echo that must NOT arrive
 	}
 
-	// Submit-to-ingress: synthesize a packet the model punts and expect it
-	// back on the stream.
-	ex, err := symbolic.New(h.Info.Program(), store, symbolic.Options{})
-	if err != nil {
+	// Submit-to-ingress: send a packet the model punts and expect it back
+	// on the stream.
+	if punt == nil {
 		return incidents
 	}
-	pkt, ok, err := ex.SolveGoal(symbolic.Goal{Key: "packetio:punt", Cond: ex.PuntCond()})
-	if err != nil || !ok {
-		return incidents // no puntable packet in this configuration
-	}
-	if err := h.Dev.PacketOut(p4rt.PacketOut{Payload: pkt.Data, SubmitToIngress: true}); err != nil {
+	if err := h.Dev.PacketOut(p4rt.PacketOut{Payload: punt.Data, SubmitToIngress: true}); err != nil {
 		incidents = append(incidents, Incident{Tool: "p4-symbolic", Kind: "packet-out-failed",
 			Detail: fmt.Sprintf("submit-to-ingress: %v", err)})
 		return incidents

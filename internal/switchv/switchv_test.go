@@ -1,13 +1,16 @@
 package switchv
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"switchv/internal/coverage"
 	"switchv/internal/fuzzer"
+	"switchv/internal/p4/check"
 	"switchv/internal/p4/p4info"
 	"switchv/internal/p4/pdpi"
+	"switchv/internal/p4rt"
 	"switchv/internal/switchsim"
 	"switchv/internal/symbolic"
 	"switchv/internal/testutil"
@@ -205,5 +208,77 @@ func TestMultipleFaultsStillZeroWhenDisabled(t *testing.T) {
 	}
 	if len(rep.Incidents) != 0 {
 		t.Errorf("incidents on clean switch: %v", rep.Incidents)
+	}
+}
+
+// packetOutRecorder wraps the simulator and records every packet-out.
+type packetOutRecorder struct {
+	*switchsim.Switch
+	outs []p4rt.PacketOut
+}
+
+func (d *packetOutRecorder) PacketOut(p p4rt.PacketOut) error {
+	d.outs = append(d.outs, p)
+	return d.Switch.PacketOut(p)
+}
+
+// TestSubmitToIngressSendsGeneratedPunt: the submit-to-ingress probe
+// sends the packet the round's generator synthesized for the
+// enriched:punt goal.
+func TestSubmitToIngressSendsGeneratedPunt(t *testing.T) {
+	for _, role := range []string{"middleblock", "wan"} {
+		t.Run(role, func(t *testing.T) {
+			prog := models.MustLoad(role)
+			entries := fixtureEntries(role)
+			store := pdpi.NewStore()
+			for _, e := range entries {
+				if err := store.Insert(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pkts, _, err := symbolic.GeneratePacketsParallel(prog, store, symbolic.Options{}, symbolic.GenOptions{
+				Mode:              symbolic.CoverEntries,
+				Enriched:          true,
+				UnreachableTables: check.Cached(prog).UnreachableSet(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []byte
+			for _, p := range pkts {
+				if p.GoalKey == "enriched:punt" {
+					want = p.Data
+				}
+			}
+			if want == nil {
+				t.Fatal("fixture has no punt packet")
+			}
+
+			sw := switchsim.New(role)
+			defer sw.Close()
+			dev := &packetOutRecorder{Switch: sw}
+			h := New(p4info.New(prog), dev, sw)
+			if err := h.PushPipeline(); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := h.RunDataPlane(entries, DataPlaneOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, inc := range rep.Incidents {
+				if strings.Contains(inc.Kind, "packet-out") || inc.Kind == "submit-to-ingress-lost" {
+					t.Errorf("packet-IO incident: %s", inc)
+				}
+			}
+			var got [][]byte
+			for _, p := range dev.outs {
+				if p.SubmitToIngress {
+					got = append(got, p.Payload)
+				}
+			}
+			if len(got) != 1 || !bytes.Equal(got[0], want) {
+				t.Errorf("submit-to-ingress payloads %x, want one: %x", got, want)
+			}
+		})
 	}
 }

@@ -180,9 +180,9 @@ type Report struct {
 	// SMTChecks counts the CheckAssuming calls actually issued; the gap
 	// to Goals is the work pruning and caching avoided.
 	SMTChecks int
-	// Shards is the logical goal-shard count of the parallel path
-	// (0 for the sequential path). Results depend on it; worker count
-	// never changes them.
+	// Shards is the logical goal-shard count (0 when every goal was
+	// decided before sharding). Results depend on it; worker count never
+	// changes them.
 	Shards int
 	// SATStats aggregates the decision-procedure work, summed across
 	// every shard solver of a parallel run.
@@ -203,37 +203,6 @@ type Report struct {
 	// cone-of-influence slice — work never CNF'd or constrained.
 	SlicedAsserts int
 	SlicedBits    int
-}
-
-// GeneratePackets solves every goal of the mode sequentially, one SMT
-// check per goal, and returns the packets for the reachable ones. This
-// is the paper's baseline; see Generator for the parallel,
-// solve-avoiding engine.
-func (ex *Executor) GeneratePackets(mode CoverageMode) ([]TestPacket, Report, error) {
-	goals := ex.Goals(mode)
-	var packets []TestPacket
-	rep := Report{Goals: len(goals)}
-	startChecks := ex.solver.NumChecks
-	for _, g := range goals {
-		pkt, ok, err := ex.SolveGoal(g)
-		if err != nil {
-			return nil, rep, err
-		}
-		if !ok {
-			rep.Unreachable++
-			continue
-		}
-		rep.Covered++
-		packets = append(packets, *pkt)
-	}
-	rep.Solved = rep.Covered + rep.Unreachable
-	rep.SMTChecks = ex.solver.NumChecks - startChecks
-	rep.SATStats = ex.solver.Stats()
-	rep.Terms = ex.b.NumTerms()
-	rep.Clauses = ex.solver.NumClauses
-	rep.Vars = ex.solver.NumVars()
-	rep.CNFReuse = ex.solver.CNFReuse
-	return packets, rep, nil
 }
 
 // DefaultCacheCap bounds the per-goal cache (§6.3 "Caching"). At one

@@ -1,8 +1,9 @@
 // Parallel, solve-avoiding test-packet generation: the data-plane
 // mirror of the control plane's sharded campaign engine.
 //
-// The sequential baseline (Executor.GeneratePackets) pays one SMT check
-// per coverage goal per campaign. Three mechanisms cut that down:
+// Solving every coverage goal on its own (one Executor.SolveGoal per
+// goal) pays one SMT check per goal per campaign. Three mechanisms cut
+// that down:
 //
 //   - model-reuse pruning: after each SAT model, the remaining goal
 //     conditions are evaluated concretely under the model (smt.Eval
@@ -106,7 +107,7 @@ type Generator struct {
 // executor) and enumerates the goal universe: the mode's structural
 // goals followed by the enriched goals when requested.
 func NewGenerator(prog *ir.Program, store *pdpi.Store, opts Options, gopts GenOptions) (*Generator, error) {
-	ex0, err := newExecutor(prog, store, opts, true)
+	ex0, err := New(prog, store, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -255,7 +256,7 @@ func (g *Generator) Run() ([]TestPacket, Report, error) {
 				ex := g.ex0
 				if s != 0 {
 					var err error
-					if ex, err = newExecutor(g.prog, g.store, g.opts, true); err != nil {
+					if ex, err = New(g.prog, g.store, g.opts); err != nil {
 						errs[s] = fmt.Errorf("symbolic: shard %d executor: %w", s, err)
 						return
 					}

@@ -63,13 +63,6 @@ type Executor struct {
 	firstApply map[string]int
 	lastApply  map[string]int
 
-	// lazyAsserts routes pipeline assertions through the solver's
-	// sliceable lazy path (smt.AssertLazy) instead of eager unit
-	// clauses. The parallel generator enables it so per-goal checks can
-	// be slice-restricted; the sequential baseline keeps eager
-	// assertions, whose CNF is bit-identical to the historical encoding.
-	lazyAsserts bool
-
 	// keyState snapshots the symbolic key expressions of each table at
 	// its first application: keyState[table][i] is the state term the
 	// i-th key field is matched against. The witness engine uses it to
@@ -95,11 +88,11 @@ func TraceKeyDefault(table string) string { return "table:" + table + ":default"
 
 // New symbolically executes the model against the store's entries. The
 // store must not be mutated afterwards (re-run New instead; see Cache).
+// Pipeline assertions are registered lazily (smt.AssertLazy): every
+// check is constrained by all of them, but each is only encoded to CNF
+// once a check first needs it, so per-goal checks can be restricted to
+// the goal's cone-of-influence slice (SolveGoalSliced).
 func New(prog *ir.Program, store *pdpi.Store, opts Options) (*Executor, error) {
-	return newExecutor(prog, store, opts, false)
-}
-
-func newExecutor(prog *ir.Program, store *pdpi.Store, opts Options, lazy bool) (*Executor, error) {
 	if opts.MaxPort == 0 {
 		opts.MaxPort = 32
 	}
@@ -115,7 +108,6 @@ func newExecutor(prog *ir.Program, store *pdpi.Store, opts Options, lazy bool) (
 		lastApply:  map[string]int{},
 		keyState:   map[string][]*smt.Term{},
 	}
-	ex.lazyAsserts = lazy
 	ex.halt = b.False()
 
 	// X: one variable per field.
@@ -143,18 +135,6 @@ func newExecutor(prog *ir.Program, store *pdpi.Store, opts Options, lazy bool) (
 	// valid, parseable under every chain shape.
 	ex.solver.SetBackground(zeroSeed(ex))
 	return ex, nil
-}
-
-// assert registers a pipeline assertion: eagerly (historical unit
-// clauses) or through the solver's lazy, sliceable path, which
-// constrains every check identically but defers the CNF encoding until
-// a check's slice first reaches the assertion.
-func (ex *Executor) assert(t *smt.Term) {
-	if ex.lazyAsserts {
-		ex.solver.AssertLazy(t)
-		return
-	}
-	ex.solver.Assert(t)
 }
 
 // Builder exposes the term builder so callers can pose custom coverage
@@ -221,31 +201,31 @@ func (ex *Executor) assertParserAxioms() error {
 	if ethValid == nil {
 		return fmt.Errorf("symbolic: model has no ethernet header")
 	}
-	ex.assert(ethValid)
+	ex.solver.AssertLazy(ethValid)
 
 	etherType := field("ethernet.ether_type")
 	eff := etherType // effective EtherType after optional VLAN tag
 	if has("vlan") {
 		vlanValid := valid("vlan")
-		ex.assert(b.Iff(vlanValid, b.Eq(etherType, b.ConstUint(0x8100, 16))))
+		ex.solver.AssertLazy(b.Iff(vlanValid, b.Eq(etherType, b.ConstUint(0x8100, 16))))
 		eff = b.Ite(vlanValid, field("vlan.ether_type"), etherType)
 	} else {
-		ex.assert(b.Ne(etherType, b.ConstUint(0x8100, 16)))
+		ex.solver.AssertLazy(b.Ne(etherType, b.ConstUint(0x8100, 16)))
 	}
 
 	assertIffValid := func(name string, cond *smt.Term) {
 		if v := valid(name); v != nil {
-			ex.assert(b.Iff(v, cond))
+			ex.solver.AssertLazy(b.Iff(v, cond))
 		}
 	}
 	assertIffValid("ipv4", b.Eq(eff, b.ConstUint(0x0800, 16)))
 	assertIffValid("ipv6", b.Eq(eff, b.ConstUint(0x86DD, 16)))
 	assertIffValid("arp", b.Eq(eff, b.ConstUint(0x0806, 16)))
 	if !has("ipv4") {
-		ex.assert(b.Ne(eff, b.ConstUint(0x0800, 16)))
+		ex.solver.AssertLazy(b.Ne(eff, b.ConstUint(0x0800, 16)))
 	}
 	if !has("ipv6") {
-		ex.assert(b.Ne(eff, b.ConstUint(0x86DD, 16)))
+		ex.solver.AssertLazy(b.Ne(eff, b.ConstUint(0x86DD, 16)))
 	}
 
 	ipProto := func(want uint64) *smt.Term {
@@ -273,7 +253,7 @@ func (ex *Executor) assertParserAxioms() error {
 	// the simulator and switch would see opaque payload where the model
 	// assumed fields.
 	if !has("gre") && has("ipv4") {
-		ex.assert(b.Not(ipProto(47)))
+		ex.solver.AssertLazy(b.Not(ipProto(47)))
 	}
 
 	// Fields of invalid headers read as zero, exactly as the reference
@@ -289,19 +269,19 @@ func (ex *Executor) assertParserAxioms() error {
 			if f.Header != hi.Path || f.IsValidity {
 				continue
 			}
-			ex.assert(b.Implies(invalid, b.Eq(ex.inputs[f.ID], b.Const(value.Zero(f.Width)))))
+			ex.solver.AssertLazy(b.Implies(invalid, b.Eq(ex.inputs[f.ID], b.Const(value.Zero(f.Width)))))
 		}
 	}
 
 	// Ingress port range.
 	if f, ok := ex.prog.FieldByName(ir.FieldIngressPort); ok {
 		port := ex.inputs[f.ID]
-		ex.assert(b.Ult(port, b.ConstUint(uint64(ex.opts.MaxPort), port.Width())))
+		ex.solver.AssertLazy(b.Ult(port, b.ConstUint(uint64(ex.opts.MaxPort), port.Width())))
 	}
 	// The synthetic pipeline-state fields start out zero.
 	for _, name := range []string{ir.FieldDrop, ir.FieldPunt, ir.FieldCopy, ir.FieldMirror, ir.FieldMirrorSession} {
 		if f, ok := ex.prog.FieldByName(name); ok {
-			ex.assert(b.Eq(ex.inputs[f.ID], b.Const(value.Zero(f.Width))))
+			ex.solver.AssertLazy(b.Eq(ex.inputs[f.ID], b.Const(value.Zero(f.Width))))
 		}
 	}
 	// Metadata fields (everything outside the headers struct and standard
@@ -316,11 +296,11 @@ func (ex *Executor) assertParserAxioms() error {
 		if f.Name == ir.FieldIngressPort || f.Name == "standard_metadata.egress_port" ||
 			f.Name == ir.FieldEgressSpec {
 			if f.Name != ir.FieldIngressPort {
-				ex.assert(b.Eq(ex.inputs[f.ID], b.Const(value.Zero(f.Width))))
+				ex.solver.AssertLazy(b.Eq(ex.inputs[f.ID], b.Const(value.Zero(f.Width))))
 			}
 			continue
 		}
-		ex.assert(b.Eq(ex.inputs[f.ID], b.Const(value.Zero(f.Width))))
+		ex.solver.AssertLazy(b.Eq(ex.inputs[f.ID], b.Const(value.Zero(f.Width))))
 	}
 	return nil
 }
@@ -464,7 +444,7 @@ func (ex *Executor) applyTable(state []*smt.Term, t *ir.Table, g *smt.Term) {
 			// (§5 "Hashing").
 			choice := b.BV(fmt.Sprintf("choice!%s!%d", t.Name, entryIdx), 16)
 			ex.choiceVars = append(ex.choiceVars, choice)
-			ex.assert(b.Implies(fire, b.Ult(choice, b.ConstUint(uint64(len(e.ActionSet)), 16))))
+			ex.solver.AssertLazy(b.Implies(fire, b.Ult(choice, b.ConstUint(uint64(len(e.ActionSet)), 16))))
 			for i := range e.ActionSet {
 				member := &e.ActionSet[i]
 				gm := b.And(fire, b.Eq(choice, b.ConstUint(uint64(i), 16)))
