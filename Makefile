@@ -1,13 +1,17 @@
 GO ?= go
 
-.PHONY: ci build vet lint test race matrix chaos precheck analyze daemon-smoke fuzz-smoke perfbench bench bench-parallel bench-symbolic bench-dataplane
+.PHONY: ci fmt build vet lint test race matrix chaos precheck analyze daemon-smoke fuzz-smoke perfbench bench bench-parallel bench-symbolic bench-dataplane
 
-# ci is the gate every change must pass: build, vet, the determinism
-# lint, the full test suite under the race detector, the fault-detection
-# matrix, the chaos survival matrix, the static model preflight, the
-# zero-findings analyzer gate, the daemon smoke test, the differential
-# fuzzers, and the benchmark module's own vet and tests.
-ci: build vet lint race matrix chaos precheck analyze daemon-smoke fuzz-smoke perfbench
+# ci is the gate every change must pass: gofmt, build, vet, the
+# determinism lint, the full test suite under the race detector, the
+# fault-detection matrix, the chaos survival matrix, the static model
+# preflight, the zero-findings analyzer gate, the daemon smoke test, the
+# differential fuzzers, and the benchmark module's own vet and tests.
+ci: fmt build vet lint race matrix chaos precheck analyze daemon-smoke fuzz-smoke perfbench
+
+# fmt fails when any Go file in the tree is not gofmt-formatted.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -15,8 +15,8 @@ import (
 
 	"switchv/internal/bmv2"
 	"switchv/internal/p4/check"
+	"switchv/internal/p4/compile"
 	"switchv/internal/p4/pdpi"
-	"switchv/internal/switchv"
 	"switchv/internal/symbolic"
 	"switchv/internal/workload"
 	"switchv/models"
@@ -31,16 +31,10 @@ func main() {
 	dpWorkers := flag.Int("dp-workers", 1, "concurrent goal-solving workers (results do not depend on it)")
 	dpShards := flag.Int("dp-shards", 0, "goal-shard count (0 = default; results depend on it)")
 	precheck := flag.String("precheck", "on", "static model preflight: on (refuse on error findings), warn (report only), off (skip)")
-	engine := flag.String("engine", "compiled", "reference simulator engine for replaying generated packets: compiled (closure-tree) or interp (IR walker)")
 	witness := flag.Bool("witness", true, "solver-free witness synthesis pre-pass")
 	slice := flag.Bool("slice", true, "cone-of-influence slice restriction on per-goal checks")
 	jsonOut := flag.Bool("json", false, "emit one machine-readable JSON report instead of text")
 	flag.Parse()
-
-	eng, err := switchv.ParseEngine(*engine)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	prog, err := models.Load(*role)
 	if err != nil {
@@ -109,7 +103,7 @@ func main() {
 	// Replay the synthesized packets through the reference simulator: a
 	// quick sanity check that every goal packet actually executes, and a
 	// per-packet disposition for -emit.
-	sim, err := switchv.NewEngine(eng, prog, store)
+	sim, err := compile.New(prog, store)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -143,7 +137,6 @@ func main() {
 			Entries      int             `json:"entries"`
 			Coverage     string          `json:"coverage"`
 			Workers      int             `json:"workers"`
-			Engine       string          `json:"engine"`
 			Report       symbolic.Report `json:"report"`
 			ChecksAvoid  int             `json:"checks_avoided"`
 			Packets      int             `json:"packets"`
@@ -154,7 +147,7 @@ func main() {
 			SimulationMS float64         `json:"simulation_ms"`
 		}{
 			Model: prog.Name, Entries: len(entries), Coverage: *coverage,
-			Workers: *dpWorkers, Engine: string(eng), Report: rep,
+			Workers: *dpWorkers, Report: rep,
 			ChecksAvoid: rep.Goals - rep.SMTChecks,
 			Packets:     len(packets), Forwarded: fwd, Dropped: dropped, Punted: punted,
 			GenerationMS: float64(genTime.Microseconds()) / 1e3,
@@ -167,8 +160,8 @@ func main() {
 		}
 		return
 	}
-	fmt.Printf("simulation (%s engine): %d packets in %v: %d forwarded, %d dropped, %d punted\n",
-		eng, len(packets), simTime.Round(time.Millisecond), fwd, dropped, punted)
+	fmt.Printf("simulation: %d packets in %v: %d forwarded, %d dropped, %d punted\n",
+		len(packets), simTime.Round(time.Millisecond), fwd, dropped, punted)
 	if *emit {
 		for i, pkt := range packets {
 			fmt.Printf("%-60s port=%d %-9s %x\n", pkt.GoalKey, pkt.Port, outcomes[i].Disposition, pkt.Data)

@@ -51,16 +51,11 @@ func main() {
 	dpShards := flag.Int("dp-shards", 0, "goal-shard count for data-plane generation (0 = default; results depend on it)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	precheck := flag.String("precheck", "on", "static model preflight: on (refuse on error findings), warn (report only), off (skip)")
-	engine := flag.String("engine", "compiled", "reference simulator engine: compiled (closure-tree) or interp (IR walker)")
 	chaosSpec := flag.String("chaos", "", "chaos schedule over the p4rt wire: comma-separated mode:@N (at RPC index N) or mode:/P (seeded ~1-in-P); modes: "+chaosModes()+"; implies the self-healing stack (in-process only)")
 	chaosSeed := flag.Int64("chaos-seed", 0, "seed for periodic chaos rules (0 = -seed)")
 	flag.Parse()
 
 	pm, err := precheckMode(*precheck)
-	if err != nil {
-		log.Fatal(err)
-	}
-	eng, err := switchv.ParseEngine(*engine)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -246,7 +241,6 @@ func main() {
 			CoverageMap: cov,
 			Workers:     *dpWorkers,
 			Shards:      *dpShards,
-			Engine:      eng,
 		})
 		if err != nil {
 			log.Fatalf("data plane campaign: %v", err)

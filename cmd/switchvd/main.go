@@ -69,7 +69,6 @@ func main() {
 	rounds := flag.Int("rounds", 0, "fleet rounds to run before exiting (0 = until signalled)")
 	interval := flag.Duration("interval", 0, "pause between fleet rounds")
 	precheck := flag.String("precheck", "on", "static model preflight: on, warn, or off")
-	engine := flag.String("engine", "compiled", "reference simulator engine: compiled (closure-tree) or interp (IR walker)")
 	chaosSpec := flag.String("chaos", "", "chaos schedule over every target's p4rt wire: comma-separated mode:@N or mode:/P (restart not supported against remote targets); implies -harden")
 	chaosSeed := flag.Int64("chaos-seed", 0, "seed for periodic chaos rules (0 = -seed)")
 	harden := flag.Bool("harden", false, "self-healing transport stack: in-RPC retry, redial, torn-write reconciliation, warm-restart recovery")
@@ -77,10 +76,6 @@ func main() {
 	flag.Parse()
 
 	pm, err := precheckMode(*precheck)
-	if err != nil {
-		log.Fatal(err)
-	}
-	eng, err := switchv.ParseEngine(*engine)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -142,7 +137,6 @@ func main() {
 		Rounds:     *rounds,
 		Interval:   *interval,
 		Precheck:   pm,
-		Engine:     eng,
 		Harden:     *harden,
 		RPCTimeout: *rpcTimeout,
 		Logf:       log.Printf,

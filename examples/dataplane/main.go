@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"switchv/internal/bmv2"
+	"switchv/internal/p4/compile"
 	"switchv/internal/p4/p4info"
 	"switchv/internal/p4/pdpi"
 	"switchv/internal/packet"
@@ -52,7 +53,7 @@ func main() {
 
 	// Confirm against the reference simulator: the packet really hits the
 	// entry (the soundness property the test suite checks exhaustively).
-	sim, err := bmv2.New(prog, store)
+	sim, err := compile.New(prog, store)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -74,9 +74,9 @@ func (o *Outcome) Signature() string {
 
 // Simulator is the engine contract shared by the reference interpreter
 // (Interp, this package) and the compiled pipeline
-// (internal/p4/compile). The two implementations are differentially
-// tested to be outcome-identical — including traces — so the harness can
-// pick either per campaign.
+// (internal/p4/compile). Campaigns run the compiled pipeline; the
+// interpreter is its differential oracle, and tests hold the two
+// outcome-identical, traces included.
 //
 // Engines carry per-run mutable state (the selector round-robin
 // counters); Reset restores the state a freshly constructed engine has,

@@ -2,7 +2,8 @@ package bmv2_test
 
 // Table-match edge cases pinned on both engines: zero-length LPM
 // prefixes, ternary don't-care bytes (including degenerate zero masks
-// that bypass entry validation), and priority ties. Each scenario runs
+// that bypass entry validation), priority ties, and precedence across
+// the compiled engine's dispatch lists. Each scenario runs
 // end to end through the interpreter and the compiled pipeline and must
 // produce bit-identical outcomes.
 
@@ -236,5 +237,58 @@ func TestPriorityTie(t *testing.T) {
 			t.Errorf("tie broke to %q (%s), want first-inserted %q", h.EntryKey, h.Action, first.Key())
 		}
 		return []*bmv2.Outcome{o}
+	})
+}
+
+// TestDispatchMergePrecedence: with enough rows, the compiled engine
+// splits a table into hash-grouped lists (here one per ip_protocol
+// value, then one per l4_dst_port value) and must merge them by
+// precedence. A UDP packet to port 53 matches a low-priority protocol
+// row and a higher-priority port row; one to port 443 matches a
+// high-priority protocol row and a lower-priority port row. Taking the
+// lists in either fixed order gets one of the two wrong.
+func TestDispatchMergePrecedence(t *testing.T) {
+	prog := models.Middleblock()
+	store := pdpi.NewStore()
+	testutil.RoutingFixture(prog, store)
+	acl, _ := prog.TableByName("acl_ingress_table")
+	aclDrop, _ := prog.ActionByName("acl_drop")
+	aclTrap, _ := prog.ActionByName("acl_trap")
+	row := func(prio int32, act *ir.Action, ms ...pdpi.Match) *pdpi.Entry {
+		e := &pdpi.Entry{Table: acl, Matches: ms, Priority: prio, Action: &pdpi.ActionInvocation{Action: act}}
+		mustInsert(t, store, e)
+		return e
+	}
+	proto := func(v uint64) pdpi.Match {
+		return pdpi.Match{Key: "ip_protocol", Kind: ir.MatchTernary, Value: value.New(v, 8), Mask: value.Ones(8)}
+	}
+	port := func(v uint64) pdpi.Match {
+		return pdpi.Match{Key: "l4_dst_port", Kind: ir.MatchTernary, Value: value.New(v, 16), Mask: value.Ones(16)}
+	}
+	for p := uint64(1); p <= 6; p++ {
+		row(5, aclDrop, proto(p))
+	}
+	row(10, aclDrop, proto(17))
+	udp443 := row(50, aclTrap, proto(17), port(443))
+	port53 := row(40, aclTrap, port(53))
+	row(20, aclDrop, port(443))
+
+	bothEngines(t, store, func(t *testing.T, sim bmv2.Simulator) []*bmv2.Outcome {
+		var outs []*bmv2.Outcome
+		for _, tc := range []struct {
+			port uint16
+			want *pdpi.Entry
+		}{{53, port53}, {443, udp443}} {
+			sim.Reset()
+			o, err := sim.Run(bmv2.Input{Port: 1, Packet: testutil.IPv4UDP("10.1.2.3", 64, tc.port)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h := lastHit(o, "acl_ingress_table"); h.EntryKey != tc.want.Key() {
+				t.Errorf("port %d: hit %q (%s), want %q", tc.port, h.EntryKey, h.Action, tc.want.Key())
+			}
+			outs = append(outs, o)
+		}
+		return outs
 	})
 }

@@ -94,10 +94,6 @@ type Config struct {
 
 	// Precheck is the static-preflight gate mode for all campaigns.
 	Precheck switchv.PrecheckMode
-	// Engine selects the reference-simulator engine for data-plane
-	// campaigns (default switchv.EngineCompiled; outcomes are
-	// engine-independent).
-	Engine switchv.EngineKind
 	// Logf receives progress lines (default: discard).
 	Logf func(format string, args ...any)
 	// ShardHook, when non-nil, runs after each shard checkpoint is

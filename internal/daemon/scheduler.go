@@ -414,7 +414,7 @@ func (d *Daemon) runDataPlane(t Target, round int, info *p4info.Info) (*DataPlan
 			cli.Close()
 			return nil, fmt.Errorf("daemon: target %s round %d: pushing pipeline: %w", t.Name, round, err)
 		}
-		rep, err := h.RunDataPlane(entries, switchv.DataPlaneOptions{Engine: d.cfg.Engine})
+		rep, err := h.RunDataPlane(entries, switchv.DataPlaneOptions{})
 		cli.Close()
 		if err != nil {
 			return nil, fmt.Errorf("daemon: target %s round %d: data plane: %w", t.Name, round, err)

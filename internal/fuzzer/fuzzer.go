@@ -171,10 +171,6 @@ func New(info *p4info.Info, opts Options) *Fuzzer {
 	return f
 }
 
-// Installed exposes the fuzzer's view of the switch state (the entries it
-// believes were accepted); the harness reconciles it with oracle state.
-func (f *Fuzzer) Installed() *pdpi.Store { return f.installed }
-
 // Coverage exposes the campaign's coverage map.
 func (f *Fuzzer) Coverage() *coverage.Map { return f.cov }
 

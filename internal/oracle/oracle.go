@@ -257,11 +257,6 @@ func (idx refIndex) breaksReferents(state *pdpi.Store, e *pdpi.Entry) bool {
 	return false
 }
 
-// BreaksReferents is the one-shot form used by conformance tests.
-func BreaksReferents(info *p4info.Info, state *pdpi.Store, e *pdpi.Entry) bool {
-	return buildRefIndex(info, state).breaksReferents(state, e)
-}
-
 // CheckBatch judges a batch: the response statuses against each update's
 // verdict, and the read-back against the state implied by the statuses.
 // On success (no violations) the oracle adopts the observed state as its

@@ -129,19 +129,19 @@ const (
 // registry and the seeded-defect fixtures.
 func Codes() map[string]Severity {
 	return map[string]Severity{
-		CodeRefersToCycle:     Error,
-		CodeRefersToWidth:     Error,
-		CodeShadowedKey:       Warn,
-		CodeInvalidDefault:    Error,
-		CodeDeadAction:        Warn,
-		CodeBadRestriction:    Error,
-		CodeUnreachableTable:  Warn,
-		CodeUnreachableBranch: Warn,
-		CodeInfeasibleGuard:   Warn,
-		CodeUnsatRestriction:  Error,
-		CodeUninitializedRead: Warn,
-		CodeDeadWrite:         Warn,
-		CodeInvalidHeaderRead: Error,
+		CodeRefersToCycle:      Error,
+		CodeRefersToWidth:      Error,
+		CodeShadowedKey:        Warn,
+		CodeInvalidDefault:     Error,
+		CodeDeadAction:         Warn,
+		CodeBadRestriction:     Error,
+		CodeUnreachableTable:   Warn,
+		CodeUnreachableBranch:  Warn,
+		CodeInfeasibleGuard:    Warn,
+		CodeUnsatRestriction:   Error,
+		CodeUninitializedRead:  Warn,
+		CodeDeadWrite:          Warn,
+		CodeInvalidHeaderRead:  Error,
 		CodeValidityCoupledKey: Warn,
 		CodeUnparsedHeader:     Error,
 		CodeConflictingWrites:  Error,

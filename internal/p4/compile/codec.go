@@ -18,9 +18,9 @@ import (
 // transport handling — replicates bmv2's parse/deparse exactly, which
 // the differential harness pins down.
 type codec struct {
-	hasEth, hasVlan, hasArp, hasGre       bool
-	hasIPv4, hasInner, hasIPv6            bool
-	hasTCP, hasUDP, hasICMP               bool
+	hasEth, hasVlan, hasArp, hasGre bool
+	hasIPv4, hasInner, hasIPv6      bool
+	hasTCP, hasUDP, hasICMP         bool
 
 	ethValid, ethDst, ethSrc, ethType             fref
 	vlanValid, vlanPrio, vlanDE, vlanID, vlanType fref
@@ -89,8 +89,8 @@ func newCodec(prog *ir.Program) *codec {
 		vlanDE: ref("vlan.drop_eligible"), vlanID: ref("vlan.vlan_id"), vlanType: ref("vlan.ether_type"),
 		arpValid: ref("arp.$valid"), arpOp: ref("arp.operation"),
 		arpSender: ref("arp.sender_ip"), arpTarget: ref("arp.target_ip"),
-		ip4:   ip4refs("ipv4"),
-		inner: ip4refs("inner_ipv4"),
+		ip4:      ip4refs("ipv4"),
+		inner:    ip4refs("inner_ipv4"),
 		ip6Valid: ref("ipv6.$valid"), ip6DSCP: ref("ipv6.dscp"), ip6ECN: ref("ipv6.ecn"),
 		ip6Flow: ref("ipv6.flow_label"), ip6Next: ref("ipv6.next_header"),
 		ip6Hop: ref("ipv6.hop_limit"), ip6Src: ref("ipv6.src_addr"), ip6Dst: ref("ipv6.dst_addr"),

@@ -7,11 +7,13 @@ import (
 	"testing"
 
 	"switchv/internal/bmv2"
+	"switchv/internal/p4/check"
 	"switchv/internal/p4/compile"
 	"switchv/internal/p4/ir"
 	"switchv/internal/p4/pdpi"
 	"switchv/internal/p4/value"
 	"switchv/internal/packet"
+	"switchv/internal/symbolic"
 	"switchv/internal/testutil"
 	"switchv/internal/workload"
 	"switchv/models"
@@ -244,7 +246,11 @@ func TestDifferentialFixtures(t *testing.T) {
 
 // TestDifferentialWorkloadEntries checks parity under workload-generated
 // entry sets, which cover far more key shapes (ternary masks, optional
-// keys, wide WCMP groups) than the hand-written fixtures.
+// keys, wide WCMP groups) than the hand-written fixtures. Besides the
+// fixed corpus, it drives the packets p4-symbolic generates for the
+// entry set with a data-plane campaign's generator options: one packet
+// per reachable entry and branch, so every table's lookup is exercised
+// on the rows that win, not only on the few the corpus frames reach.
 func TestDifferentialWorkloadEntries(t *testing.T) {
 	for _, model := range models.Names() {
 		t.Run(model, func(t *testing.T) {
@@ -267,6 +273,20 @@ func TestDifferentialWorkloadEntries(t *testing.T) {
 				for _, port := range []uint16{1, 7} {
 					compareInput(t, interp, comp, bmv2.Input{Port: port, Packet: pkt})
 				}
+			}
+			generated, _, err := symbolic.GeneratePacketsParallel(prog, store, symbolic.Options{}, symbolic.GenOptions{
+				Mode:              symbolic.CoverBranches,
+				Enriched:          true,
+				UnreachableTables: check.Cached(prog).UnreachableSet(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(generated) < 400 {
+				t.Fatalf("%d generated packets for 400 entries", len(generated))
+			}
+			for _, pkt := range generated {
+				compareInput(t, interp, comp, bmv2.Input{Port: pkt.Port, Packet: pkt.Data})
 			}
 		})
 	}

@@ -25,44 +25,11 @@ type compiledTable struct {
 	lpmKey        string // name of the last LPM key, "" if none
 	selector      bool
 
-	// keyIDs/keyBuf drive the exact-map lookup: field IDs in key order
-	// and a reusable encode buffer (16 bytes per key).
-	keyIDs []int
-	keyBuf []byte
-
-	// useMap selects hash lookup over the precedence scan. It is only
-	// set for pure-exact tables whose entries all bind every key
-	// exactly; anything unusual falls back to the ordered scan, which
-	// replicates the interpreter's insertion-order semantics verbatim.
-	useMap  bool
-	exact   map[string]*compiledEntry
-	entries []*compiledEntry // in precedence order (scan: first match wins)
-
-	// useDense replaces the hash map for single-key exact tables of
-	// width <= denseMaxBits with a direct-indexed array.
-	useDense   bool
-	dense      []*compiledEntry
-	denseField int
-
-	// useLPM selects grouped hash lookup for LPM tables: one map per
-	// distinct prefix length (longest first), keyed by the exact keys
-	// plus the masked LPM value, then a tail of rows that omit the LPM
-	// key (they match any address, lowest precedence). Only set when
-	// every entry binds every non-LPM key exactly; anything unusual
-	// falls back to the ordered scan.
-	useLPM    bool
-	lpmField  int // field ID of the LPM key
-	lpmSlot   int // index of the LPM key in the key order
-	lpmGroups []lpmGroup
-	lpmTail   []*compiledEntry
-
-	// Scan dispatch: each level hash-groups the rows conditioned on one
-	// (field, mask) by their wanted value, so a scan visits one bucket
-	// per level plus the residual rows instead of every row; merging by
-	// row sequence keeps first-match-wins precedence. The grouping
-	// condition is implied by bucket membership and stripped from the
-	// bucketed rows.
-	useDisp    bool
+	// The rows, in precedence order (first match wins), indexed by the
+	// scan dispatch (see buildDispatch): lookup probes one bucket per
+	// level, then the residual rows, merging by row sequence. Below
+	// dispatchMinRows there are no levels and the residual holds every
+	// row, so lookup is a plain scan.
 	dispLevels []dispLevel
 	dispBuf    [16]byte
 	residual   []*compiledEntry
@@ -81,12 +48,6 @@ type dispLevel struct {
 	buckets map[string][]*compiledEntry
 }
 
-// lpmGroup is one prefix length's hash bucket in an LPM table.
-type lpmGroup struct {
-	mask value.V
-	m    map[string]*compiledEntry
-}
-
 // matchCond is one precompiled key condition of an entry. Masks and
 // wanted values are folded at build time so the per-packet work is at
 // most one And and one Equal.
@@ -101,8 +62,9 @@ type matchCond struct {
 // action closure resolved ahead of time.
 type compiledEntry struct {
 	conds []matchCond
-	// never marks entries whose matches reference unknown keys; the
-	// interpreter treats them as matching nothing.
+	// never marks entries whose matches reference unknown keys or want
+	// bits outside a ternary mask; the interpreter treats them as
+	// matching nothing, so lookup never scans them.
 	never bool
 
 	// priority / prefixLen order the precedence sort (see buildTable);
@@ -110,12 +72,6 @@ type compiledEntry struct {
 	priority  int32
 	prefixLen int
 	seq       int
-
-	// keyVals holds the match values in table-key order for entries
-	// eligible for a hash map (nil otherwise): exact values, with the
-	// LPM key (if any) pre-masked. lpmMask is that key's prefix mask.
-	keyVals []value.V
-	lpmMask value.V
 
 	hitID uint32
 	body  []stmtFn
@@ -141,15 +97,11 @@ func (p *Pipeline) slotFor(t *ir.Table, slots map[*ir.Table]*compiledTable) *com
 		selector:      t.IsSelector,
 		needsPriority: pdpi.NeedsPriority(t),
 	}
-	for i, k := range t.Keys {
-		ct.keyIDs = append(ct.keyIDs, k.Field.ID)
+	for _, k := range t.Keys {
 		if k.Match == ir.MatchLPM {
 			ct.lpmKey = k.Name
-			ct.lpmField = k.Field.ID
-			ct.lpmSlot = i
 		}
 	}
-	ct.keyBuf = make([]byte, 16*len(t.Keys))
 	ct.defaultHitID = p.regHit(bmv2.TableHit{Table: t.Name, Action: t.DefaultAction.Name})
 	ct.defaultBody = p.actionBody(t.DefaultAction)
 	ct.defaultArgs = make([]value.V, len(t.DefaultAction.Params))
@@ -192,67 +144,14 @@ func (p *Pipeline) buildTable(ct *compiledTable) {
 		// order within a priority, so the first matching row is exactly
 		// the interpreter's strict-greater winner.
 		sort.SliceStable(rows, func(i, j int) bool { return rows[i].priority > rows[j].priority })
-		ct.useMap, ct.exact, ct.entries = false, nil, rows
-		ct.buildDispatch(rows)
 	case ct.lpmKey != "":
 		// Longest prefix first; omitted keys (prefixLen -1) sort last.
 		sort.SliceStable(rows, func(i, j int) bool { return rows[i].prefixLen > rows[j].prefixLen })
-		ct.buildLPM(rows)
-	default:
-		// Pure-exact table: hash-map lookup when every row binds every
-		// key exactly. The first row wins numeric-key collisions (two
-		// store keys can differ only in declared width), matching the
-		// insertion-order scan.
-		useMap := true
-		for _, r := range rows {
-			if r.keyVals == nil {
-				useMap = false
-				break
-			}
-		}
-		if !useMap {
-			ct.useMap, ct.exact, ct.entries = false, nil, rows
-			return
-		}
-		m := make(map[string]*compiledEntry, len(rows))
-		for _, r := range rows {
-			k := encodeKey(ct.keyBuf, r.keyVals)
-			if _, dup := m[k]; !dup {
-				m[k] = r
-			}
-		}
-		ct.useMap, ct.exact, ct.entries = true, m, nil
 	}
-}
-
-// denseMaxBits bounds the direct-indexed table width: 12 bits is a
-// 4096-slot (32KB) array, covering the 10-bit SONiC-style ID tables.
-const denseMaxBits = 12
-
-// buildDense installs a single-key exact table as a direct-indexed
-// array when the key is narrow enough; reports whether it applied.
-// The first row wins numeric collisions, like the map.
-func (ct *compiledTable) buildDense(rows []*compiledEntry) bool {
-	if len(ct.t.Keys) != 1 || ct.t.Keys[0].Field.Width > denseMaxBits {
-		return false
-	}
-	w := ct.t.Keys[0].Field.Width
-	size := uint64(1) << uint(w)
-	for _, r := range rows {
-		// Entries are width-masked on insert, but a differently-declared
-		// key width could exceed the field's range; fall back if so.
-		if r.keyVals[0].Hi != 0 || r.keyVals[0].Lo >= size {
-			return false
-		}
-	}
-	dense := make([]*compiledEntry, size)
-	for _, r := range rows {
-		if idx := r.keyVals[0].Lo; dense[idx] == nil {
-			dense[idx] = r
-		}
-	}
-	ct.useDense, ct.dense, ct.denseField = true, dense, ct.t.Keys[0].Field.ID
-	return true
+	// Exact tables keep insertion order, so the first row wins
+	// numeric-key collisions (two store keys can differ only in declared
+	// width), as in the interpreter's scan.
+	ct.buildDispatch(rows)
 }
 
 // dispatchMinRows gates the scan dispatch: below it, scanning the rows
@@ -267,7 +166,7 @@ const dispatchMinRows = 8
 // row in a non-matching bucket could not have matched, and merging by
 // row sequence reproduces the full scan's precedence exactly.
 func (ct *compiledTable) buildDispatch(rows []*compiledEntry) {
-	ct.useDisp, ct.dispLevels, ct.residual = false, nil, nil
+	ct.dispLevels = nil
 	input := make([]*compiledEntry, 0, len(rows))
 	for i, r := range rows {
 		r.seq = i
@@ -275,10 +174,11 @@ func (ct *compiledTable) buildDispatch(rows []*compiledEntry) {
 			input = append(input, r)
 		}
 	}
+	ct.residual = input
+	ct.cands = make([][]*compiledEntry, 0, 1)
 	if len(input) < dispatchMinRows {
 		return
 	}
-	ct.useDisp = true
 	type levelKey struct {
 		field  int
 		masked bool
@@ -351,55 +251,6 @@ func (ct *compiledTable) buildDispatch(rows []*compiledEntry) {
 	ct.cands = make([][]*compiledEntry, 0, len(ct.dispLevels)+1)
 }
 
-// buildLPM installs an LPM table's rows as per-prefix-length hash
-// groups (longest first) plus a scanned tail of rows that omit the LPM
-// key, turning lookup from O(entries) into O(distinct prefix lengths).
-// If any prefix-bearing row is unhashable (an omitted exact key matches
-// every value), the whole table falls back to the precedence scan.
-func (ct *compiledTable) buildLPM(rows []*compiledEntry) {
-	ct.useMap, ct.exact = false, nil
-	for _, r := range rows {
-		if !r.never && r.prefixLen >= 0 && r.keyVals == nil {
-			ct.useLPM, ct.lpmGroups, ct.lpmTail = false, nil, nil
-			ct.entries = rows
-			return
-		}
-	}
-	var groups []lpmGroup
-	var tail []*compiledEntry
-	lastLen := -2
-	for _, r := range rows {
-		if r.never {
-			continue
-		}
-		if r.prefixLen < 0 {
-			tail = append(tail, r)
-			continue
-		}
-		if r.prefixLen != lastLen {
-			groups = append(groups, lpmGroup{mask: r.lpmMask, m: map[string]*compiledEntry{}})
-			lastLen = r.prefixLen
-		}
-		g := &groups[len(groups)-1]
-		k := encodeKey(ct.keyBuf, r.keyVals)
-		// First row wins collisions, matching the stable-scan order.
-		if _, dup := g.m[k]; !dup {
-			g.m[k] = r
-		}
-	}
-	ct.useLPM, ct.lpmGroups, ct.lpmTail, ct.entries = true, groups, tail, nil
-}
-
-// encodeKey renders values into buf and returns them as a (fresh) string
-// key; lookups reuse buf and convert in-place for the no-alloc map read.
-func encodeKey(buf []byte, vals []value.V) string {
-	for i, v := range vals {
-		binary.BigEndian.PutUint64(buf[i*16:], v.Hi)
-		binary.BigEndian.PutUint64(buf[i*16+8:], v.Lo)
-	}
-	return string(buf[:len(vals)*16])
-}
-
 // compileEntry lowers one store entry to a row.
 func (p *Pipeline) compileEntry(ct *compiledTable, e *pdpi.Entry) *compiledEntry {
 	t := ct.t
@@ -448,44 +299,6 @@ func (p *Pipeline) compileEntry(ct *compiledTable, e *pdpi.Entry) *compiledEntry
 		}
 	}
 
-	// Hash-map eligibility: every table key bound exactly once, exact
-	// or optional kind, no stray matches.
-	if !ct.needsPriority && ct.lpmKey == "" && !row.never && len(e.Matches) == len(t.Keys) {
-		vals := make([]value.V, 0, len(t.Keys))
-		for _, k := range t.Keys {
-			m, ok := e.Match(k.Name)
-			if !ok || (m.Kind != ir.MatchExact && m.Kind != ir.MatchOptional) {
-				vals = nil
-				break
-			}
-			vals = append(vals, m.Value)
-		}
-		row.keyVals = vals
-	}
-
-	// LPM-group eligibility: every key bound, exact keys exactly, the
-	// LPM key pre-masked at its prefix length.
-	if ct.lpmKey != "" && !row.never && row.prefixLen >= 0 {
-		vals := make([]value.V, 0, len(t.Keys))
-		for _, k := range t.Keys {
-			m, ok := e.Match(k.Name)
-			if !ok {
-				vals = nil
-				break
-			}
-			if k.Match == ir.MatchLPM {
-				row.lpmMask = value.PrefixMask(m.PrefixLen, k.Field.Width)
-				vals = append(vals, m.Value.And(row.lpmMask))
-			} else if k.Match == ir.MatchExact {
-				vals = append(vals, m.Value)
-			} else {
-				vals = nil
-				break
-			}
-		}
-		row.keyVals = vals
-	}
-
 	if ct.selector {
 		row.rrKey = entryKey
 		for i := range e.ActionSet {
@@ -504,9 +317,6 @@ func (p *Pipeline) compileEntry(ct *compiledTable, e *pdpi.Entry) *compiledEntry
 
 // matches evaluates the precompiled conditions against the field space.
 func (r *compiledEntry) matches(fs []value.V) bool {
-	if r.never {
-		return false
-	}
 	for i := range r.conds {
 		c := &r.conds[i]
 		fv := fs[c.field]
@@ -522,101 +332,47 @@ func (r *compiledEntry) matches(fs []value.V) bool {
 
 // lookup returns the highest-precedence matching row, or nil on miss.
 func (ct *compiledTable) lookup(fs []value.V) *compiledEntry {
-	if ct.useDense {
-		return ct.dense[fs[ct.denseField].Lo]
+	cands := ct.cands[:0]
+	for li := range ct.dispLevels {
+		l := &ct.dispLevels[li]
+		fv := fs[l.field]
+		if l.masked {
+			fv = fv.And(l.mask)
+		}
+		binary.BigEndian.PutUint64(ct.dispBuf[:], fv.Hi)
+		binary.BigEndian.PutUint64(ct.dispBuf[8:], fv.Lo)
+		if b := l.buckets[string(ct.dispBuf[:])]; len(b) > 0 {
+			cands = append(cands, b)
+		}
 	}
-	if ct.useMap {
-		if len(ct.exact) == 0 {
-			return nil
-		}
-		buf := ct.keyBuf
-		for i, id := range ct.keyIDs {
-			v := fs[id]
-			binary.BigEndian.PutUint64(buf[i*16:], v.Hi)
-			binary.BigEndian.PutUint64(buf[i*16+8:], v.Lo)
-		}
-		return ct.exact[string(buf)]
+	if len(ct.residual) > 0 {
+		cands = append(cands, ct.residual)
 	}
-	if ct.useLPM {
-		if len(ct.lpmGroups) > 0 {
-			// Encode the exact keys once; per group only the LPM slot
-			// changes (the address masked at that group's length).
-			buf := ct.keyBuf
-			for i, id := range ct.keyIDs {
-				if i == ct.lpmSlot {
-					continue
-				}
-				v := fs[id]
-				binary.BigEndian.PutUint64(buf[i*16:], v.Hi)
-				binary.BigEndian.PutUint64(buf[i*16+8:], v.Lo)
-			}
-			addr := fs[ct.lpmField]
-			for gi := range ct.lpmGroups {
-				g := &ct.lpmGroups[gi]
-				mv := addr.And(g.mask)
-				binary.BigEndian.PutUint64(buf[ct.lpmSlot*16:], mv.Hi)
-				binary.BigEndian.PutUint64(buf[ct.lpmSlot*16+8:], mv.Lo)
-				if r, ok := g.m[string(buf)]; ok {
-					return r
-				}
-			}
-		}
-		for _, r := range ct.lpmTail {
+	ct.cands = cands
+	if len(cands) == 1 {
+		for _, r := range cands[0] {
 			if r.matches(fs) {
 				return r
 			}
 		}
 		return nil
 	}
-	if ct.useDisp {
-		cands := ct.cands[:0]
-		for li := range ct.dispLevels {
-			l := &ct.dispLevels[li]
-			fv := fs[l.field]
-			if l.masked {
-				fv = fv.And(l.mask)
-			}
-			binary.BigEndian.PutUint64(ct.dispBuf[:], fv.Hi)
-			binary.BigEndian.PutUint64(ct.dispBuf[8:], fv.Lo)
-			if b := l.buckets[string(ct.dispBuf[:])]; len(b) > 0 {
-				cands = append(cands, b)
+	for {
+		bi, bseq := -1, int(^uint(0)>>1)
+		for i, l := range cands {
+			if len(l) > 0 && l[0].seq < bseq {
+				bi, bseq = i, l[0].seq
 			}
 		}
-		if len(ct.residual) > 0 {
-			cands = append(cands, ct.residual)
-		}
-		ct.cands = cands
-		if len(cands) == 1 {
-			for _, r := range cands[0] {
-				if r.matches(fs) {
-					return r
-				}
-			}
+		if bi < 0 {
 			return nil
 		}
-		for {
-			bi, bseq := -1, int(^uint(0)>>1)
-			for i, l := range cands {
-				if len(l) > 0 && l[0].seq < bseq {
-					bi, bseq = i, l[0].seq
-				}
-			}
-			if bi < 0 {
-				return nil
-			}
-			r := cands[bi][0]
-			cands[bi] = cands[bi][1:]
-			if r.matches(fs) {
-				return r
-			}
-		}
-	}
-	for _, r := range ct.entries {
+		r := cands[bi][0]
+		cands[bi] = cands[bi][1:]
 		if r.matches(fs) {
 			return r
 		}
 	}
-	return nil
 }
 
 // applyTable matches the field space against a compiled table and runs

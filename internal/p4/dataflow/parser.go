@@ -187,11 +187,6 @@ func (ps *Parser) field(name string) (*ir.Field, bool) {
 	return ps.prog.FieldByName(ps.Prefix + "." + name)
 }
 
-// ValidityField returns the $valid bit of a header path.
-func (ps *Parser) ValidityField(header string) (*ir.Field, bool) {
-	return ps.prog.FieldByName(header + ".$valid")
-}
-
 // Discriminators returns the fields whose values determine whether the
 // parser marks the header valid: the EtherType chain for L2.5/L3
 // headers, the IP protocol / next-header fields for L4 headers, and

@@ -69,9 +69,6 @@ func (t *Term) Name() string { return t.name }
 // Const returns the constant value of an OpBVConst term.
 func (t *Term) Const() value.V { return t.val }
 
-// NumKids returns the operand count.
-func (t *Term) NumKids() int { return len(t.kids) }
-
 // Kid returns the i-th operand.
 func (t *Term) Kid(i int) *Term { return t.kids[i] }
 
@@ -272,24 +269,6 @@ func (b *Builder) Or(x, y *Term) *Term {
 		return x
 	}
 	return b.intern(&Term{op: OpOr, kids: []*Term{x, y}})
-}
-
-// AndN folds a conjunction over terms (true for none).
-func (b *Builder) AndN(terms ...*Term) *Term {
-	out := b.trueT
-	for _, t := range terms {
-		out = b.And(out, t)
-	}
-	return out
-}
-
-// OrN folds a disjunction over terms (false for none).
-func (b *Builder) OrN(terms ...*Term) *Term {
-	out := b.falseT
-	for _, t := range terms {
-		out = b.Or(out, t)
-	}
-	return out
 }
 
 // Implies returns x -> y.

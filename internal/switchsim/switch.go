@@ -64,26 +64,6 @@ func New(role string, faults ...Fault) *Switch {
 
 func (s *Switch) hasFault(f Fault) bool { return s.faults[f] }
 
-// EnableFault toggles a fault at runtime (for per-fault experiments).
-func (s *Switch) EnableFault(f Fault) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.faults[f] = true
-}
-
-// Faults lists the enabled faults.
-func (s *Switch) Faults() []Fault {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Fault
-	for f, on := range s.faults {
-		if on {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // SetForwardingPipelineConfig implements p4rt.Device. The switch accepts
 // the P4Info of its role's model; the pipeline governs all validation.
 func (s *Switch) SetForwardingPipelineConfig(cfg p4rt.ForwardingPipelineConfig) error {

@@ -1,9 +1,13 @@
 package switchv
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 
+	"switchv/internal/bmv2"
+	"switchv/internal/p4/check"
+	"switchv/internal/p4/compile"
+	"switchv/internal/p4/ir"
 	"switchv/internal/p4/p4info"
 	"switchv/internal/p4/pdpi"
 	"switchv/internal/switchsim"
@@ -11,25 +15,6 @@ import (
 	"switchv/internal/testutil"
 	"switchv/models"
 )
-
-func TestParseEngine(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want EngineKind
-		ok   bool
-	}{
-		{"", EngineCompiled, true},
-		{"compiled", EngineCompiled, true},
-		{"interp", EngineInterp, true},
-		{"bmv2", "", false},
-		{"Compiled", "", false},
-	} {
-		got, err := ParseEngine(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseEngine(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
-		}
-	}
-}
 
 // TestEngineConstructionsPerWorker is the regression test for the
 // per-packet-simulator bug: the data-plane compare phase must build one
@@ -56,38 +41,89 @@ func TestEngineConstructionsPerWorker(t *testing.T) {
 	}
 }
 
-// TestEngineParityDataPlane runs the same conformant-switch campaign
-// under both engines and requires identical reports.
+// requireEngineParity installs the fixtures the way RunDataPlane does
+// (install order, into a fresh store), generates its packets with its
+// generator options, adds the background traffic mix, and requires the
+// interpreter and the compiled pipeline — each reset per packet, as in
+// the compare phase — to return identical behavior sets, traces
+// included. Identical behavior sets make every data-plane verdict and
+// every harvested coverage hit independent of the engine.
+func requireEngineParity(t *testing.T, role string, fixtures []func(*ir.Program, *pdpi.Store)) {
+	t.Helper()
+	prog := models.MustLoad(role)
+	fixed := pdpi.NewStore()
+	for _, fix := range fixtures {
+		fix(prog, fixed)
+	}
+	store := pdpi.NewStore()
+	for _, e := range testutil.InstallOrder(p4info.New(prog), fixed) {
+		if err := store.Insert(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	packets, _, err := symbolic.GeneratePacketsParallel(prog, store, symbolic.Options{}, symbolic.GenOptions{
+		Mode:              symbolic.CoverBranches,
+		Enriched:          true,
+		UnreachableTables: check.Cached(prog).UnreachableSet(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := make([]bmv2.Input, 0, len(packets)+3)
+	for _, p := range packets {
+		inputs = append(inputs, bmv2.Input{Port: p.Port, Packet: p.Data})
+	}
+	for _, bg := range backgroundFrames() {
+		inputs = append(inputs, bmv2.Input{Port: 1, Packet: bg.frame})
+	}
+	interp, err := bmv2.New(prog, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := compile.New(prog, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	behaviors := func(sim bmv2.Simulator, in bmv2.Input) ([]string, error) {
+		sim.Reset()
+		outs, err := sim.BehaviorSet(in, maxBehaviors)
+		sigs := make([]string, len(outs))
+		for i, o := range outs {
+			sigs[i] = fmt.Sprintf("%s trace=%v", o.Signature(), o.Trace)
+		}
+		return sigs, err
+	}
+	for i, in := range inputs {
+		want, errI := behaviors(interp, in)
+		got, errC := behaviors(comp, in)
+		if (errI != nil) != (errC != nil) {
+			t.Fatalf("input %d (port %d, %x): interp err %v, compiled err %v", i, in.Port, in.Packet, errI, errC)
+		}
+		if fmt.Sprint(want) != fmt.Sprint(got) {
+			t.Fatalf("input %d (port %d, %x): behavior sets diverge:\ninterp:   %v\ncompiled: %v",
+				i, in.Port, in.Packet, want, got)
+		}
+	}
+	if len(packets) == 0 {
+		t.Fatal("no generated packets")
+	}
+}
+
+// TestEngineParityDataPlane holds the two engines to identical behavior
+// sets over the routing fixture's data-plane campaign inputs on every
+// model.
 func TestEngineParityDataPlane(t *testing.T) {
 	for _, role := range models.Names() {
 		t.Run(role, func(t *testing.T) {
-			var reps []*DataPlaneReport
-			for _, eng := range []EngineKind{EngineInterp, EngineCompiled} {
-				h, _ := newHarness(t, role)
-				rep, err := h.RunDataPlane(fixtureEntries(role), DataPlaneOptions{
-					Coverage: symbolic.CoverBranches,
-					Churn:    true,
-					Engine:   eng,
-				})
-				if err != nil {
-					t.Fatalf("engine %s: %v", eng, err)
-				}
-				reps = append(reps, rep)
-			}
-			if !reflect.DeepEqual(reps[0].Incidents, reps[1].Incidents) {
-				t.Errorf("incidents diverge:\ninterp:   %v\ncompiled: %v", reps[0].Incidents, reps[1].Incidents)
-			}
-			if reps[0].Packets != reps[1].Packets || reps[0].Covered != reps[1].Covered {
-				t.Errorf("report shape diverges: interp %d pkts/%d covered, compiled %d pkts/%d covered",
-					reps[0].Packets, reps[0].Covered, reps[1].Packets, reps[1].Covered)
-			}
+			requireEngineParity(t, role, routing)
 		})
 	}
 }
 
-// TestEngineFaultParity re-runs every data-plane fault-matrix recipe
-// under both engines: each fault's incident list must be identical, so
-// engine choice cannot change what the fleet detects.
+// TestEngineFaultParity holds the two engines to identical behavior
+// sets over the campaign inputs of every data-plane fault-matrix
+// recipe's fixtures, so the engine cannot change what the fleet
+// detects. Faults live on the switch side, so they do not enter here.
 func TestEngineFaultParity(t *testing.T) {
 	for _, fault := range switchsim.AllFaults() {
 		rc := matrixRecipes[fault]
@@ -99,35 +135,7 @@ func TestEngineFaultParity(t *testing.T) {
 			if role == "" {
 				role = "middleblock"
 			}
-			var got [][]Incident
-			for _, eng := range []EngineKind{EngineInterp, EngineCompiled} {
-				h, sw := newHarness(t, role, fault)
-				if rc.prep != nil {
-					rc.prep(t, h, sw)
-				}
-				prog := models.MustLoad(role)
-				store := pdpi.NewStore()
-				for _, fix := range rc.fixtures {
-					fix(prog, store)
-				}
-				entries := testutil.InstallOrder(p4info.New(prog), store)
-				rep, err := h.RunDataPlane(entries, DataPlaneOptions{
-					Coverage: symbolic.CoverBranches,
-					Churn:    rc.churn,
-					Engine:   eng,
-				})
-				if err != nil {
-					t.Fatalf("engine %s: %v", eng, err)
-				}
-				got = append(got, rep.Incidents)
-			}
-			if len(got[0]) == 0 {
-				t.Fatalf("fault %s not detected", fault)
-			}
-			if !reflect.DeepEqual(got[0], got[1]) {
-				t.Errorf("fault %s: incidents diverge between engines:\ninterp:   %v\ncompiled: %v",
-					fault, got[0], got[1])
-			}
+			requireEngineParity(t, role, rc.fixtures)
 		})
 	}
 }

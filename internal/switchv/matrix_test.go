@@ -119,7 +119,7 @@ var matrixRecipes = map[switchsim.Fault]matrixRecipe{
 
 	// Model bugs: the switch is right, the model is wrong; SwitchV still
 	// must flag the divergence (triage attributes it to the P4 program).
-	switchsim.FaultModelICMPWrongField:  {tool: "p4-symbolic", fixtures: withRouting(testutil.ICMPTrapFixture)},
+	switchsim.FaultModelICMPWrongField: {tool: "p4-symbolic", fixtures: withRouting(testutil.ICMPTrapFixture)},
 	switchsim.FaultModelBroadcastDrop: {tool: "p4-symbolic",
 		fixtures: []func(*ir.Program, *pdpi.Store){testutil.DefaultRouteFixture, testutil.RoutingFixture}},
 	switchsim.FaultModelACLAfterRewrite: {tool: "p4-symbolic", fixtures: withRouting(testutil.PostRewriteDropFixture)},

@@ -413,9 +413,6 @@ type DataPlaneOptions struct {
 	// symbolic.DefaultGoalShards). Results depend on it — it is a
 	// campaign parameter, not a concurrency knob.
 	Shards int
-	// Engine selects the reference-simulator implementation (default
-	// EngineCompiled). Outcomes are engine-independent.
-	Engine EngineKind
 }
 
 // maxBehaviors bounds the simulator behavior-set loop.
@@ -574,7 +571,7 @@ func (h *Harness) RunDataPlane(entries []*pdpi.Entry, opts DataPlaneOptions) (*D
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sim, simErr := NewEngine(opts.Engine, prog, store)
+			sim, simErr := newEngine(prog, store)
 			for i := range jobs {
 				if simErr != nil {
 					incidents[i] = &Incident{Tool: "p4-symbolic", Kind: "simulator-error",

@@ -70,7 +70,7 @@ func deadLPMFixture(t *testing.T) (*ir.Program, *pdpi.Store) {
 			err := store.Insert(&pdpi.Entry{
 				Table:   tbl,
 				Matches: []pdpi.Match{{Key: "ipv4_dst", Kind: ir.MatchLPM, Value: value.New(pfx.v, 32), PrefixLen: pfx.plen}},
-				Action:  &pdpi.ActionInvocation{Action: fwd, Args: []value.V{value.New(uint64(11 + i), 16)}},
+				Action:  &pdpi.ActionInvocation{Action: fwd, Args: []value.V{value.New(uint64(11+i), 16)}},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -156,9 +156,6 @@ func (ex *Executor) Trace(key string) *smt.Term {
 	return ex.b.False()
 }
 
-// TraceKeys lists all recorded trace keys in execution order.
-func (ex *Executor) TraceKeys() []string { return ex.keys }
-
 func (ex *Executor) recordTrace(key string, guard *smt.Term) {
 	if old, ok := ex.trace[key]; ok {
 		ex.trace[key] = ex.b.Or(old, guard)

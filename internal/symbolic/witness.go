@@ -46,15 +46,13 @@ type keySlot struct {
 	off   int       // first BDD variable (MSB) of this key
 	state *smt.Term // symbolic key expression at first application
 	// patchable keys are matched against their raw input variable (no
-	// pipeline rewrite before the table) and are not validity bits, so a
-	// candidate may assign them freely; the rest are pinned to a seed
-	// model's value.
+	// pipeline rewrite before the table) and are not validity bits. A
+	// table needs one to be witnessable, and a patchable ingress port
+	// carries the MaxPort range constraint.
 	patchable bool
 	// raw keys are matched against their raw input variable, validity
-	// bits included. The validity-aware synthesis path (synthFree)
-	// assigns raw slots directly and repairs the parser context around
-	// them, where the seed-pinned path (synth) treats validity bits as
-	// pinned pipeline state.
+	// bits included: synthFree assigns them directly and repairs the
+	// parser context around them.
 	raw bool
 }
 
@@ -69,8 +67,8 @@ type tableWitness struct {
 	base   map[string]bdd.Node
 	// ps is the static parser model; coupled is the parser-consistency
 	// constraint over the slots (validity bits follow their EtherType /
-	// protocol discriminators), conjoined by the validity-aware
-	// synthesis path so MinSat never proposes an unparseable context.
+	// protocol discriminators), conjoined by synthFree so MinSat never
+	// proposes an unparseable context.
 	ps      *dataflow.Parser
 	coupled bdd.Node
 }
@@ -305,67 +303,20 @@ func (tw *tableWitness) eqBits(off, w int, v, mask value.V) bdd.Node {
 	return cond
 }
 
-// pinSeed conjoins the constraint that every pinned (non-patchable) key
-// equals its value under the seed model, evaluated through the key's
-// symbolic state expression. False means this seed's pipeline context
-// cannot select the goal entry, whatever the patchable keys.
-func (tw *tableWitness) pinSeed(seed *smt.Model, node bdd.Node) bdd.Node {
-	for i := range tw.slots {
-		s := &tw.slots[i]
-		if s.patchable {
-			continue
-		}
-		w := s.key.Field.Width
-		v := smt.Eval(seed, s.state).WithWidth(w)
-		node = tw.bld.And(node, tw.eqBits(s.off, w, v, value.PrefixMask(w, w)))
-		if node == bdd.False {
-			return bdd.False
-		}
-	}
-	return node
-}
-
-// synth reads the deterministic minimum satisfying key assignment off
-// the pinned BDD and grafts the patchable key values onto the seed,
-// returning the candidate model (nil when the pinned BDD is UNSAT).
-// Every selector-choice variable is pinned to member 0 — always a valid
-// choice — because the seed only constrained the choices of entries it
-// actually fired, and the graft may fire different ones.
-func (tw *tableWitness) synth(ex *Executor, seed *smt.Model, node bdd.Node) *smt.Model {
-	assign, ok := tw.bld.MinSat(tw.pinSeed(seed, node))
-	if !ok {
-		return nil
-	}
-	patch := map[*smt.Term]value.V{}
-	for _, c := range ex.choiceVars {
-		patch[c] = value.Zero(c.Width())
-	}
-	for i := range tw.slots {
-		s := &tw.slots[i]
-		if !s.patchable {
-			continue
-		}
-		w := s.key.Field.Width
-		v := value.Zero(w)
-		for j := 0; j < w; j++ {
-			if assign[s.off+(w-1-j)] {
-				v = v.SetBit(j, true)
-			}
-		}
-		patch[ex.inputs[s.key.Field.ID]] = v
-	}
-	return seed.WithVars(patch)
-}
-
-// synthFree is the validity-aware synthesis path: every raw slot —
-// validity bits included — is free, the parser-coupling constraints
-// keep MinSat's proposal parseable, and the candidate is completed by
-// (a) deterministically repairing the non-slot parser inputs around the
-// assignment (EtherType, L4 validities, zeroed invalid headers) and
-// (b) steering each pinned slot's Ite spine to the raw input that feeds
-// it under the repaired context. Nothing here is trusted: confirm()
-// rejects any repair or steering miss, so mistakes cost a solver call,
-// never a wrong verdict.
+// synthFree reads the deterministic minimum satisfying key assignment
+// off the goal's BDD and grafts it onto the seed, returning the
+// candidate model (nil when no assignment exists or none repairs).
+// Every raw slot — validity bits included — is free, the
+// parser-coupling constraints keep MinSat's proposal parseable, and the
+// candidate is completed by (a) deterministically repairing the
+// non-slot parser inputs around the assignment (EtherType, L4
+// validities, zeroed invalid headers) and (b) steering each pinned
+// slot's Ite spine to the raw input that feeds it under the repaired
+// context. Every selector-choice variable is pinned to member 0 —
+// always a valid choice — because the seed only constrained the
+// choices of entries it fired, and the candidate may fire different
+// ones. Nothing here is trusted: confirm() rejects any repair or
+// steering miss, so mistakes cost a solver call, never a wrong verdict.
 func (tw *tableWitness) synthFree(ex *Executor, seed *smt.Model, node bdd.Node) *smt.Model {
 	assign, ok := tw.bld.MinSat(tw.bld.And(node, tw.coupled))
 	if !ok {
@@ -713,10 +664,6 @@ func (g *Generator) witnessPrepass(decided []bool, outcomes []goalOutcome) error
 		var cand *smt.Model
 		for _, seed := range append([]*smt.Model{zero}, w.seeds[tname]...) {
 			if m := tw.synthFree(g.ex0, seed, node); m != nil && w.confirm(m, goal.Cond) {
-				cand = m
-				break
-			}
-			if m := tw.synth(g.ex0, seed, node); m != nil && w.confirm(m, goal.Cond) {
 				cand = m
 				break
 			}

@@ -107,7 +107,7 @@ func run() error {
 	// stays up for the assertions below; stopped with SIGTERM after.
 	vd, err := start(switchvd,
 		"-store", filepath.Join(tmp, "store"),
-		"-target", "smoke=" + swAddr + "/middleblock",
+		"-target", "smoke="+swAddr+"/middleblock",
 		"-api", apiAddr,
 		"-rounds", "0", "-interval", "1h",
 		"-seed", "1", "-requests", "40", "-updates", "20", "-shards", "1", "-entries", "16")
