@@ -14,9 +14,10 @@ import (
 	"time"
 
 	"switchv/internal/bmv2"
-	"switchv/internal/p4/check"
 	"switchv/internal/p4/compile"
+	"switchv/internal/p4/p4info"
 	"switchv/internal/p4/pdpi"
+	"switchv/internal/switchv"
 	"switchv/internal/symbolic"
 	"switchv/internal/workload"
 	"switchv/models"
@@ -30,7 +31,8 @@ func main() {
 	emit := flag.Bool("emit", false, "print each synthesized packet")
 	dpWorkers := flag.Int("dp-workers", 1, "concurrent goal-solving workers (results do not depend on it)")
 	dpShards := flag.Int("dp-shards", 0, "goal-shard count (0 = default; results depend on it)")
-	precheck := flag.String("precheck", "on", "static model preflight: on (refuse on error findings), warn (report only), off (skip)")
+	var precheck switchv.PrecheckMode
+	flag.Var(&precheck, "precheck", "static model preflight: on (the default: refuse on error findings), warn (report only), off (skip)")
 	witness := flag.Bool("witness", true, "solver-free witness synthesis pre-pass")
 	slice := flag.Bool("slice", true, "cone-of-influence slice restriction on per-goal checks")
 	jsonOut := flag.Bool("json", false, "emit one machine-readable JSON report instead of text")
@@ -41,26 +43,18 @@ func main() {
 		log.Fatal(err)
 	}
 
-	switch *precheck {
-	case "on", "", "warn", "off":
-	default:
-		log.Fatalf("invalid -precheck %q (want on, warn, or off)", *precheck)
-	}
-
 	// Static preflight: refuse defective models before the first solver
-	// call, and feed the unreachable-table proof set into goal pruning.
-	var dead map[string]bool
-	if *precheck != "off" {
-		crep := check.Cached(prog)
-		if len(crep.Findings) > 0 && !*jsonOut {
-			fmt.Printf("== p4check preflight ==\n%s", crep.Text())
-		}
-		if crep.HasErrors() && *precheck != "warn" {
-			fmt.Fprintf(os.Stderr, "p4symbolic: model failed preflight with %d error finding(s); fix the model or pass -precheck=warn\n", crep.Errors())
-			os.Exit(1)
-		}
-		dead = crep.UnreachableSet()
+	// call (the error carries the findings), and feed the
+	// unreachable-table proof set into goal pruning.
+	gate := &switchv.Harness{Info: p4info.New(prog), Precheck: precheck}
+	crep, err := gate.Preflight("p4-symbolic")
+	if err != nil {
+		log.Fatal(err)
 	}
+	if crep != nil && len(crep.Findings) > 0 && !*jsonOut {
+		fmt.Printf("== p4check preflight ==\n%s", crep.Text())
+	}
+	dead := crep.UnreachableSet()
 	entries := workload.MustEntries(prog, *n, *seed)
 	store := pdpi.NewStore()
 	for _, e := range entries {

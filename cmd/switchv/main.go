@@ -4,6 +4,7 @@
 //
 //	switchv -role middleblock                      # in-process switch
 //	switchv -connect 127.0.0.1:9559 -role wan      # remote switchd
+//	switchv -skip-dataplane -workers 4             # control-plane fuzzing only, sharded
 //	switchv -role middleblock -fault asic.ttl1-no-trap
 package main
 
@@ -14,6 +15,7 @@ import (
 	"net"
 	"os"
 	"runtime/pprof"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -31,7 +33,7 @@ import (
 )
 
 func main() {
-	connect := flag.String("connect", "", "address of a remote switchd (empty = in-process switch)")
+	connect := flag.String("connect", "", "address of a remote switchd (empty = in-process switch); with -workers, a comma-separated list, one per shard (the data plane uses the first)")
 	role := flag.String("role", "middleblock", "deployment role / model name")
 	faultList := flag.String("fault", "", "comma-separated faults to inject (in-process only)")
 	requests := flag.Int("fuzz-requests", 100, "number of fuzz write batches")
@@ -50,14 +52,23 @@ func main() {
 	dpWorkers := flag.Int("dp-workers", 0, "workers for data-plane generation and simulation (0 = 1; results are identical for any count)")
 	dpShards := flag.Int("dp-shards", 0, "goal-shard count for data-plane generation (0 = default; results depend on it)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	precheck := flag.String("precheck", "on", "static model preflight: on (refuse on error findings), warn (report only), off (skip)")
+	var precheck switchv.PrecheckMode
+	flag.Var(&precheck, "precheck", "static model preflight: on (the default: refuse on error findings), warn (report only), off (skip)")
 	chaosSpec := flag.String("chaos", "", "chaos schedule over the p4rt wire: comma-separated mode:@N (at RPC index N) or mode:/P (seeded ~1-in-P); modes: "+chaosModes()+"; implies the self-healing stack (in-process only)")
 	chaosSeed := flag.Int64("chaos-seed", 0, "seed for periodic chaos rules (0 = -seed)")
 	flag.Parse()
 
-	pm, err := precheckMode(*precheck)
-	if err != nil {
-		log.Fatal(err)
+	var addrs []string
+	if *connect != "" {
+		addrs = strings.Split(*connect, ",")
+		for i := range addrs {
+			addrs[i] = strings.TrimSpace(addrs[i])
+		}
+		if len(addrs) > 1 && *workers == 0 {
+			fmt.Fprintln(os.Stderr, "switchv: a -connect list needs -workers (one address per shard)")
+			flag.Usage()
+			os.Exit(2)
+		}
 	}
 
 	stopProfile := func() {}
@@ -103,7 +114,7 @@ func main() {
 	var dp switchv.DataPlane
 	var wire *chaos.Wire
 	if *connect != "" {
-		cli, err := p4rt.Dial(*connect)
+		cli, err := p4rt.Dial(addrs[0])
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -128,7 +139,7 @@ func main() {
 	}
 
 	h := switchv.New(info, dev, dp)
-	h.Precheck = pm
+	h.Precheck = precheck
 	h.Reconcile = wire != nil
 	if err := h.PushPipeline(); err != nil {
 		log.Fatalf("pushing pipeline: %v", err)
@@ -138,19 +149,16 @@ func main() {
 
 	// Surface preflight findings up front; the campaigns below refuse on
 	// error findings themselves (unless -precheck=warn/off).
-	var dead map[string]bool
-	if crep := h.PrecheckReport(); crep != nil {
-		dead = crep.UnreachableSet()
-		if len(crep.Findings) > 0 {
-			fmt.Printf("\n== p4check preflight ==\n%s", crep.Text())
-		}
+	crep := h.PrecheckReport()
+	if crep != nil && len(crep.Findings) > 0 {
+		fmt.Printf("\n== p4check preflight ==\n%s", crep.Text())
 	}
 
 	// One coverage map spans both campaigns: control-plane accepts and
 	// data-plane trace hits land in the same table/action counters.
 	var cov *coverage.Map
 	if *coverageGuided {
-		cov = coverage.NewMapExcluding(info, dead)
+		cov = coverage.NewMapExcluding(info, crep.UnreachableSet())
 	}
 
 	incidents := 0
@@ -169,7 +177,7 @@ func main() {
 			if sched != nil && !sched.Empty() {
 				factory, chaosEvents, err = chaosFactory(*role, *faultList, sched)
 			} else {
-				factory, err = stackFactory(*connect, *role, *faultList, *shards)
+				factory, err = stackFactory(addrs, *role, *faultList, *shards)
 			}
 			if err != nil {
 				log.Fatal(err)
@@ -179,7 +187,7 @@ func main() {
 				Shards:     *shards,
 				Fuzz:       fuzzOpts,
 				Factory:    factory,
-				Precheck:   pm,
+				Precheck:   precheck,
 				Quarantine: chaosEvents != nil,
 				Reconcile:  chaosEvents != nil,
 			})
@@ -200,6 +208,7 @@ func main() {
 				fmt.Printf("  shard %d (worker %d, seed %d): %d batches, %d updates, %d incidents in %v\n",
 					s.Shard, s.Worker, s.Seed, s.Batches, s.Updates, s.Incidents, s.Elapsed.Round(1e6))
 			}
+			printMutations(rep.PerMutation)
 			fmt.Printf("incidents: %d (%d duplicates merged)\n", len(rep.Incidents), rep.DuplicateIncidents)
 			printIncidents(rep.Incidents)
 			incidents += len(rep.Incidents)
@@ -223,6 +232,7 @@ func main() {
 			if rep.PlateauStopped {
 				fmt.Printf("stopped early: coverage plateaued for %d batches\n", *plateau)
 			}
+			printMutations(rep.PerMutation)
 			fmt.Printf("incidents: %d\n", len(rep.Incidents))
 			printIncidents(rep.Incidents)
 			incidents += len(rep.Incidents)
@@ -364,8 +374,8 @@ func chaosFactory(role, faultList string, sched *chaos.Schedule) (switchv.StackF
 // same fault set; -connect takes a comma-separated address list, one
 // switch per shard, since shards fuzzing one shared switch would
 // interfere with each other's read-backs.
-func stackFactory(connect, role, faultList string, shards int) (switchv.StackFactory, error) {
-	if connect == "" {
+func stackFactory(addrs []string, role, faultList string, shards int) (switchv.StackFactory, error) {
+	if len(addrs) == 0 {
 		faults, err := switchsim.ParseFaults(faultList)
 		if err != nil {
 			return nil, err
@@ -375,12 +385,11 @@ func stackFactory(connect, role, faultList string, shards int) (switchv.StackFac
 			return sw, func() { sw.Close() }, nil
 		}, nil
 	}
-	addrs := strings.Split(connect, ",")
 	if len(addrs) != shards {
 		return nil, fmt.Errorf("-workers with -connect needs one address per shard: got %d addresses for %d shards", len(addrs), shards)
 	}
 	return func(shard int) (p4rt.Device, func(), error) {
-		cli, err := p4rt.Dial(strings.TrimSpace(addrs[shard]))
+		cli, err := p4rt.Dial(addrs[shard])
 		if err != nil {
 			return nil, nil, err
 		}
@@ -388,17 +397,17 @@ func stackFactory(connect, role, faultList string, shards int) (switchv.StackFac
 	}, nil
 }
 
-// precheckMode parses the -precheck flag shared by the SwitchV CLIs.
-func precheckMode(s string) (switchv.PrecheckMode, error) {
-	switch s {
-	case "on", "":
-		return switchv.PrecheckOn, nil
-	case "warn":
-		return switchv.PrecheckWarn, nil
-	case "off":
-		return switchv.PrecheckOff, nil
+// printMutations prints the per-class mutation counts, sorted by class.
+func printMutations(perMutation map[string]int) {
+	names := make([]string, 0, len(perMutation))
+	for name := range perMutation {
+		names = append(names, name)
 	}
-	return 0, fmt.Errorf("invalid -precheck %q (want on, warn, or off)", s)
+	sort.Strings(names)
+	fmt.Printf("mutations applied:\n")
+	for _, name := range names {
+		fmt.Printf("  %-32s %d\n", name, perMutation[name])
+	}
 }
 
 func printIncidents(incidents []switchv.Incident) {

@@ -68,17 +68,14 @@ func main() {
 	entries := flag.Int("entries", 50, "data-plane fixture entries per round")
 	rounds := flag.Int("rounds", 0, "fleet rounds to run before exiting (0 = until signalled)")
 	interval := flag.Duration("interval", 0, "pause between fleet rounds")
-	precheck := flag.String("precheck", "on", "static model preflight: on, warn, or off")
+	var precheck switchv.PrecheckMode
+	flag.Var(&precheck, "precheck", "static model preflight: on (the default), warn, or off")
 	chaosSpec := flag.String("chaos", "", "chaos schedule over every target's p4rt wire: comma-separated mode:@N or mode:/P (restart not supported against remote targets); implies -harden")
 	chaosSeed := flag.Int64("chaos-seed", 0, "seed for periodic chaos rules (0 = -seed)")
 	harden := flag.Bool("harden", false, "self-healing transport stack: in-RPC retry, redial, torn-write reconciliation, warm-restart recovery")
 	rpcTimeout := flag.Duration("rpc-timeout", 0, "per-RPC deadline on every target connection (0 = client default 30s, or 2s when -chaos is set: each dropped response costs one deadline before the retry fires)")
 	flag.Parse()
 
-	pm, err := precheckMode(*precheck)
-	if err != nil {
-		log.Fatal(err)
-	}
 	if len(targets) == 0 {
 		fmt.Fprintln(os.Stderr, "switchvd: at least one -target is required")
 		os.Exit(2)
@@ -136,7 +133,7 @@ func main() {
 		Entries:    *entries,
 		Rounds:     *rounds,
 		Interval:   *interval,
-		Precheck:   pm,
+		Precheck:   precheck,
 		Harden:     *harden,
 		RPCTimeout: *rpcTimeout,
 		Logf:       log.Printf,
@@ -169,17 +166,4 @@ func main() {
 		log.Fatalf("switchvd: %v", err)
 	}
 	log.Printf("switchvd: %d fleet round(s) completed in %v", d.Rounds(), time.Since(start).Round(time.Millisecond))
-}
-
-// precheckMode parses the -precheck flag shared by the SwitchV CLIs.
-func precheckMode(s string) (switchv.PrecheckMode, error) {
-	switch s {
-	case "on", "":
-		return switchv.PrecheckOn, nil
-	case "warn":
-		return switchv.PrecheckWarn, nil
-	case "off":
-		return switchv.PrecheckOff, nil
-	}
-	return 0, fmt.Errorf("invalid -precheck %q (want on, warn, or off)", s)
 }

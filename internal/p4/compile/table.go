@@ -11,15 +11,11 @@ import (
 )
 
 // compiledTable is a table slot referenced by compiled ApplyTable
-// closures. The static parts (keys, default action) are fixed at program
-// compile time; the entry rows are rebuilt whenever the store's version
-// counter for the table moves.
+// closures: the table's keys and default action, and its entry rows
+// built once from the store.
 type compiledTable struct {
 	t    *ir.Table
 	name string
-
-	// version is the store's TableVersion the rows were built at.
-	version uint64
 
 	needsPriority bool
 	lpmKey        string // name of the last LPM key, "" if none
@@ -86,7 +82,7 @@ type compiledEntry struct {
 }
 
 // slotFor returns (creating on first reference) the table slot for t,
-// with all store-independent parts compiled.
+// with its default action and entry rows compiled.
 func (p *Pipeline) slotFor(t *ir.Table, slots map[*ir.Table]*compiledTable) *compiledTable {
 	if ct, ok := slots[t]; ok {
 		return ct
@@ -113,13 +109,12 @@ func (p *Pipeline) slotFor(t *ir.Table, slots map[*ir.Table]*compiledTable) *com
 		ct.defaultArgs[i] = value.New(arg, prm.Width)
 	}
 	slots[t] = ct
-	p.tables = append(p.tables, ct)
+	p.buildTable(ct)
 	return ct
 }
 
-// buildTable recompiles a table's entry rows from the store.
+// buildTable compiles a table's entry rows from the store.
 func (p *Pipeline) buildTable(ct *compiledTable) {
-	p.builds++
 	entries := p.store.Entries(ct.name)
 	rows := make([]*compiledEntry, 0, len(entries))
 	for _, e := range entries {
@@ -166,7 +161,6 @@ const dispatchMinRows = 8
 // row in a non-matching bucket could not have matched, and merging by
 // row sequence reproduces the full scan's precedence exactly.
 func (ct *compiledTable) buildDispatch(rows []*compiledEntry) {
-	ct.dispLevels = nil
 	input := make([]*compiledEntry, 0, len(rows))
 	for i, r := range rows {
 		r.seq = i

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"switchv/internal/p4/ir"
 )
@@ -15,7 +14,9 @@ import (
 //
 // A Store is safe for concurrent readers (the parallel symbolic-
 // generation and simulation engines share one store across workers);
-// mutations must not race with reads, as everywhere else.
+// mutations must not race with reads, as everywhere else. Views built
+// over a store (symbolic.New, compile.New) assume it is frozen: fill
+// the store first, and build a new view after any mutation.
 type Store struct {
 	mu     sync.Mutex
 	tables map[string]map[string]*Entry
@@ -24,42 +25,15 @@ type Store struct {
 
 	// ordered caches Entries() results per table; mutations invalidate it.
 	ordered map[string][]*Entry
-
-	// gen counts mutations; versions counts them per table. Compiled
-	// pipelines (internal/p4/compile) poll gen with one atomic load per
-	// packet and recompile only tables whose version moved.
-	gen      atomic.Uint64
-	versions map[string]uint64
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
 	return &Store{
-		tables:   map[string]map[string]*Entry{},
-		seq:      map[string]int{},
-		ordered:  map[string][]*Entry{},
-		versions: map[string]uint64{},
+		tables:  map[string]map[string]*Entry{},
+		seq:     map[string]int{},
+		ordered: map[string][]*Entry{},
 	}
-}
-
-// Generation returns a counter that increases on every mutation. It is
-// safe to read concurrently with other readers and is the cheap "did
-// anything change" check for caches built over the store's contents.
-func (s *Store) Generation() uint64 { return s.gen.Load() }
-
-// TableVersion returns a counter that increases whenever the named
-// table's entries change (0 for a never-touched table). Callers holding a
-// compiled view of one table compare it against the version they built at.
-func (s *Store) TableVersion(table string) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.versions[table]
-}
-
-// bumpLocked records a mutation of a table. Callers hold s.mu.
-func (s *Store) bumpLocked(table string) {
-	s.versions[table]++
-	s.gen.Add(1)
 }
 
 // Len returns the total number of installed entries.
@@ -98,7 +72,6 @@ func (s *Store) Insert(e *Entry) error {
 	s.order++
 	s.seq[key] = s.order
 	delete(s.ordered, e.Table.Name)
-	s.bumpLocked(e.Table.Name)
 	return nil
 }
 
@@ -114,7 +87,6 @@ func (s *Store) Modify(e *Entry) error {
 	}
 	t[key] = e
 	delete(s.ordered, e.Table.Name)
-	s.bumpLocked(e.Table.Name)
 	return nil
 }
 
@@ -130,7 +102,6 @@ func (s *Store) Delete(e *Entry) error {
 	delete(t, key)
 	delete(s.seq, key)
 	delete(s.ordered, e.Table.Name)
-	s.bumpLocked(e.Table.Name)
 	return nil
 }
 
@@ -204,31 +175,16 @@ func (s *Store) Clone() *Store {
 			out.seq[k] = s.seq[k]
 		}
 		out.tables[table] = nt
-		out.versions[table] = s.versions[table]
 	}
-	out.gen.Store(s.gen.Load())
 	return out
 }
 
-// Clear removes all entries. Table versions keep counting up across a
-// Clear so compiled views never mistake "emptied and refilled" for
-// "unchanged".
+// Clear removes all entries.
 func (s *Store) Clear() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for table := range s.tables {
-		s.bumpLocked(table)
-	}
 	s.tables = map[string]map[string]*Entry{}
 	s.seq = map[string]int{}
 	s.ordered = map[string][]*Entry{}
 	s.order = 0
-}
-
-// Seq returns the insertion sequence number of an installed entry (0 if
-// not installed). Lower numbers were installed earlier.
-func (s *Store) Seq(e *Entry) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq[e.Key()]
 }

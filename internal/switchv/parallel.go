@@ -217,14 +217,11 @@ func RunParallelCampaign(info *p4info.Info, opts ParallelOptions) (*ParallelRepo
 	// Preflight once, before any stack is built: a model that fails the
 	// gate should not cost N switch stacks to find out.
 	gate := &Harness{Info: info, Precheck: opts.Precheck}
-	crep, err := gate.precheckGate("campaign")
+	crep, err := gate.Preflight("campaign")
 	if err != nil {
 		return nil, err
 	}
-	var dead map[string]bool
-	if crep != nil {
-		dead = crep.UnreachableSet()
-	}
+	dead := crep.UnreachableSet()
 	shards := opts.Shards
 	if shards <= 0 {
 		shards = DefaultShards
@@ -433,14 +430,10 @@ func runShard(info *p4info.Info, opts ParallelOptions, worker, shard, batches in
 		res.err = fmt.Errorf("shard %d: pushing pipeline: %w", shard, err)
 		return res
 	}
-	var dead map[string]bool
-	if crep := h.PrecheckReport(); crep != nil {
-		dead = crep.UnreachableSet()
-	}
 	fo := opts.Fuzz
 	fo.Seed = res.stats.Seed
 	fo.NumRequests = batches
-	fo.Coverage = coverage.NewMapExcluding(info, dead) // private map, merged later
+	fo.Coverage = coverage.NewMapExcluding(info, h.PrecheckReport().UnreachableSet()) // private map, merged later
 	rep, err := h.runControlPlane(fo, pipelineDepth)
 	if err != nil {
 		res.err = fmt.Errorf("shard %d: %w", shard, err)

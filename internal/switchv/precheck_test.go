@@ -58,7 +58,7 @@ func TestPrecheckRefusesDefectiveModel(t *testing.T) {
 func TestPrecheckWarnOverrides(t *testing.T) {
 	h := New(defectiveInfo(t), nil, nil)
 	h.Precheck = PrecheckWarn
-	rep, err := h.precheckGate("p4-fuzzer")
+	rep, err := h.Preflight("p4-fuzzer")
 	if err != nil {
 		t.Errorf("warn mode refused: %v", err)
 	}

@@ -60,6 +60,33 @@ const (
 	PrecheckOff
 )
 
+// String returns the mode's -precheck spelling.
+func (m PrecheckMode) String() string {
+	switch m {
+	case PrecheckWarn:
+		return "warn"
+	case PrecheckOff:
+		return "off"
+	}
+	return "on"
+}
+
+// Set parses a -precheck value, making *PrecheckMode a flag.Value: the
+// CLIs declare -precheck with flag.Var, so a bad value is a usage error.
+func (m *PrecheckMode) Set(s string) error {
+	switch s {
+	case "on", "":
+		*m = PrecheckOn
+	case "warn":
+		*m = PrecheckWarn
+	case "off":
+		*m = PrecheckOff
+	default:
+		return fmt.Errorf("want on, warn, or off")
+	}
+	return nil
+}
+
 // Harness validates one switch against one model.
 type Harness struct {
 	Info *p4info.Info
@@ -92,9 +119,11 @@ func (h *Harness) PrecheckReport() *check.Report {
 	return check.Cached(h.Info.Program())
 }
 
-// precheckGate runs the preflight and refuses the campaign on
-// error-severity findings (PrecheckOn only).
-func (h *Harness) precheckGate(tool string) (*check.Report, error) {
+// Preflight runs the static preflight for tool and refuses on
+// error-severity findings (PrecheckOn only). The report is nil under
+// PrecheckOff. Every front end gates through it: both campaigns, the
+// parallel engine and cmd/p4symbolic.
+func (h *Harness) Preflight(tool string) (*check.Report, error) {
 	rep := h.PrecheckReport()
 	if rep == nil {
 		return nil, nil
@@ -231,16 +260,12 @@ type switchBatch struct {
 // coverage-guided picks, and torn-write reconciliation, which reads the
 // oracle's pre-batch state.
 func (h *Harness) runControlPlane(opts fuzzer.Options, depth int) (*ControlPlaneReport, error) {
-	crep, err := h.precheckGate("p4-fuzzer")
+	crep, err := h.Preflight("p4-fuzzer")
 	if err != nil {
 		return nil, err
 	}
 	if opts.Coverage == nil {
-		var dead map[string]bool
-		if crep != nil {
-			dead = crep.UnreachableSet()
-		}
-		opts.Coverage = coverage.NewMapExcluding(h.Info, dead)
+		opts.Coverage = coverage.NewMapExcluding(h.Info, crep.UnreachableSet())
 	}
 	if opts.PlateauBatches > 0 || opts.StopAfterIncidents > 0 || opts.CoverageGuided || h.Reconcile {
 		depth = 1
@@ -423,14 +448,11 @@ const maxBehaviors = 32
 // reference simulator, and flags every switch behavior that is not in the
 // simulator's set of valid behaviors.
 func (h *Harness) RunDataPlane(entries []*pdpi.Entry, opts DataPlaneOptions) (*DataPlaneReport, error) {
-	crep, err := h.precheckGate("p4-symbolic")
+	crep, err := h.Preflight("p4-symbolic")
 	if err != nil {
 		return nil, err
 	}
-	var dead map[string]bool
-	if crep != nil {
-		dead = crep.UnreachableSet()
-	}
+	dead := crep.UnreachableSet()
 	rep := &DataPlaneReport{Entries: len(entries)}
 
 	// Reconcile the switch to an empty state first, as a controller would

@@ -51,8 +51,7 @@ type Executor struct {
 	trace   map[string]*smt.Term
 	keys    []string // trace keys in first-recorded order
 
-	halt     *smt.Term // guard under which exit was executed
-	returned *smt.Term // guard under which return was executed (per control)
+	halt *smt.Term // guard under which exit was executed
 
 	branchSeq int
 
@@ -125,9 +124,7 @@ func New(prog *ir.Program, store *pdpi.Store, opts Options) (*Executor, error) {
 
 	// Execute the pipeline.
 	for _, ctrl := range prog.Controls {
-		ex.returned = b.False()
-		g := b.Not(ex.halt)
-		ex.runStmts(state, ctrl.Body, g, nil)
+		ex.runStmts(state, ctrl.Body, b.Not(ex.halt), nil)
 	}
 	ex.outputs = state
 	// The canonical background model completes sliced checks (see
@@ -306,13 +303,14 @@ func (ex *Executor) assertParserAxioms() error {
 // guard (g minus paths that exited or returned).
 func (ex *Executor) runStmts(state []*smt.Term, stmts []ir.Stmt, g *smt.Term, args []*smt.Term) *smt.Term {
 	b := ex.b
+	param := func(e *ir.Expr) *smt.Term { return args[e.Param] }
 	for _, st := range stmts {
 		switch x := st.(type) {
 		case *ir.Assign:
-			rhs := b.Resize(ex.eval(state, &x.Src, args), x.Dst.Width)
+			rhs := b.Resize(smt.LowerExpr(b, state, &x.Src, param), x.Dst.Width)
 			state[x.Dst.ID] = b.Ite(g, rhs, state[x.Dst.ID])
 		case *ir.If:
-			cond := ex.evalBool(state, &x.Cond, args)
+			cond := smt.LowerBool(b, state, &x.Cond, param)
 			ex.branchSeq++
 			key := fmt.Sprintf("branch:%d", ex.branchSeq)
 			gThen := b.And(g, cond)
@@ -328,88 +326,12 @@ func (ex *Executor) runStmts(state []*smt.Term, stmts []ir.Stmt, g *smt.Term, ar
 			ex.halt = b.Or(ex.halt, g)
 			g = b.False()
 		case *ir.Return:
-			ex.returned = b.Or(ex.returned, g)
 			g = b.False()
 		default:
 			panic(fmt.Sprintf("symbolic: unknown statement %T", st))
 		}
 	}
 	return g
-}
-
-// eval lowers an IR expression to a bitvector term.
-func (ex *Executor) eval(state []*smt.Term, e *ir.Expr, args []*smt.Term) *smt.Term {
-	b := ex.b
-	switch e.Op {
-	case ir.OpConst:
-		return b.ConstUint(e.Value, e.Width)
-	case ir.OpField:
-		return state[e.Field.ID]
-	case ir.OpParam:
-		return args[e.Param]
-	case ir.OpMux:
-		return b.Ite(ex.evalBool(state, e.Args[0], args),
-			ex.eval(state, e.Args[1], args), ex.eval(state, e.Args[2], args))
-	case ir.OpBitNot:
-		return b.BVNot(ex.eval(state, e.Args[0], args))
-	case ir.OpBitAnd:
-		return b.BVAnd(ex.eval(state, e.Args[0], args), ex.eval(state, e.Args[1], args))
-	case ir.OpBitOr:
-		return b.BVOr(ex.eval(state, e.Args[0], args), ex.eval(state, e.Args[1], args))
-	case ir.OpBitXor:
-		return b.BVXor(ex.eval(state, e.Args[0], args), ex.eval(state, e.Args[1], args))
-	case ir.OpAdd:
-		return b.BVAdd(ex.eval(state, e.Args[0], args), ex.eval(state, e.Args[1], args))
-	case ir.OpSub:
-		return b.BVSub(ex.eval(state, e.Args[0], args), ex.eval(state, e.Args[1], args))
-	case ir.OpShl, ir.OpShr:
-		amount := e.Args[1]
-		if amount.Op != ir.OpConst {
-			panic("symbolic: only constant shift amounts are supported")
-		}
-		x := ex.eval(state, e.Args[0], args)
-		if e.Op == ir.OpShl {
-			return b.BVShlConst(x, int(amount.Value))
-		}
-		return b.BVShrConst(x, int(amount.Value))
-	default:
-		// Boolean-valued operators used in a value position: reify as a
-		// 1-bit vector.
-		cond := ex.evalBool(state, e, args)
-		return b.Ite(cond, b.ConstUint(1, 1), b.ConstUint(0, 1))
-	}
-}
-
-// evalBool lowers an IR expression to a boolean term.
-func (ex *Executor) evalBool(state []*smt.Term, e *ir.Expr, args []*smt.Term) *smt.Term {
-	b := ex.b
-	switch e.Op {
-	case ir.OpEq:
-		return b.Eq(ex.eval(state, e.Args[0], args), ex.eval(state, e.Args[1], args))
-	case ir.OpNe:
-		return b.Ne(ex.eval(state, e.Args[0], args), ex.eval(state, e.Args[1], args))
-	case ir.OpLt:
-		return b.Ult(ex.eval(state, e.Args[0], args), ex.eval(state, e.Args[1], args))
-	case ir.OpLe:
-		return b.Ule(ex.eval(state, e.Args[0], args), ex.eval(state, e.Args[1], args))
-	case ir.OpGt:
-		return b.Ult(ex.eval(state, e.Args[1], args), ex.eval(state, e.Args[0], args))
-	case ir.OpGe:
-		return b.Ule(ex.eval(state, e.Args[1], args), ex.eval(state, e.Args[0], args))
-	case ir.OpAnd:
-		return b.And(ex.evalBool(state, e.Args[0], args), ex.evalBool(state, e.Args[1], args))
-	case ir.OpOr:
-		return b.Or(ex.evalBool(state, e.Args[0], args), ex.evalBool(state, e.Args[1], args))
-	case ir.OpNot:
-		return b.Not(ex.evalBool(state, e.Args[0], args))
-	case ir.OpMux:
-		return b.Ite(ex.evalBool(state, e.Args[0], args),
-			ex.evalBool(state, e.Args[1], args), ex.evalBool(state, e.Args[2], args))
-	default:
-		// A 1-bit value used as a condition.
-		v := ex.eval(state, e, args)
-		return b.Ne(v, b.Const(value.Zero(v.Width())))
-	}
 }
 
 // applyTable symbolically applies a table under guard g: every entry gets
