@@ -371,12 +371,27 @@ func (f *Fuzzer) pickTable() *ir.Table {
 	return ready[f.rng.Intn(len(ready))]
 }
 
+// randomInstalled picks an installed entry uniformly: the i-th entry of
+// Store.All in program table order, located table by table without
+// building that slice.
 func (f *Fuzzer) randomInstalled() *pdpi.Entry {
-	all := f.installed.All(f.info.Program())
-	if len(all) == 0 {
+	tables := f.info.Program().Tables
+	n := 0
+	for _, t := range tables {
+		n += f.installed.TableLen(t.Name)
+	}
+	if n == 0 {
 		return nil
 	}
-	return all[f.rng.Intn(len(all))]
+	i := f.rng.Intn(n)
+	for _, t := range tables {
+		rows := f.installed.Entries(t.Name)
+		if i < len(rows) {
+			return rows[i]
+		}
+		i -= len(rows)
+	}
+	return nil
 }
 
 // NoteAccepted records that the switch accepted an update, keeping the

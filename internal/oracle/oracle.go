@@ -103,14 +103,38 @@ func (o *Oracle) State() *pdpi.Store { return o.state }
 // @refers_to referential integrity, applicability, and resource
 // guarantees.
 func (o *Oracle) Classify(state *pdpi.Store, u *p4rt.Update) (Verdict, string) {
-	return o.classify(state, buildRefIndex(o.info, state), u)
+	return o.classify(state, buildRefIndex(o.info, state), u.Type, o.decode(&u.Entry))
 }
 
-func (o *Oracle) classify(state *pdpi.Store, idx refIndex, u *p4rt.Update) (Verdict, string) {
-	e, err := p4rt.FromWire(o.info, &u.Entry)
+// decoded is one wire entry decoded once: the semantic entry and its
+// rendered Key(), or the decode error.
+type decoded struct {
+	e   *pdpi.Entry
+	key string
+	err error
+}
+
+func (o *Oracle) decode(te *p4rt.TableEntry) decoded {
+	e, err := p4rt.FromWire(o.info, te)
 	if err != nil {
-		return MustReject, fmt.Sprintf("syntactically invalid: %v", err)
+		return decoded{err: err}
 	}
+	return decoded{e: e, key: e.Key()}
+}
+
+// table names the decoded entry's table ("?" when it did not decode).
+func (d decoded) table() string {
+	if d.err != nil {
+		return "?"
+	}
+	return d.e.Table.Name
+}
+
+func (o *Oracle) classify(state *pdpi.Store, idx refIndex, typ p4rt.UpdateType, d decoded) (Verdict, string) {
+	if d.err != nil {
+		return MustReject, fmt.Sprintf("syntactically invalid: %v", d.err)
+	}
+	e := d.e
 	ok, err := constraints.CheckEntry(e)
 	if err != nil {
 		return MustReject, fmt.Sprintf("constraint error: %v", err)
@@ -118,14 +142,15 @@ func (o *Oracle) classify(state *pdpi.Store, idx refIndex, u *p4rt.Update) (Verd
 	if !ok {
 		return MustReject, fmt.Sprintf("violates @entry_restriction of %s", e.Table.Name)
 	}
-	if u.Type != p4rt.Delete {
+	if typ != p4rt.Delete {
 		if msg, bad := o.danglingReference(state, e); bad {
 			return MustReject, msg
 		}
 	}
-	switch u.Type {
+	installed, exists := state.GetKey(e.Table.Name, d.key)
+	switch typ {
 	case p4rt.Insert:
-		if _, exists := state.Get(e); exists {
+		if exists {
 			return MustReject, "entry already exists"
 		}
 		if state.TableLen(e.Table.Name) >= e.Table.Size {
@@ -133,23 +158,23 @@ func (o *Oracle) classify(state *pdpi.Store, idx refIndex, u *p4rt.Update) (Verd
 		}
 		return MustAccept, ""
 	case p4rt.Modify:
-		if _, exists := state.Get(e); !exists {
+		if !exists {
 			return MustReject, "modify of non-existent entry"
 		}
 		return MustAccept, ""
 	case p4rt.Delete:
-		if _, exists := state.Get(e); !exists {
+		if !exists {
 			return MustReject, "delete of non-existent entry"
 		}
 		// Deleting an entry that other installed entries reference would
 		// dangle their @refers_to values; referential integrity requires
 		// rejection (§3 "P4-Constraints").
-		if idx.breaksReferents(state, e) {
+		if idx.breaksReferents(state, installed) {
 			return MustReject, "delete would dangle references"
 		}
 		return MustAccept, ""
 	default:
-		return MustReject, fmt.Sprintf("unknown update type %d", u.Type)
+		return MustReject, fmt.Sprintf("unknown update type %d", typ)
 	}
 }
 
@@ -234,13 +259,13 @@ func buildRefIndex(info *p4info.Info, state *pdpi.Store) refIndex {
 	return idx
 }
 
-// breaksReferents reports whether deleting e would dangle any installed
-// reference: some entry references one of e's key values and no sibling of
-// e carries that value.
+// breaksReferents reports whether deleting the installed entry e would
+// dangle any installed reference: some entry references one of e's key
+// values and no sibling of e carries that value.
 func (idx refIndex) breaksReferents(state *pdpi.Store, e *pdpi.Entry) bool {
 	stillCovered := func(field string, v value.V) bool {
 		for _, sibling := range state.Entries(e.Table.Name) {
-			if sibling.Key() == e.Key() {
+			if sibling == e {
 				continue
 			}
 			if m, ok := sibling.Match(field); ok && m.Value.Equal(v) {
@@ -259,8 +284,11 @@ func (idx refIndex) breaksReferents(state *pdpi.Store, e *pdpi.Entry) bool {
 
 // CheckBatch judges a batch: the response statuses against each update's
 // verdict, and the read-back against the state implied by the statuses.
-// On success (no violations) the oracle adopts the observed state as its
-// new baseline and reports the per-update verdicts.
+// It then adopts the observed state as its new baseline and reports the
+// per-update verdicts. Each update and each read-back entry is decoded
+// from the wire, and its key rendered, once per batch; the read-back's
+// decoded entries are compared with the expected ones structurally and
+// become the adopted state.
 func (o *Oracle) CheckBatch(req p4rt.WriteRequest, resp p4rt.WriteResponse, observed p4rt.ReadResponse) ([]Verdict, []Violation) {
 	var violations []Violation
 	verdicts := make([]Verdict, len(req.Updates))
@@ -279,30 +307,29 @@ func (o *Oracle) CheckBatch(req p4rt.WriteRequest, resp p4rt.WriteResponse, obse
 	// batch may still target the same entry key; since the switch may
 	// execute a batch in any order (§4 Example 2), verdicts for colliding
 	// keys are downgraded to may-reject.
+	updates := make([]decoded, len(req.Updates))
 	keyCount := map[string]int{}
 	insertsPerTable := map[string]int{}
 	for i := range req.Updates {
-		if e, err := p4rt.FromWire(o.info, &req.Updates[i].Entry); err == nil {
-			keyCount[e.Key()]++
+		d := o.decode(&req.Updates[i].Entry)
+		updates[i] = d
+		if d.err == nil {
+			keyCount[d.key]++
 			if req.Updates[i].Type == p4rt.Insert {
-				insertsPerTable[e.Table.Name]++
+				insertsPerTable[d.e.Table.Name]++
 			}
 		}
-	}
-	collides := func(u *p4rt.Update) bool {
-		e, err := p4rt.FromWire(o.info, &u.Entry)
-		return err == nil && keyCount[e.Key()] > 1
 	}
 
 	expected := o.state.Clone()
 	idx := buildRefIndex(o.info, o.state)
 	for i := range req.Updates {
-		u := &req.Updates[i]
-		verdict, why := o.classify(o.state, idx, u)
+		u, d := &req.Updates[i], updates[i]
+		verdict, why := o.classify(o.state, idx, u.Type, d)
 		if verdict != MustReject || isStateDependent(why) {
 			// Syntactic/constraint invalidity is order-independent; only
 			// state-dependent verdicts are affected by batch collisions.
-			if collides(u) {
+			if d.err == nil && keyCount[d.key] > 1 {
 				verdict = MayReject
 			}
 		}
@@ -310,10 +337,8 @@ func (o *Oracle) CheckBatch(req p4rt.WriteRequest, resp p4rt.WriteResponse, obse
 		// depending on execution order; only guarantee acceptance when the
 		// whole batch fits.
 		if verdict == MustAccept && u.Type == p4rt.Insert {
-			if e, err := p4rt.FromWire(o.info, &u.Entry); err == nil {
-				if o.state.TableLen(e.Table.Name)+insertsPerTable[e.Table.Name] > e.Table.Size {
-					verdict = MayReject
-				}
+			if t := d.e.Table; o.state.TableLen(t.Name)+insertsPerTable[t.Name] > t.Size {
+				verdict = MayReject
 			}
 		}
 		verdicts[i] = verdict
@@ -323,20 +348,12 @@ func (o *Oracle) CheckBatch(req p4rt.WriteRequest, resp p4rt.WriteResponse, obse
 			// the verdict and coverage, but judge nothing and replay
 			// nothing for this update.
 			if o.cov != nil {
-				table := "?"
-				if e, err := p4rt.FromWire(o.info, &u.Entry); err == nil {
-					table = e.Table.Name
-				}
-				o.cov.NoteVerdictOutcome(table, verdict.String(), false)
+				o.cov.NoteVerdictOutcome(d.table(), verdict.String(), false)
 			}
 			continue
 		}
 		if o.cov != nil {
-			table := "?" // undecodable updates have no table
-			if e, err := p4rt.FromWire(o.info, &u.Entry); err == nil {
-				table = e.Table.Name
-			}
-			o.cov.NoteVerdictOutcome(table, verdict.String(), accepted)
+			o.cov.NoteVerdictOutcome(d.table(), verdict.String(), accepted)
 		}
 		switch verdict {
 		case MustReject:
@@ -367,35 +384,34 @@ func (o *Oracle) CheckBatch(req p4rt.WriteRequest, resp p4rt.WriteResponse, obse
 			// Either response is admissible.
 		}
 		// Replay accepted updates onto the expected state.
-		if accepted {
-			if e, err := p4rt.FromWire(o.info, &u.Entry); err == nil {
-				var applyErr error
-				switch u.Type {
-				case p4rt.Insert:
-					applyErr = expected.Insert(e)
-				case p4rt.Modify:
-					applyErr = expected.Modify(e)
-				case p4rt.Delete:
-					applyErr = expected.Delete(e)
-				}
-				if applyErr != nil {
-					violations = append(violations, Violation{
-						UpdateIndex: i,
-						Kind:        "inconsistent-acceptance",
-						Message:     fmt.Sprintf("switch reported OK but the update cannot apply: %v", applyErr),
-					})
-				}
+		if accepted && d.err == nil {
+			var applyErr error
+			switch u.Type {
+			case p4rt.Insert:
+				applyErr = expected.InsertKey(d.e, d.key)
+			case p4rt.Modify:
+				applyErr = expected.Modify(d.e)
+			case p4rt.Delete:
+				applyErr = expected.Delete(d.e)
+			}
+			if applyErr != nil {
+				violations = append(violations, Violation{
+					UpdateIndex: i,
+					Kind:        "inconsistent-acceptance",
+					Message:     fmt.Sprintf("switch reported OK but the update cannot apply: %v", applyErr),
+				})
 			}
 		}
 	}
 
-	// Compare the read-back with the expected state.
-	violations = append(violations, o.checkReadback(expected, observed)...)
-
-	// Adopt the observed state as the new baseline (§4.3: "forget the
-	// prior state"), regardless of violations, so one bad batch does not
-	// cascade into noise.
-	if adopted, ok := o.adoptObserved(observed); ok {
+	// Compare the read-back with the expected state, then adopt the
+	// observed state as the new baseline (§4.3: "forget the prior
+	// state"), regardless of violations, so one bad batch does not
+	// cascade into noise. A read-back that cannot be a store (malformed
+	// or duplicate entries) leaves the expected state instead.
+	adopted, readback := o.checkReadback(expected, observed)
+	violations = append(violations, readback...)
+	if adopted != nil {
 		o.state = adopted
 	} else {
 		o.state = expected
@@ -405,73 +421,67 @@ func (o *Oracle) CheckBatch(req p4rt.WriteRequest, resp p4rt.WriteResponse, obse
 
 // checkReadback verifies the observed entries decode cleanly (canonical
 // bytestrings, §4's format rules apply to reads too) and match the
-// expected state exactly.
-func (o *Oracle) checkReadback(expected *pdpi.Store, observed p4rt.ReadResponse) []Violation {
+// expected state exactly, down to every action-set member's arguments.
+// It returns the observed entries as a store, in read-back order, or nil
+// when some entry is malformed or read twice.
+func (o *Oracle) checkReadback(expected *pdpi.Store, observed p4rt.ReadResponse) (*pdpi.Store, []Violation) {
 	var violations []Violation
-	seen := map[string]bool{}
+	got := pdpi.NewStore()
+	adoptable := true
+	matched := 0
 	for i := range observed.Entries {
-		e, err := p4rt.FromWire(o.info, &observed.Entries[i])
-		if err != nil {
+		d := o.decode(&observed.Entries[i])
+		if d.err != nil {
 			violations = append(violations, Violation{
 				UpdateIndex: -1,
 				Kind:        "readback-format",
-				Message:     fmt.Sprintf("read-back entry %d is malformed: %v", i, err),
+				Message:     fmt.Sprintf("read-back entry %d is malformed: %v", i, d.err),
 			})
+			adoptable = false
 			continue
 		}
-		key := e.Key()
-		if seen[key] {
+		if err := got.InsertKey(d.e, d.key); err != nil {
 			violations = append(violations, Violation{
 				UpdateIndex: -1,
 				Kind:        "readback-duplicate",
-				Message:     "read returned the same entry twice: " + key,
+				Message:     "read returned the same entry twice: " + d.key,
 			})
+			adoptable = false
 			continue
 		}
-		seen[key] = true
-		want, ok := expected.Get(e)
+		want, ok := expected.GetKey(d.e.Table.Name, d.key)
 		if !ok {
 			violations = append(violations, Violation{
 				UpdateIndex: -1,
 				Kind:        "readback-extra",
-				Message:     "switch has an entry it should not: " + key,
+				Message:     "switch has an entry it should not: " + d.key,
 			})
 			continue
 		}
-		if want.String() != e.String() {
+		matched++
+		if !want.Equal(d.e) {
 			violations = append(violations, Violation{
 				UpdateIndex: -1,
 				Kind:        "readback-mismatch",
-				Message:     fmt.Sprintf("entry differs: switch %s, expected %s", e, want),
+				Message:     fmt.Sprintf("entry differs: switch %s, expected %s", d.e, want),
 			})
 		}
 	}
-	for _, want := range expected.All(o.info.Program()) {
-		if !seen[want.Key()] {
-			violations = append(violations, Violation{
-				UpdateIndex: -1,
-				Kind:        "readback-missing",
-				Message:     "switch lost entry: " + want.Key(),
-			})
+	if matched < expected.Len() {
+		for _, want := range expected.All(o.info.Program()) {
+			if _, ok := got.Get(want); !ok {
+				violations = append(violations, Violation{
+					UpdateIndex: -1,
+					Kind:        "readback-missing",
+					Message:     "switch lost entry: " + want.Key(),
+				})
+			}
 		}
 	}
-	return violations
-}
-
-// adoptObserved converts a read-back into a store; it fails if entries are
-// malformed (the caller falls back to the expected state).
-func (o *Oracle) adoptObserved(observed p4rt.ReadResponse) (*pdpi.Store, bool) {
-	s := pdpi.NewStore()
-	for i := range observed.Entries {
-		e, err := p4rt.FromWire(o.info, &observed.Entries[i])
-		if err != nil {
-			return nil, false
-		}
-		if err := s.Insert(e); err != nil {
-			return nil, false
-		}
+	if !adoptable {
+		return nil, violations
 	}
-	return s, true
+	return got, violations
 }
 
 // isStateDependent reports whether a must-reject reason depends on the

@@ -329,6 +329,38 @@ func TestCheckBatchReadback(t *testing.T) {
 	if !foundMismatch {
 		t.Fatalf("violations: %v", violations)
 	}
+
+	// A WCMP group read back with the right action names and weights but
+	// a member pointing at another nexthop.
+	o6 := New(info)
+	nh1 := mustFromWire(t, info, &nhWire)
+	nh2Wire := o5StateNh(info)
+	nh2Wire.Match[0].Exact.Value = []byte{2}
+	nh2 := mustFromWire(t, info, &nh2Wire)
+	o6.State().Insert(nh1)
+	o6.State().Insert(nh2)
+	groupReq := p4rt.WriteRequest{Updates: []p4rt.Update{{Type: p4rt.Insert, Entry: wcmpGroup(info, 1)}}}
+	_, violations = o6.CheckBatch(groupReq, okResp, p4rt.ReadResponse{
+		Entries: []p4rt.TableEntry{nhWire, nh2Wire, wcmpGroup(info, 2)},
+	})
+	if len(violations) != 1 || violations[0].Kind != "readback-mismatch" ||
+		!strings.Contains(violations[0].Message, "set_nexthop_id 10w0x2*1") {
+		t.Fatalf("violations: %v", violations)
+	}
+}
+
+// wcmpGroup is WCMP group 1 with one member, set_nexthop_id(nexthop).
+func wcmpGroup(info *p4info.Info, nexthop byte) p4rt.TableEntry {
+	wcmpT, _ := info.TableByName("wcmp_group_table")
+	setNH, _ := info.ActionByName("set_nexthop_id")
+	return p4rt.TableEntry{
+		TableID: wcmpT.ID,
+		Match:   []p4rt.FieldMatch{{FieldID: 1, Exact: &p4rt.ExactMatch{Value: []byte{1}}}},
+		Action: p4rt.TableAction{HasActionSet: true, ActionSet: []p4rt.ActionProfileAction{{
+			Action: p4rt.Action{ActionID: setNH.ID, Params: []p4rt.ActionParam{{ParamID: 1, Value: []byte{nexthop}}}},
+			Weight: 1,
+		}}},
+	}
 }
 
 func o5StateNh(info *p4info.Info) p4rt.TableEntry {
@@ -347,11 +379,13 @@ func o5StateNh(info *p4info.Info) p4rt.TableEntry {
 	}
 }
 
-func mustFromWire(t *testing.T, info *p4info.Info, te *p4rt.TableEntry) {
+func mustFromWire(t *testing.T, info *p4info.Info, te *p4rt.TableEntry) *pdpi.Entry {
 	t.Helper()
-	if _, err := p4rt.FromWire(info, te); err != nil {
+	e, err := p4rt.FromWire(info, te)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return e
 }
 
 func TestBatchCollisionsAreMayReject(t *testing.T) {

@@ -222,7 +222,7 @@ func (e *Entry) Key() string {
 }
 
 // String renders the entry in the human-readable form of the paper's
-// Figure 3.
+// Figure 3, with every action-set member's arguments.
 func (e *Entry) String() string {
 	var b strings.Builder
 	b.WriteString(e.Table.Name)
@@ -241,26 +241,83 @@ func (e *Entry) String() string {
 		}
 	}
 	b.WriteString(" => ")
-	switch {
-	case e.Action != nil:
-		b.WriteString(e.Action.Action.Name)
-		for _, a := range e.Action.Args {
-			b.WriteString(" " + a.String())
-		}
-	case len(e.ActionSet) > 0:
-		for i, wa := range e.ActionSet {
-			if i > 0 {
-				b.WriteString(" + ")
-			}
-			fmt.Fprintf(&b, "%s*%d", wa.Action.Name, wa.Weight)
-		}
-	default:
-		b.WriteString("<no action>")
-	}
+	e.writeAction(&b)
 	if e.Priority != 0 {
 		fmt.Fprintf(&b, " @%d", e.Priority)
 	}
 	return b.String()
+}
+
+// ActionString renders what Key leaves out: the entry's action with its
+// arguments, or its action set with every member's arguments and weight.
+// Key() plus ActionString() identify an entry losslessly.
+func (e *Entry) ActionString() string {
+	var b strings.Builder
+	e.writeAction(&b)
+	return b.String()
+}
+
+func (e *Entry) writeAction(b *strings.Builder) {
+	invocation := func(inv *ActionInvocation) {
+		b.WriteString(inv.Action.Name)
+		for _, a := range inv.Args {
+			b.WriteByte(' ')
+			b.WriteString(a.String())
+		}
+	}
+	switch {
+	case e.Action != nil:
+		invocation(e.Action)
+	case len(e.ActionSet) > 0:
+		for i := range e.ActionSet {
+			if i > 0 {
+				b.WriteString(" + ")
+			}
+			invocation(&e.ActionSet[i].ActionInvocation)
+			b.WriteByte('*')
+			b.WriteString(strconv.Itoa(e.ActionSet[i].Weight))
+		}
+	default:
+		b.WriteString("<no action>")
+	}
+}
+
+// Equal reports whether e and o are the same entry, losslessly: the same
+// table, the same matches in the same order, the same priority, and the
+// same action or action set, down to every member's arguments and weight.
+func (e *Entry) Equal(o *Entry) bool {
+	if e.Table.Name != o.Table.Name || e.Priority != o.Priority ||
+		len(e.Matches) != len(o.Matches) || len(e.ActionSet) != len(o.ActionSet) ||
+		(e.Action == nil) != (o.Action == nil) {
+		return false
+	}
+	for i := range e.Matches {
+		if e.Matches[i] != o.Matches[i] {
+			return false
+		}
+	}
+	if e.Action != nil && !e.Action.equal(o.Action) {
+		return false
+	}
+	for i := range e.ActionSet {
+		a, b := &e.ActionSet[i], &o.ActionSet[i]
+		if a.Weight != b.Weight || !a.ActionInvocation.equal(&b.ActionInvocation) {
+			return false
+		}
+	}
+	return true
+}
+
+func (inv *ActionInvocation) equal(o *ActionInvocation) bool {
+	if inv.Action.Name != o.Action.Name || len(inv.Args) != len(o.Args) {
+		return false
+	}
+	for i := range inv.Args {
+		if inv.Args[i] != o.Args[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Clone returns a deep copy of the entry.

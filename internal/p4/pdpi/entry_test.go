@@ -161,6 +161,34 @@ func TestKeyAndString(t *testing.T) {
 			t.Errorf("String() = %q missing %q", s, want)
 		}
 	}
+	if a.Equal(b) || !a.Equal(a.Clone()) {
+		t.Error("Equal ignores the action's args")
+	}
+
+	// Two groups whose only member points at different nexthops: the
+	// same Key, but String, ActionString and Equal tell them apart.
+	p := models.Middleblock()
+	wcmpTbl, _ := p.TableByName("wcmp_group_table")
+	setNexthop, _ := p.ActionByName("set_nexthop_id")
+	group := func(nh uint64) *Entry {
+		return &Entry{
+			Table:   wcmpTbl,
+			Matches: []Match{{Key: "wcmp_group_id", Kind: ir.MatchExact, Value: value.New(1, 10)}},
+			ActionSet: []WeightedAction{
+				{ActionInvocation: ActionInvocation{Action: setNexthop, Args: []value.V{value.New(nh, 10)}}, Weight: 1},
+			},
+		}
+	}
+	g1, g2 := group(0x4d), group(0x54)
+	if g1.Key() != g2.Key() {
+		t.Error("member args changed the match key")
+	}
+	if g1.String() == g2.String() || g1.ActionString() == g2.ActionString() || g1.Equal(g2) {
+		t.Errorf("member args not rendered or compared: %s vs %s", g1, g2)
+	}
+	if want := "set_nexthop_id 10w0x4d*1"; !strings.Contains(g1.String(), want) {
+		t.Errorf("String() = %q missing %q", g1, want)
+	}
 }
 
 func TestMatchLookup(t *testing.T) {

@@ -191,7 +191,7 @@ func (s *Server) packetInLoop() {
 		payload := encodePacketIn(&pin)
 		s.mu.Lock()
 		writers := make([]*connWriter, 0, len(s.conns))
-		for _, cw := range s.conns {
+		for _, cw := range s.conns { //detlint:allow maprange — each connection gets its own stream; no client observes the send order across connections
 			writers = append(writers, cw)
 		}
 		s.mu.Unlock()

@@ -176,7 +176,7 @@ func (s *Switch) applyUpdate(u *p4rt.Update) p4rt.Status {
 		if !exists {
 			return p4rt.Statusf(p4rt.NotFound, "entry does not exist")
 		}
-		if !s.hasFault(FaultAcceptInvalidReference) && s.deleteWouldDangle(e) {
+		if !s.hasFault(FaultAcceptInvalidReference) && s.deleteWouldDangle(installed) {
 			return p4rt.Statusf(p4rt.FailedPrecondition, "entry is referenced by other entries")
 		}
 		// Deletion is keyed on the match; the installed entry (not the
@@ -333,8 +333,10 @@ func (s *Switch) Read(req p4rt.ReadRequest) (p4rt.ReadResponse, error) {
 			continue
 		}
 		te := p4rt.ToWire(e)
-		if raw, ok := s.rawValues[e.Key()]; ok && s.hasFault(FaultZeroBytesAccepted) {
-			te = raw // echo back the non-canonical bytes as stored
+		if s.hasFault(FaultZeroBytesAccepted) {
+			if raw, ok := s.rawValues[e.Key()]; ok {
+				te = raw // echo back the non-canonical bytes as stored
+			}
 		}
 		if s.hasFault(FaultReadDropsTernary) {
 			var kept []p4rt.FieldMatch
@@ -512,13 +514,13 @@ func routerSolicitation() []byte {
 	return data
 }
 
-// deleteWouldDangle reports whether removing e would leave an installed
-// entry with a reference to a no-longer-covered key value, using the
-// SAI-style reference counts.
+// deleteWouldDangle reports whether removing the installed entry e would
+// leave an installed entry with a reference to a no-longer-covered key
+// value, using the SAI-style reference counts.
 func (s *Switch) deleteWouldDangle(e *pdpi.Entry) bool {
 	covered := func(field string, v value.V) bool {
 		for _, sib := range s.appState.Entries(e.Table.Name) {
-			if sib.Key() == e.Key() {
+			if sib == e {
 				continue
 			}
 			if m, ok := sib.Match(field); ok && m.Value.Equal(v) {

@@ -29,12 +29,18 @@ func isTransportFailure(resp p4rt.WriteResponse) bool {
 // judgement and replay. This is how a controller distinguishes "the ACK
 // was lost but the write landed" from "the write never happened".
 func reconcileWriteResponse(info *p4info.Info, prev *pdpi.Store, observed p4rt.ReadResponse, req p4rt.WriteRequest) p4rt.WriteResponse {
-	// Canonical signatures of the observed post-batch entries, by key.
-	obs := map[string]string{}
+	// The observed post-batch entries, by key.
+	obs := map[string]*pdpi.Entry{}
 	for i := range observed.Entries {
 		if e, err := p4rt.FromWire(info, &observed.Entries[i]); err == nil {
-			obs[e.Key()] = e.String()
+			obs[e.Key()] = e
 		}
+	}
+	// landed reports whether the observed state holds e exactly, down to
+	// every action-set member's arguments.
+	landed := func(key string, e *pdpi.Entry) bool {
+		got, ok := obs[key]
+		return ok && got.Equal(e)
 	}
 	// Working copy of the pre-batch state, mutated as updates are deemed
 	// applied, so in-batch sequences (insert X then delete X is the only
@@ -55,13 +61,13 @@ func reconcileWriteResponse(info *p4info.Info, prev *pdpi.Store, observed p4rt.R
 			resp.Statuses[i] = unavail
 			continue
 		}
-		key, val := e.Key(), e.String()
+		key := e.Key()
 		switch u.Type {
 		case p4rt.Insert:
 			switch {
 			case working[key]:
 				resp.Statuses[i] = p4rt.Statusf(p4rt.AlreadyExists, "reconciled: entry existed before the batch")
-			case obs[key] == val:
+			case landed(key, e):
 				resp.Statuses[i] = p4rt.OKStatus
 				working[key] = true
 			default:
@@ -71,7 +77,7 @@ func reconcileWriteResponse(info *p4info.Info, prev *pdpi.Store, observed p4rt.R
 			switch {
 			case !working[key]:
 				resp.Statuses[i] = p4rt.Statusf(p4rt.NotFound, "reconciled: no such entry before the batch")
-			case obs[key] == val:
+			case landed(key, e):
 				resp.Statuses[i] = p4rt.OKStatus
 			default:
 				resp.Statuses[i] = unavail
@@ -80,7 +86,7 @@ func reconcileWriteResponse(info *p4info.Info, prev *pdpi.Store, observed p4rt.R
 			switch {
 			case !working[key]:
 				resp.Statuses[i] = p4rt.Statusf(p4rt.NotFound, "reconciled: no such entry before the batch")
-			case obs[key] == "":
+			case obs[key] == nil:
 				resp.Statuses[i] = p4rt.OKStatus
 				delete(working, key)
 			default:

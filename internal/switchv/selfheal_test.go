@@ -11,6 +11,7 @@ import (
 
 	"switchv/internal/fuzzer"
 	"switchv/internal/p4/p4info"
+	"switchv/internal/p4/pdpi"
 	"switchv/internal/p4rt"
 	"switchv/internal/switchsim"
 	"switchv/models"
@@ -147,6 +148,42 @@ func TestReconcileTornWrite(t *testing.T) {
 	}
 	if torn != len(tears) {
 		t.Errorf("unreconciled run tore %d writes, want %d", torn, len(tears))
+	}
+
+	// A torn WCMP modify that did not land: the switch still holds the
+	// old group, which differs from the request only in its member's
+	// args. It must reconcile to Unavailable, not OK.
+	wcmpT, _ := info.TableByName("wcmp_group_table")
+	setNH, _ := info.ActionByName("set_nexthop_id")
+	group := func(nexthop byte) p4rt.TableEntry {
+		return p4rt.TableEntry{
+			TableID: wcmpT.ID,
+			Match:   []p4rt.FieldMatch{{FieldID: 1, Exact: &p4rt.ExactMatch{Value: []byte{1}}}},
+			Action: p4rt.TableAction{HasActionSet: true, ActionSet: []p4rt.ActionProfileAction{{
+				Action: p4rt.Action{ActionID: setNH.ID, Params: []p4rt.ActionParam{{ParamID: 1, Value: []byte{nexthop}}}},
+				Weight: 1,
+			}}},
+		}
+	}
+	oldGroup := group(1)
+	installed, err := p4rt.FromWire(info, &oldGroup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := pdpi.NewStore()
+	if err := prev.Insert(installed); err != nil {
+		t.Fatal(err)
+	}
+	modify := p4rt.WriteRequest{Updates: []p4rt.Update{{Type: p4rt.Modify, Entry: group(2)}}}
+	for _, c := range []struct {
+		observed p4rt.TableEntry
+		want     p4rt.Code
+	}{{group(1), p4rt.Unavailable}, {group(2), p4rt.OK}} {
+		resp := reconcileWriteResponse(info, prev, p4rt.ReadResponse{Entries: []p4rt.TableEntry{c.observed}}, modify)
+		if got := resp.Statuses[0].Code; got != c.want {
+			t.Errorf("WCMP modify to nexthop 2, switch holds nexthop %d: reconciled %s, want %s",
+				c.observed.Action.ActionSet[0].Action.Params[0].Value[0], got, c.want)
+		}
 	}
 }
 

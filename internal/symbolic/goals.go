@@ -243,27 +243,76 @@ func NewCacheCap(n int) *Cache {
 
 // GoalFingerprint computes a goal's cache key from the model, the
 // executor options, the goal identity, and the entries that can reach
-// it (Executor.DepEntries).
+// it (Executor.DepEntries). It is the reference definition: the
+// generator computes the same keys with Executor.goalFingerprints.
 func GoalFingerprint(prog *ir.Program, opts Options, goalKey string, deps []*pdpi.Entry) string {
+	return goalFingerprint(prog, opts, goalKey, depsDigest(deps, depRow))
+}
+
+// goalFingerprint hashes the goal's identity with its dependency set's
+// digest (depsDigest).
+func goalFingerprint(prog *ir.Program, opts Options, goalKey, deps string) string {
 	maxPort := opts.MaxPort
 	if maxPort == 0 {
 		maxPort = 32
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "v2;model:%s;maxport:%d;goal:%s;", prog.Name, maxPort, goalKey)
-	// Dependency entries in deterministic order.
-	keys := make([]string, 0, len(deps))
-	render := map[string]string{}
-	for _, e := range deps {
-		k := e.Key()
-		keys = append(keys, k)
-		render[k] = e.String()
+	fmt.Fprintf(h, "v3;model:%s;maxport:%d;goal:%s;deps:%s", prog.Name, maxPort, goalKey, deps)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// depRow renders a dependency entry losslessly: its match key plus its
+// action with every action-set member's arguments and weight.
+func depRow(e *pdpi.Entry) string { return e.Key() + " => " + e.ActionString() }
+
+// depsDigest hashes a dependency set's rows (row renders one entry, as
+// depRow does) in sorted order, so the digest depends on the set, not
+// on the store's insertion order.
+func depsDigest(deps []*pdpi.Entry, row func(*pdpi.Entry) string) string {
+	rows := make([]string, len(deps))
+	for i, e := range deps {
+		rows[i] = row(e)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(h, "%s;", render[k])
+	sort.Strings(rows)
+	h := sha256.New()
+	for _, r := range rows {
+		h.Write([]byte(r))
+		h.Write([]byte{';'})
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// goalFingerprints returns each goal's GoalFingerprint(prog, opts,
+// goal.Key, ex.DepEntries(goal.Key)), skipping the goals marked in skip
+// (their key stays ""). A goal's dependency set depends only on its
+// table's last-application cutoff, so a round has at most one set per
+// table: each set's digest is computed once, and each entry rendered
+// once.
+func (ex *Executor) goalFingerprints(goals []Goal, skip []bool) []string {
+	rendered := map[*pdpi.Entry]string{}
+	row := func(e *pdpi.Entry) string {
+		r, ok := rendered[e]
+		if !ok {
+			r = depRow(e)
+			rendered[e] = r
+		}
+		return r
+	}
+	digests := map[int]string{}
+	fps := make([]string, len(goals))
+	for i, goal := range goals {
+		if skip[i] {
+			continue
+		}
+		cutoff := ex.depCutoff(goal.Key)
+		d, ok := digests[cutoff]
+		if !ok {
+			d = depsDigest(ex.depEntries(cutoff), row)
+			digests[cutoff] = d
+		}
+		fps[i] = goalFingerprint(ex.prog, ex.opts, goal.Key, d)
+	}
+	return fps
 }
 
 // Hits and Misses report cache effectiveness.

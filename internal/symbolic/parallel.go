@@ -191,12 +191,11 @@ func (g *Generator) Run() ([]TestPacket, Report, error) {
 	// cache in either direction: their verdict is free to recompute).
 	var fps []string
 	if g.gopts.Cache != nil {
-		fps = make([]string, len(g.goals))
-		for i, goal := range g.goals {
+		fps = g.ex0.goalFingerprints(g.goals, decided)
+		for i := range g.goals {
 			if decided[i] {
 				continue
 			}
-			fps[i] = GoalFingerprint(g.prog, g.opts, goal.Key, g.ex0.DepEntries(goal.Key))
 			if pkt, ok := g.gopts.Cache.GetGoal(fps[i]); ok {
 				outcomes[i] = goalOutcome{pkt: pkt, how: byCache}
 				decided[i] = true

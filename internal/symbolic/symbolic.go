@@ -457,13 +457,24 @@ func orderEntries(t *ir.Table, store *pdpi.Store) []*pdpi.Entry {
 // Per-goal cache keys are derived from this set, so entry churn in
 // tables applied after T leaves T's goals cached.
 func (ex *Executor) DepEntries(goalKey string) []*pdpi.Entry {
-	all := ex.store.All(ex.prog)
-	table := goalTable(goalKey)
-	if table == "" {
-		return all
+	return ex.depEntries(ex.depCutoff(goalKey))
+}
+
+// depCutoff returns the application sequence number that bounds a
+// goal's dependency set: its table's last application, or -1 when every
+// entry can influence the goal.
+func (ex *Executor) depCutoff(goalKey string) int {
+	if cutoff, ok := ex.lastApply[goalTable(goalKey)]; ok {
+		return cutoff
 	}
-	cutoff, ok := ex.lastApply[table]
-	if !ok {
+	return -1
+}
+
+// depEntries returns, in store order, the entries of every table first
+// applied no later than cutoff (every entry for a negative cutoff).
+func (ex *Executor) depEntries(cutoff int) []*pdpi.Entry {
+	all := ex.store.All(ex.prog)
+	if cutoff < 0 {
 		return all
 	}
 	deps := make([]*pdpi.Entry, 0, len(all))

@@ -10,6 +10,7 @@ import (
 	"switchv/internal/p4/pdpi"
 	"switchv/internal/p4/value"
 	"switchv/internal/testutil"
+	"switchv/internal/workload"
 	"switchv/models"
 )
 
@@ -349,6 +350,97 @@ func TestCache(t *testing.T) {
 	// ...and sensitive to the executor options.
 	if GoalFingerprint(prog, Options{MaxPort: 8}, goal.Key, ex.DepEntries(goal.Key)) == fp {
 		t.Error("fingerprint unchanged across options")
+	}
+}
+
+// TestFingerprintLossless: dependency sets that differ only in a
+// match-field name, or only in an action-set member's args, get
+// different cache keys; otherwise the cache could credit a goal with a
+// packet that no longer reaches it.
+func TestFingerprintLossless(t *testing.T) {
+	prog := models.Middleblock()
+	acl, _ := prog.TableByName("acl_ingress_table")
+	aclDrop, _ := prog.ActionByName("acl_drop")
+	aclEntry := func(field string) *pdpi.Entry {
+		return &pdpi.Entry{
+			Table:    acl,
+			Matches:  []pdpi.Match{{Key: field, Kind: ir.MatchOptional, Value: v(1, 1)}},
+			Priority: 10,
+			Action:   &pdpi.ActionInvocation{Action: aclDrop},
+		}
+	}
+	wcmp, _ := prog.TableByName("wcmp_group_table")
+	setNexthopID, _ := prog.ActionByName("set_nexthop_id")
+	group := func(nexthop uint64) *pdpi.Entry {
+		return &pdpi.Entry{
+			Table:   wcmp,
+			Matches: []pdpi.Match{{Key: "wcmp_group_id", Kind: ir.MatchExact, Value: v(7, 10)}},
+			ActionSet: []pdpi.WeightedAction{{
+				ActionInvocation: pdpi.ActionInvocation{Action: setNexthopID, Args: []value.V{v(nexthop, 10)}},
+				Weight:           1,
+			}},
+		}
+	}
+	for _, c := range []struct {
+		name string
+		a, b *pdpi.Entry
+	}{
+		{"acl match field", aclEntry("is_ipv4"), aclEntry("is_ipv6")},
+		{"wcmp member args", group(0x4d), group(0x54)},
+	} {
+		for _, e := range []*pdpi.Entry{c.a, c.b} {
+			if err := e.Validate(); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}
+		fa := GoalFingerprint(prog, Options{}, "enriched:forward", []*pdpi.Entry{c.a})
+		fb := GoalFingerprint(prog, Options{}, "enriched:forward", []*pdpi.Entry{c.b})
+		if fa == fb {
+			t.Errorf("%s: %s and %s share fingerprint %s", c.name, c.a, c.b, fa)
+		}
+	}
+}
+
+// TestGoalFingerprintsMatchReference: the generator's per-set
+// fingerprinting yields, for every goal of the seed-42 Table 3 entry
+// sets, exactly the reference GoalFingerprint over DepEntries, so the
+// optimisation changes no cache key.
+func TestGoalFingerprintsMatchReference(t *testing.T) {
+	for _, c := range []struct {
+		model   string
+		entries int
+	}{{"middleblock", 798}, {"wan", 700}} {
+		t.Run(c.model, func(t *testing.T) {
+			prog := models.MustLoad(c.model)
+			store := pdpi.NewStore()
+			for _, e := range workload.MustEntries(prog, c.entries, 42) {
+				if err := store.Insert(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ex, err := New(prog, store, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			goals := append(ex.Goals(CoverBranches), ex.EnrichedGoals()...)
+			skip := make([]bool, len(goals))
+			skip[0] = true
+			fps := ex.goalFingerprints(goals, skip)
+			if fps[0] != "" {
+				t.Errorf("skipped goal %s got fingerprint %s", goals[0].Key, fps[0])
+			}
+			distinct := map[string]bool{}
+			for i, goal := range goals[1:] {
+				want := GoalFingerprint(prog, Options{}, goal.Key, ex.DepEntries(goal.Key))
+				if got := fps[i+1]; got != want {
+					t.Fatalf("goal %s: fingerprint %s, reference %s", goal.Key, got, want)
+				}
+				distinct[want] = true
+			}
+			if len(distinct) != len(goals)-1 {
+				t.Errorf("%d distinct fingerprints for %d goals", len(distinct), len(goals)-1)
+			}
+		})
 	}
 }
 

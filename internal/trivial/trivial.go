@@ -135,7 +135,7 @@ func (s *suite) packetIn() error {
 		if len(pin.Payload) == 0 {
 			return fmt.Errorf("empty packet-in payload")
 		}
-	case <-time.After(time.Second):
+	case <-time.After(time.Second): //detlint:allow timeafter — generous bound on a punt the model guarantees
 		return fmt.Errorf("no packet-in received on the stream")
 	}
 	return nil
