@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: ci fmt build vet lint test race matrix chaos precheck analyze daemon-smoke fuzz-smoke perfbench bench bench-parallel bench-symbolic bench-dataplane
+.PHONY: ci fmt build vet lint test race matrix chaos precheck analyze daemon-smoke fuzz-smoke perfbench perfbench-gate bench bench-parallel bench-symbolic bench-dataplane
 
 # ci is the gate every change must pass: gofmt, build, vet, the
 # determinism lint, the full test suite under the race detector, the
 # fault-detection matrix, the chaos survival matrix, the static model
 # preflight, the zero-findings analyzer gate, the daemon smoke test, the
-# differential fuzzers, and the benchmark module's own vet and tests.
-ci: fmt build vet lint race matrix chaos precheck analyze daemon-smoke fuzz-smoke perfbench
+# differential fuzzers, the benchmark module's own vet and tests, and the
+# benchmark's full-size digests.
+ci: fmt build vet lint race matrix chaos precheck analyze daemon-smoke fuzz-smoke perfbench perfbench-gate
 
 # fmt fails when any Go file in the tree is not gofmt-formatted.
 fmt:
@@ -78,6 +79,18 @@ fuzz-smoke:
 # it; this catches a change that breaks a symbol it calls.
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# perfbench-gate runs every benchmark workload at full size for a short
+# run. run.sh exits 1 when a round's digest or a deterministic count
+# (SMT checks, packets, verdicts, incidents) differs from
+# perfbench/expected.json, so a change that moves what a workload
+# computes fails here. cp-fuzz-inst1 runs at seed 0, which expected.json
+# pins; the data-plane workloads pin any seed.
+perfbench-gate:
+	bash perfbench/run.sh --workload cp-fuzz-inst1 --seed 0 --seconds 1 --trace 0
+	bash perfbench/run.sh --workload dp-cold-inst1 --seconds 1 --trace 0
+	bash perfbench/run.sh --workload dp-cold-wan --seconds 1 --trace 0
+	bash perfbench/run.sh --workload dp-warm-inst1 --seconds 1 --trace 0
 
 # bench reruns the paper-evaluation benchmarks once each and records the
 # parallel-engine scaling run as machine-readable JSON.

@@ -193,8 +193,22 @@ func dedup(in []string) []string {
 // the tables its entries may reference — the order in which entries must
 // be installed to keep references valid. Ties keep declaration order.
 func (i *Info) TopoOrder() []*ir.Table {
-	rank := map[string]int{}
+	rank := i.Ranks()
+	out := append([]*ir.Table(nil), i.program.Tables...)
+	sort.SliceStable(out, func(a, b int) bool { return rank[out[a].Name] < rank[out[b].Name] })
+	return out
+}
+
+// Ranks maps each table name to the length of the longest @refers_to
+// path that starts at the table, ignoring self-references. An entry can
+// only reference entries of lower-ranked tables or of its own table.
+// It is computed on every call.
+func (i *Info) Ranks() map[string]int {
 	tables := i.program.Tables
+	rank := make(map[string]int, len(tables))
+	for _, t := range tables {
+		rank[t.Name] = 0
+	}
 	for round := 0; round < len(tables); round++ {
 		changed := false
 		for _, t := range tables {
@@ -216,7 +230,5 @@ func (i *Info) TopoOrder() []*ir.Table {
 			break
 		}
 	}
-	out := append([]*ir.Table(nil), tables...)
-	sort.SliceStable(out, func(a, b int) bool { return rank[out[a].Name] < rank[out[b].Name] })
-	return out
+	return rank
 }

@@ -121,3 +121,35 @@ func TestDependencies(t *testing.T) {
 		t.Errorf("mirror deps = %v", deps)
 	}
 }
+
+// TestRanks: a table outranks every other table its entries may
+// reference, and TopoOrder sorts by rank.
+func TestRanks(t *testing.T) {
+	for _, name := range models.Names() {
+		info := New(models.MustLoad(name))
+		rank := info.Ranks()
+		if len(rank) != len(info.Tables()) {
+			t.Fatalf("%s: %d ranks for %d tables", name, len(rank), len(info.Tables()))
+		}
+		for _, tbl := range info.Tables() {
+			for _, dep := range info.Dependencies(tbl) {
+				if dep != tbl.Name && rank[tbl.Name] <= rank[dep] {
+					t.Errorf("%s: %s (rank %d) references %s (rank %d)", name, tbl.Name, rank[tbl.Name], dep, rank[dep])
+				}
+			}
+		}
+		topo := info.TopoOrder()
+		for i := 1; i < len(topo); i++ {
+			if rank[topo[i].Name] < rank[topo[i-1].Name] {
+				t.Errorf("%s: TopoOrder puts %s before %s", name, topo[i-1].Name, topo[i].Name)
+			}
+		}
+	}
+	info := New(models.Middleblock())
+	rank := info.Ranks()
+	// ipv4 -> nexthop -> neighbor -> router_interface: the longest chain.
+	if rank["router_interface_table"] != 0 || rank["neighbor_table"] != 1 ||
+		rank["nexthop_table"] != 2 || rank["ipv4_table"] < 3 {
+		t.Errorf("middleblock ranks = %v", rank)
+	}
+}

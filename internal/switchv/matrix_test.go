@@ -141,13 +141,17 @@ func TestFaultMatrixComplete(t *testing.T) {
 }
 
 // runRecipe executes one fault's campaign and returns the incidents.
-func runRecipe(t *testing.T, fault switchsim.Fault, rc matrixRecipe, faults ...switchsim.Fault) []Incident {
+// A non-nil wrap puts a device between the harness and the switch.
+func runRecipe(t *testing.T, fault switchsim.Fault, rc matrixRecipe, wrap func(*switchsim.Switch) p4rt.Device, faults ...switchsim.Fault) []Incident {
 	t.Helper()
 	role := rc.role
 	if role == "" {
 		role = "middleblock"
 	}
 	h, sw := newHarness(t, role, faults...)
+	if wrap != nil {
+		h.Dev = wrap(sw)
+	}
 	if rc.prep != nil {
 		rc.prep(t, h, sw)
 	}
@@ -190,7 +194,7 @@ func TestFaultMatrix(t *testing.T) {
 	for _, fault := range switchsim.AllFaults() {
 		rc := matrixRecipes[fault]
 		t.Run(string(fault), func(t *testing.T) {
-			incidents := runRecipe(t, fault, rc, fault)
+			incidents := runRecipe(t, fault, rc, nil, fault)
 			if len(incidents) == 0 {
 				t.Fatalf("fault %s not detected by %s", fault, rc.tool)
 			}

@@ -6,8 +6,10 @@
 package switchv
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -447,6 +449,13 @@ const maxBehaviors = 32
 // packets with p4-symbolic, runs them against both the switch and the
 // reference simulator, and flags every switch behavior that is not in the
 // simulator's set of valid behaviors.
+//
+// Both wipes, the install and the churn send their updates in runs (see
+// writeRuns): one Write per run, one status per update, and the same
+// update sequence as one Write per entry. The round waits on the clock
+// only where no event can end a wait: its packet-IO probe reads the
+// ordered packet-in stream (see checkPacketIO), and it consumes the
+// packet-ins its own injections announce, so it leaves none behind.
 func (h *Harness) RunDataPlane(entries []*pdpi.Entry, opts DataPlaneOptions) (*DataPlaneReport, error) {
 	crep, err := h.Preflight("p4-symbolic")
 	if err != nil {
@@ -472,12 +481,12 @@ func (h *Harness) RunDataPlane(entries []*pdpi.Entry, opts DataPlaneOptions) (*D
 	// control-plane bugs surfaced during data-plane setup — the paper's
 	// p4-symbolic found several this way.
 	store := pdpi.NewStore()
-	for _, e := range entries {
-		resp := h.Dev.Write(p4rt.WriteRequest{Updates: []p4rt.Update{{Type: p4rt.Insert, Entry: p4rt.ToWire(e)}}})
-		if !resp.OK() {
+	for i, st := range h.writeRuns(entryUpdates(p4rt.Insert, entries), false) {
+		e := entries[i]
+		if st.Code != p4rt.OK {
 			rep.Incidents = append(rep.Incidents, Incident{
 				Tool: "p4-symbolic", Kind: "install-rejected",
-				Detail: fmt.Sprintf("switch rejected valid entry %s: %s", e, resp.String()),
+				Detail: fmt.Sprintf("switch rejected valid entry %s: %s", e, oneUpdate(st)),
 			})
 			continue
 		}
@@ -487,15 +496,17 @@ func (h *Harness) RunDataPlane(entries []*pdpi.Entry, opts DataPlaneOptions) (*D
 	}
 
 	if opts.Churn {
+		var churned []*pdpi.Entry
 		for _, e := range store.All(h.Info.Program()) {
-			if e.Table.ConstDefault && len(e.Matches) == 0 {
-				continue
+			if !(e.Table.ConstDefault && len(e.Matches) == 0) {
+				churned = append(churned, e)
 			}
-			resp := h.Dev.Write(p4rt.WriteRequest{Updates: []p4rt.Update{{Type: p4rt.Modify, Entry: p4rt.ToWire(e)}}})
-			if !resp.OK() {
+		}
+		for i, st := range h.writeRuns(entryUpdates(p4rt.Modify, churned), false) {
+			if st.Code != p4rt.OK {
 				rep.Incidents = append(rep.Incidents, Incident{
 					Tool: "p4-symbolic", Kind: "modify-rejected",
-					Detail: fmt.Sprintf("switch rejected no-op modify of %s: %s", e, resp.String()),
+					Detail: fmt.Sprintf("switch rejected no-op modify of %s: %s", churned[i], oneUpdate(st)),
 				})
 			}
 		}
@@ -566,16 +577,22 @@ func (h *Harness) RunDataPlane(entries []*pdpi.Entry, opts DataPlaneOptions) (*D
 
 	// Phase 1 (serial): inject every packet into the switch in packet
 	// order — the switch is one stateful device and injection order is
-	// part of the campaign's definition.
+	// part of the campaign's definition. The punts, copies and spontaneous
+	// frames an injection reports also arrive on the packet-in stream; the
+	// round consumes them all, so none is left for a later packet-IO probe.
 	injected := make([]p4rt.InjectResult, len(all))
 	incidents := make([]*Incident, len(all))
+	pending := 0 // packet-ins announced and not yet read off the stream
 	for i := range all {
 		pkt := &all[i]
 		if opts.CoverageMap != nil && i < len(packets) {
 			opts.CoverageMap.NoteGoal(pkt.GoalKey)
 		}
 		injected[i], incidents[i] = h.injectPacket(pkt)
+		pending += announcedPacketIns(injected[i])
+		pending -= h.drainPacketIns(pending)
 	}
+	h.awaitPacketIns(pending)
 
 	// Phase 2 (parallel): simulate each packet's behavior set and
 	// compare against the observed switch behavior. Each worker builds
@@ -669,6 +686,17 @@ func backgroundFrames() []struct {
 		{"arp-broadcast", arp},
 		{"ipv6-neighbor-solicit", nd},
 	}
+}
+
+// announcedPacketIns is the number of packet-ins an injection result
+// announces: one for a punt or a copy to the CPU, and one per
+// spontaneous frame.
+func announcedPacketIns(r p4rt.InjectResult) int {
+	n := len(r.Spontaneous)
+	if r.Punted || r.CopyToCPU {
+		n++
+	}
+	return n
 }
 
 // injectPacket runs one test packet through the switch (phase 1 of the
@@ -796,7 +824,90 @@ func (h *Harness) simSignature(o *bmv2.Outcome) (string, error) {
 	}
 }
 
-// wipe deletes every installed entry, dependents first.
+// entryUpdates wraps each entry in an update of type typ.
+func entryUpdates(typ p4rt.UpdateType, entries []*pdpi.Entry) []p4rt.Update {
+	updates := make([]p4rt.Update, len(entries))
+	for i, e := range entries {
+		updates[i] = p4rt.Update{Type: typ, Entry: p4rt.ToWire(e)}
+	}
+	return updates
+}
+
+// writeRuns sends updates in order, one Write per maximal run of
+// consecutive updates whose tables share an @refers_to rank, and returns
+// one status per update sent. An entry can reference only entries of
+// lower-ranked tables, so no run holds both an entry and an entry it
+// references, and the switch may apply a run's updates in any order
+// (§4 Example 2). An update of a table whose entries may reference their
+// own table, or of a table the P4Info does not name, is a run of its
+// own. With stopOnError no run is sent after one that has a failed
+// update; the statuses then end with that run.
+func (h *Harness) writeRuns(updates []p4rt.Update, stopOnError bool) []p4rt.Status {
+	rank := h.Info.Ranks()
+	runKeys := make(map[uint32]int, len(rank))
+	for _, t := range h.Info.Tables() {
+		runKeys[t.ID] = rank[t.Name]
+		if slices.Contains(h.Info.Dependencies(t), t.Name) {
+			runKeys[t.ID] = -1
+		}
+	}
+	// runKey is an update's table rank, or -1 to keep the update alone.
+	runKey := func(u *p4rt.Update) int {
+		if k, ok := runKeys[u.Entry.TableID]; ok {
+			return k
+		}
+		return -1
+	}
+	statuses := make([]p4rt.Status, 0, len(updates))
+	for start := 0; start < len(updates); {
+		k := runKey(&updates[start])
+		end := start + 1
+		for k >= 0 && end < len(updates) && runKey(&updates[end]) == k {
+			end++
+		}
+		run := runStatuses(h.Dev.Write(p4rt.WriteRequest{Updates: updates[start:end]}), end-start)
+		statuses = append(statuses, run...)
+		if stopOnError && slices.ContainsFunc(run, func(st p4rt.Status) bool { return st.Code != p4rt.OK }) {
+			break
+		}
+		start = end
+	}
+	return statuses
+}
+
+// runStatuses spreads a Write's response over its n updates. A response
+// with one status per update is taken as it is. Any other shape — a
+// transport failure answers a multi-update Write with one INTERNAL
+// status — gives every update the response's first failure, or OK.
+func runStatuses(resp p4rt.WriteResponse, n int) []p4rt.Status {
+	if len(resp.Statuses) == n {
+		return resp.Statuses
+	}
+	st := p4rt.OKStatus
+	if i := slices.IndexFunc(resp.Statuses, func(s p4rt.Status) bool { return s.Code != p4rt.OK }); i >= 0 {
+		st = resp.Statuses[i]
+	}
+	out := make([]p4rt.Status, n)
+	for i := range out {
+		out[i] = st
+	}
+	return out
+}
+
+// oneUpdate renders an update's status as the response to a one-update
+// Write would ("#0 CODE: msg"), whatever run the update was sent in, so
+// incident details do not depend on how updates were batched.
+func oneUpdate(st p4rt.Status) string {
+	return (&p4rt.WriteResponse{Statuses: []p4rt.Status{st}}).String()
+}
+
+// wipe deletes every installed entry, dependents first: tables in
+// reverse TopoOrder, each table's entries in read-back order, sent in
+// runs (see writeRuns). A read-back entry of a table the P4Info does not
+// name is an error, since wipe cannot order its delete. A failed wipe
+// reports its first failing delete. Every later delete of the same run
+// has been attempted as well, so the switch may hold fewer entries than
+// the failing delete's position suggests; no later run is sent.
 func (h *Harness) wipe() error {
 	observed, err := h.Dev.Read(p4rt.ReadRequest{})
 	if err != nil {
@@ -807,25 +918,53 @@ func (h *Harness) wipe() error {
 	}
 	byTable := map[uint32][]p4rt.TableEntry{}
 	for _, te := range observed.Entries {
+		if _, ok := h.Info.TableByID(te.TableID); !ok {
+			return fmt.Errorf("switchv: wiping: the switch holds an entry of table ID %d, which the P4Info does not name", te.TableID)
+		}
 		byTable[te.TableID] = append(byTable[te.TableID], te)
 	}
+	var deletes []p4rt.Update
 	topo := h.Info.TopoOrder()
 	for i := len(topo) - 1; i >= 0; i-- {
 		for _, te := range byTable[topo[i].ID] {
-			resp := h.Dev.Write(p4rt.WriteRequest{Updates: []p4rt.Update{{Type: p4rt.Delete, Entry: te}}})
-			if !resp.OK() {
-				return fmt.Errorf("switchv: wiping %s: %s", topo[i].Name, resp.String())
-			}
+			deletes = append(deletes, p4rt.Update{Type: p4rt.Delete, Entry: te})
+		}
+	}
+	for i, st := range h.writeRuns(deletes, true) {
+		if st.Code != p4rt.OK {
+			t, _ := h.Info.TableByID(deletes[i].Entry.TableID)
+			return fmt.Errorf("switchv: wiping %s: %s", t.Name, oneUpdate(st))
 		}
 	}
 	return nil
 }
 
-// drainPacketIns discards pending packet-ins (e.g. from punted test
-// packets) so packet-IO checks start from a quiet stream.
-func (h *Harness) drainPacketIns() {
-	deadline := time.After(50 * time.Millisecond) //detlint:allow timeafter — bounded drain of an async device stream
-	for {
+// drainPacketIns discards up to max packet-ins already buffered on the
+// stream, without waiting for more, and returns how many it discarded.
+func (h *Harness) drainPacketIns(max int) int {
+	n := 0
+	for ; n < max; n++ {
+		select {
+		case _, ok := <-h.Dev.PacketIns():
+			if !ok {
+				return n
+			}
+		default:
+			return n
+		}
+	}
+	return n
+}
+
+// awaitPacketIns reads n more packet-ins off the stream, waiting at most
+// one second for all of them together. It stops early when the stream
+// closes.
+func (h *Harness) awaitPacketIns(n int) {
+	if n <= 0 {
+		return
+	}
+	deadline := time.After(time.Second) //detlint:allow timeafter — one bound on packet-ins the switch already announced
+	for ; n > 0; n-- {
 		select {
 		case _, ok := <-h.Dev.PacketIns():
 			if !ok {
@@ -837,41 +976,73 @@ func (h *Harness) drainPacketIns() {
 	}
 }
 
+// packetOutPayload is the direct packet-out's payload. The probe tells an
+// echo of it from the submit-to-ingress punt by this payload.
+var packetOutPayload = []byte("switchv-packet-out")
+
 // checkPacketIO exercises the PacketOut paths. punt is a generated packet
 // the model punts (nil when no packet can be punted, which skips the
 // submit-to-ingress probe).
+//
+// The probe sends the direct packet-out, then the submit-to-ingress
+// packet, and reads the packet-in stream up to the first packet-in whose
+// payload is not the direct packet-out's: the probe's punt. The stream is
+// ordered end to end (switch, server fan-out, one connection, client),
+// and a switch emits any echo of the first PacketOut while it handles it,
+// before it receives the second; so every packet-in ahead of the punt
+// that carries the direct payload is an echo. Only when no probe can be
+// sent does nothing end the echo wait, and a fixed bound does; other
+// packet-ins are then not the probe's concern.
 func (h *Harness) checkPacketIO(punt *symbolic.TestPacket) []Incident {
 	var incidents []Incident
-	h.drainPacketIns()
-
-	// Direct egress: the frame must not be punted back.
-	if err := h.Dev.PacketOut(p4rt.PacketOut{Payload: []byte("switchv-packet-out"), EgressPort: 3}); err != nil {
-		incidents = append(incidents, Incident{Tool: "p4-symbolic", Kind: "packet-out-failed",
-			Detail: fmt.Sprintf("direct packet-out: %v", err)})
+	fail := func(detail string) {
+		incidents = append(incidents, Incident{Tool: "p4-symbolic", Kind: "packet-out-failed", Detail: detail})
 	}
-	select {
-	case pin := <-h.Dev.PacketIns():
+	echo := func(pin p4rt.PacketIn) {
 		incidents = append(incidents, Incident{Tool: "p4-symbolic", Kind: "packet-out-punted-back",
 			Detail: fmt.Sprintf("direct packet-out echoed to the controller (%d bytes)", len(pin.Payload))})
-	case <-time.After(100 * time.Millisecond): //detlint:allow timeafter — bounded wait for a device echo that must NOT arrive
 	}
+	const closed = "the packet-in stream is closed, so no echo or punt can be observed"
+	h.drainPacketIns(len(h.Dev.PacketIns()))
 
+	// Direct egress: the frame must not be punted back.
+	if err := h.Dev.PacketOut(p4rt.PacketOut{Payload: packetOutPayload, EgressPort: 3}); err != nil {
+		fail(fmt.Sprintf("direct packet-out: %v", err))
+	}
 	// Submit-to-ingress: send a packet the model punts and expect it back
 	// on the stream.
-	if punt == nil {
-		return incidents
+	if punt != nil {
+		if err := h.Dev.PacketOut(p4rt.PacketOut{Payload: punt.Data, SubmitToIngress: true}); err != nil {
+			fail(fmt.Sprintf("submit-to-ingress: %v", err))
+			punt = nil
+		}
 	}
-	if err := h.Dev.PacketOut(p4rt.PacketOut{Payload: punt.Data, SubmitToIngress: true}); err != nil {
-		incidents = append(incidents, Incident{Tool: "p4-symbolic", Kind: "packet-out-failed",
-			Detail: fmt.Sprintf("submit-to-ingress: %v", err)})
-		return incidents
+	// The probe's punt ends the read, within 1 s. With no probe in flight
+	// nothing on the stream can end the wait for an echo, so 100 ms does.
+	var deadline <-chan time.Time
+	if punt != nil {
+		deadline = time.After(time.Second) //detlint:allow timeafter — generous bound on a punt the model guarantees
+	} else {
+		deadline = time.After(100 * time.Millisecond) //detlint:allow timeafter — no punt follows to end the wait for an echo that must NOT arrive
 	}
-	select {
-	case <-h.Dev.PacketIns():
-		// Punted back, as the model requires.
-	case <-time.After(time.Second): //detlint:allow timeafter — generous bound on a punt the model guarantees
-		incidents = append(incidents, Incident{Tool: "p4-symbolic", Kind: "submit-to-ingress-lost",
-			Detail: "a submit-to-ingress packet the model punts never reached the controller"})
+	for {
+		select {
+		case pin, ok := <-h.Dev.PacketIns():
+			switch {
+			case !ok:
+				fail(closed)
+				return incidents
+			case bytes.Equal(pin.Payload, packetOutPayload):
+				echo(pin)
+			case punt != nil:
+				return incidents // the probe's punt, as the model requires
+			}
+		case <-deadline:
+			if punt != nil {
+				incidents = append(incidents, Incident{Tool: "p4-symbolic", Kind: "submit-to-ingress-lost",
+					Detail: "a submit-to-ingress packet the model punts never reached the controller"})
+			}
+			return incidents
+		}
 	}
-	return incidents
 }
