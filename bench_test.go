@@ -5,7 +5,6 @@
 package switchv
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -154,34 +153,28 @@ func BenchmarkTable3GenerationCached(b *testing.B) {
 // generator (DESIGN.md §5c): serial one-check-per-goal baseline vs
 // model-reuse pruning at workers=1 vs pruning+parallelism at workers=4,
 // over the full goal universe RunDataPlane solves (branch coverage plus
-// the enriched goals). Two middleblock instances, because the gates
-// stress different regimes:
+// the enriched goals). Two middleblock instances stress different
+// regimes:
 //
-//   - small (150 entries): the check-reduction gate. Pruning headroom
+//   - small (150 entries): the check-reduction regime. Pruning headroom
 //     is bounded by the mutually-disjoint big tables (each ipv4/ipv6
 //     entry genuinely needs its own packet); at 798 entries those are
 //     ~63% of all goals and no pruner can beat ~31% reduction, while at
 //     150 the downstream prunable mass (wcmp/nexthop/neighbor/rif
 //     chains, branches, enriched) clears 40%.
 //   - large (798 entries, the Table 3 Inst1 workload): the wall-clock
-//     gate, where solving dominates the per-shard symbolic-execution
-//     cost and parallel solving pays off.
+//     regime, where solving dominates the per-shard symbolic-execution
+//     cost and parallel solving pays off. Its serial row is the pure
+//     solver path: one SAT check per goal.
 //
-// Gates asserted: pruning cuts CheckAssuming calls by >=40% (small);
-// packet set and report are bit-identical across worker counts (both);
-// validity-aware witness synthesis plus pruning keep the large instance
-// at or under 40 SMT checks (the check-budget regression gate for
-// DESIGN.md §5h/§5i); cone-of-influence slicing changes no verdict
-// (DisableSlicing ablation); on a >=4-CPU machine pruning+parallelism
+// The deterministic gates on these runs (exact check counts, the 40%
+// check reduction, identity across worker counts, slicing changing no
+// verdict) run in go test as symbolic.TestGenerationGates. The
+// wall-clock gate stays here: on a >=4-CPU machine pruning+parallelism
 // beat the serial baseline's wall-clock by >=2x (large).
 func BenchmarkDataPlaneGen(b *testing.B) {
 	prog := models.Middleblock()
 	const mode = symbolic.CoverBranches
-	type result struct {
-		pkts    []symbolic.TestPacket
-		rep     symbolic.Report
-		elapsed time.Duration
-	}
 	mkStore := func(b *testing.B, n int) *pdpi.Store {
 		store := pdpi.NewStore()
 		for _, e := range workload.MustEntries(prog, n, 42) {
@@ -191,8 +184,7 @@ func BenchmarkDataPlaneGen(b *testing.B) {
 		}
 		return store
 	}
-	runSerial := func(b *testing.B, store *pdpi.Store) *result {
-		var res *result
+	runSerial := func(b *testing.B, store *pdpi.Store) (elapsed time.Duration) {
 		for i := 0; i < b.N; i++ {
 			start := time.Now()
 			ex, err := symbolic.New(prog, store, symbolic.Options{})
@@ -202,37 +194,26 @@ func BenchmarkDataPlaneGen(b *testing.B) {
 			// One check per goal over the same universe the generator
 			// covers: structural goals of the mode plus enriched goals.
 			goals := append(ex.Goals(mode), ex.EnrichedGoals()...)
-			var pkts []symbolic.TestPacket
-			rep := symbolic.Report{Goals: len(goals)}
 			for _, g := range goals {
-				pkt, ok, err := ex.SolveGoal(g)
-				if err != nil {
+				if _, _, err := ex.SolveGoal(g); err != nil {
 					b.Fatal(err)
 				}
-				rep.SMTChecks++
-				if ok {
-					rep.Covered++
-					pkts = append(pkts, *pkt)
-				} else {
-					rep.Unreachable++
-				}
 			}
-			res = &result{pkts, rep, time.Since(start)}
-			b.ReportMetric(float64(rep.SMTChecks), "smt-checks")
-			b.ReportMetric(float64(rep.Goals), "goals")
+			elapsed = time.Since(start)
+			b.ReportMetric(float64(len(goals)), "smt-checks")
+			b.ReportMetric(float64(len(goals)), "goals")
 		}
-		return res
+		return elapsed
 	}
-	runParallel := func(b *testing.B, store *pdpi.Store, workers int) *result {
-		var res *result
+	runParallel := func(b *testing.B, store *pdpi.Store, workers int) (elapsed time.Duration) {
 		for i := 0; i < b.N; i++ {
 			start := time.Now()
-			pkts, rep, err := symbolic.GeneratePacketsParallel(prog, store, symbolic.Options{},
+			_, rep, err := symbolic.GeneratePacketsParallel(prog, store, symbolic.Options{},
 				symbolic.GenOptions{Mode: mode, Enriched: true, Workers: workers})
 			if err != nil {
 				b.Fatal(err)
 			}
-			res = &result{pkts, rep, time.Since(start)}
+			elapsed = time.Since(start)
 			b.ReportMetric(float64(rep.SMTChecks), "smt-checks")
 			b.ReportMetric(float64(rep.Pruned), "pruned")
 			b.ReportMetric(float64(rep.Witnessed), "witnessed")
@@ -241,89 +222,22 @@ func BenchmarkDataPlaneGen(b *testing.B) {
 			b.ReportMetric(float64(rep.SlicedAsserts), "sliced-asserts")
 			b.ReportMetric(float64(rep.SlicedBits), "sliced-bits")
 		}
-		return res
+		return elapsed
 	}
-	render := func(pkts []symbolic.TestPacket) string {
-		var sb strings.Builder
-		for _, p := range pkts {
-			fmt.Fprintf(&sb, "%s|%d|%x\n", p.GoalKey, p.Port, p.Data)
-		}
-		return sb.String()
-	}
-	checkIdentity := func(b *testing.B, w1, w4 *result) {
-		if render(w1.pkts) != render(w4.pkts) {
-			b.Fatal("packet set differs across worker counts")
-		}
-		if w1.rep != w4.rep {
-			b.Fatalf("report differs across worker counts:\n  workers=1: %+v\n  workers=4: %+v", w1.rep, w4.rep)
-		}
-	}
-
-	var serialS, pruned1S, pruned4S, serialL, pruned1L, pruned4L *result
+	var serialL, pruned4L time.Duration
 	small, large := mkStore(b, 150), mkStore(b, 798)
-	b.Run("small/serial", func(b *testing.B) { serialS = runSerial(b, small) })
-	b.Run("small/pruned-workers=1", func(b *testing.B) { pruned1S = runParallel(b, small, 1) })
-	b.Run("small/pruned-workers=4", func(b *testing.B) { pruned4S = runParallel(b, small, 4) })
+	b.Run("small/serial", func(b *testing.B) { runSerial(b, small) })
+	b.Run("small/pruned-workers=1", func(b *testing.B) { runParallel(b, small, 1) })
+	b.Run("small/pruned-workers=4", func(b *testing.B) { runParallel(b, small, 4) })
 	b.Run("large/serial", func(b *testing.B) { serialL = runSerial(b, large) })
-	b.Run("large/pruned-workers=1", func(b *testing.B) { pruned1L = runParallel(b, large, 1) })
+	b.Run("large/pruned-workers=1", func(b *testing.B) { runParallel(b, large, 1) })
 	b.Run("large/pruned-workers=4", func(b *testing.B) { pruned4L = runParallel(b, large, 4) })
-	if serialS == nil || pruned1S == nil || pruned4S == nil ||
-		serialL == nil || pruned1L == nil || pruned4L == nil {
+	if serialL == 0 || pruned4L == 0 {
 		return
 	}
 
-	// Gate 1: model-reuse pruning avoids >=40% of the solver calls.
-	if lim := serialS.rep.SMTChecks * 6 / 10; pruned1S.rep.SMTChecks > lim {
-		b.Fatalf("pruning saved too little: %d checks vs serial %d (want <= %d)",
-			pruned1S.rep.SMTChecks, serialS.rep.SMTChecks, lim)
-	}
-	// Gate 2: worker count changes wall-clock only — packet set and
-	// report are bit-identical, on both instances.
-	checkIdentity(b, pruned1S, pruned4S)
-	checkIdentity(b, pruned1L, pruned4L)
-	// Gate 2b (check-budget regression): validity-aware witness synthesis
-	// plus pruning must keep the large instance's residual SMT check
-	// count at or under 40 (the pre-witness pruned path needed 560
-	// checks here; seed-pinned witness synthesis needed 51).
-	if pruned1L.rep.SMTChecks > 40 {
-		b.Fatalf("large instance used %d SMT checks, want <= 40 (witnessed %d, pruned %d of %d goals)",
-			pruned1L.rep.SMTChecks, pruned1L.rep.Witnessed, pruned1L.rep.Pruned, pruned1L.rep.Goals)
-	}
-	// Gate 2c (slice soundness ablation): cone-of-influence slicing must
-	// not change any verdict — the covered goal-key set is identical with
-	// slicing disabled. Packets and check counts may legitimately differ
-	// (different models cascade into different pruning), so only the
-	// verdicts are compared.
-	b.Run("large/unsliced-verdicts", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pkts, rep, err := symbolic.GeneratePacketsParallel(prog, large, symbolic.Options{},
-				symbolic.GenOptions{Mode: mode, Enriched: true, Workers: 1, DisableSlicing: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rep.SlicedAsserts != 0 || rep.SlicedBits != 0 {
-				b.Fatalf("unsliced run reported slice metrics: %+v", rep)
-			}
-			covered := func(pkts []symbolic.TestPacket) map[string]bool {
-				m := map[string]bool{}
-				for _, p := range pkts {
-					m[p.GoalKey] = true
-				}
-				return m
-			}
-			got, want := covered(pkts), covered(pruned1L.pkts)
-			if len(got) != len(want) {
-				b.Fatalf("verdicts differ across slicing: %d covered unsliced vs %d sliced", len(got), len(want))
-			}
-			for k := range want {
-				if !got[k] {
-					b.Fatalf("goal %s covered with slicing but not without", k)
-				}
-			}
-		}
-	})
-	// Gate 3: >=2x wall-clock over the serial baseline on >=4 CPUs.
-	speedup := float64(serialL.elapsed) / float64(pruned4L.elapsed)
+	// Wall-clock gate: >=2x over the serial baseline on >=4 CPUs.
+	speedup := float64(serialL) / float64(pruned4L)
 	b.ReportMetric(speedup, "speedup-x")
 	b.ReportMetric(float64(runtime.NumCPU()), "cpus")
 	if runtime.NumCPU() >= 4 && speedup < 2 {

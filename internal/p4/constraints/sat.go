@@ -68,7 +68,7 @@ func (e *encoder) attrVar(a attr) *smt.Term {
 		v = b.BV(name, 1)
 	case "prefix_length":
 		v = b.BV(name, 16)
-		e.s.Assert(b.Ule(v, b.ConstUint(uint64(a.key.Field.Width), 16)))
+		e.s.AssertLazy(b.Ule(v, b.ConstUint(uint64(a.key.Field.Width), 16)))
 	default: // value, mask
 		v = b.BV(name, a.key.Field.Width)
 	}

@@ -3,9 +3,29 @@
 // conflict analysis, phase saving, Luby restarts, and incremental solving
 // under assumptions. It is the decision engine underneath the SMT layer
 // that p4-symbolic uses in place of Z3.
+//
+// Clauses live in one flat arena of literal words, each a header, its
+// literals and, for a learnt clause, its activity; a clause reference is
+// the header's offset, and a watcher is that reference plus a blocker
+// literal. A binary clause is propagated from its watcher alone, since
+// its blocker is its other literal. reduceDB marks deleted clauses and
+// compacts the arena once they hold more than half of it.
+//
+// The search is pinned: storage may change, but no decision,
+// propagation, learnt clause, deleted clause or model may
+// (TestSearchPinned). A clause's literal order reaches the search in
+// three places, and each must see the same order it always did: analyze
+// bumps a conflict clause's variables in stored order, analyze skips a
+// reason clause's implied literal, and clauseLocked finds that literal.
+// A reference's numeric value reaches nothing; references are only
+// compared for equality.
 package sat
 
-import "sort"
+import (
+	"math"
+	"slices"
+	"sort"
+)
 
 // Var is a 0-based variable index.
 type Var int32
@@ -60,29 +80,50 @@ const (
 	lFalse lbool = -1
 )
 
-type clause struct {
-	lits     []Lit
-	learnt   bool
-	activity float64
-}
+// Clause storage. Every clause lives in one flat arena of Lit words: a
+// header word, the literals inline, and for a learnt clause two trailing
+// words holding the bits of its float64 activity. A clause reference is
+// the offset of its header. The header packs the literal count above
+// hdrShift with the learnt and deleted flags below it.
+const (
+	hdrLearnt  Lit = 1
+	hdrDeleted Lit = 2
+	hdrShift       = 2
 
+	// maxArena bounds the arena so that a reference shifted left by one
+	// bit (see watcher) still fits an int32.
+	maxArena = 1 << 30
+
+	noReason int32 = -1
+)
+
+// watcher sits in the watch list of the negation of one of a clause's
+// first two literals. tag is the clause reference shifted left one bit,
+// with the low bit set for a binary clause. blocker is a literal of the
+// clause whose truth satisfies it; for a binary clause it is always the
+// other literal, so propagation decides a binary clause from the watcher
+// alone.
 type watcher struct {
-	cref    int
+	tag     int32
 	blocker Lit
 }
 
+func (w watcher) cref() int32  { return w.tag >> 1 }
+func (w watcher) binary() bool { return w.tag&1 != 0 }
+
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	clauses []int // refs of problem clauses
-	learnts []int // refs of learnt clauses
-	arena   []clause
-	free    []int // recycled arena slots
+	clauses []int32 // refs of problem clauses
+	learnts []int32 // refs of learnt clauses
+	arena   []Lit
+	wasted  int   // arena words held by deleted clauses
+	buf     []Lit // AddClause normalization and analyze scratch
 
 	watches [][]watcher // indexed by Lit
 
 	assigns  []lbool
 	level    []int32
-	reason   []int // clause ref or -1
+	reason   []int32 // clause ref or noReason
 	phase    []bool
 	activity []float64
 	varInc   float64
@@ -146,7 +187,7 @@ func (s *Solver) NewVar() Var {
 	v := Var(len(s.assigns))
 	s.assigns = append(s.assigns, lUndef)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, -1)
+	s.reason = append(s.reason, noReason)
 	s.phase = append(s.phase, false)
 	s.activity = append(s.activity, 0)
 	s.watches = append(s.watches, nil, nil)
@@ -173,17 +214,22 @@ func (s *Solver) litValue(l Lit) lbool {
 // AddClause adds a problem clause. It returns false if the formula became
 // trivially unsatisfiable.
 func (s *Solver) AddClause(lits ...Lit) bool {
+	s.buf = append(s.buf[:0], lits...)
+	return s.addBuf()
+}
+
+// addBuf adds the clause held in s.buf as a problem clause.
+func (s *Solver) addBuf() bool {
 	if s.unsatCI {
 		return false
 	}
 	// Must be called at decision level 0.
 	s.backtrackTo(0)
 	// Normalize: sort, dedupe, drop false lits, detect tautology/satisfied.
-	ls := append([]Lit(nil), lits...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
-	out := ls[:0]
+	slices.Sort(s.buf)
+	out := s.buf[:0]
 	var prev Lit = -1
-	for _, l := range ls {
+	for _, l := range s.buf {
 		if l == prev {
 			continue
 		}
@@ -204,11 +250,11 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.unsatCI = true
 		return false
 	case 1:
-		if !s.enqueue(out[0], -1) {
+		if !s.enqueue(out[0], noReason) {
 			s.unsatCI = true
 			return false
 		}
-		if s.propagate() != -1 {
+		if s.propagate() != noReason {
 			s.unsatCI = true
 			return false
 		}
@@ -229,7 +275,8 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 // clause resolves in ¬act, so once the guard is retired (¬act asserted)
 // or simply not assumed, those learnt clauses are satisfied and inert.
 func (s *Solver) AddGuarded(act Lit, lits ...Lit) bool {
-	return s.AddClause(append([]Lit{act.Not()}, lits...)...)
+	s.buf = append(append(s.buf[:0], act.Not()), lits...)
+	return s.addBuf()
 }
 
 // Retire permanently deactivates an activation literal: every clause
@@ -240,27 +287,69 @@ func (s *Solver) Retire(act Lit) bool {
 	return s.AddClause(act.Not())
 }
 
-func (s *Solver) allocClause(lits []Lit, learnt bool) int {
-	c := clause{lits: lits, learnt: learnt}
-	if n := len(s.free); n > 0 {
-		cref := s.free[n-1]
-		s.free = s.free[:n-1]
-		s.arena[cref] = c
-		return cref
+// allocClause copies a clause into the arena and returns its reference.
+func (s *Solver) allocClause(lits []Lit, learnt bool) int32 {
+	cref := len(s.arena)
+	hdr := Lit(len(lits)) << hdrShift
+	words := 1 + len(lits)
+	if learnt {
+		hdr |= hdrLearnt
+		words += 2
 	}
-	s.arena = append(s.arena, c)
-	return len(s.arena) - 1
+	if cref+words > maxArena {
+		panic("sat: clause arena exceeds 2^30 words")
+	}
+	s.arena = append(s.arena, hdr)
+	s.arena = append(s.arena, lits...)
+	if learnt {
+		s.arena = append(s.arena, 0, 0) // activity 0
+	}
+	return int32(cref)
 }
 
-func (s *Solver) watchClause(cref int) {
-	c := &s.arena[cref]
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watcher{cref, c.lits[1]})
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{cref, c.lits[0]})
+// lits returns the literals of clause cref, aliasing the arena.
+func (s *Solver) lits(cref int32) []Lit {
+	i := int(cref) + 1
+	return s.arena[i : i+int(s.arena[cref]>>hdrShift)]
 }
 
-// enqueue assigns a literal true with a reason clause (-1 for decisions
-// and unit facts).
-func (s *Solver) enqueue(l Lit, from int) bool {
+func (s *Solver) isLearnt(cref int32) bool { return s.arena[cref]&hdrLearnt != 0 }
+
+// clauseWords returns the number of arena words clause cref occupies.
+func clauseWords(arena []Lit, cref int) int {
+	n := 1 + int(arena[cref]>>hdrShift)
+	if arena[cref]&hdrLearnt != 0 {
+		n += 2
+	}
+	return n
+}
+
+// clauseActivity reads a learnt clause's activity from the two words
+// after its literals.
+func (s *Solver) clauseActivity(cref int32) float64 {
+	i := int(cref) + 1 + int(s.arena[cref]>>hdrShift)
+	return math.Float64frombits(uint64(uint32(s.arena[i])) | uint64(uint32(s.arena[i+1]))<<32)
+}
+
+func (s *Solver) setClauseActivity(cref int32, a float64) {
+	i := int(cref) + 1 + int(s.arena[cref]>>hdrShift)
+	b := math.Float64bits(a)
+	s.arena[i], s.arena[i+1] = Lit(uint32(b)), Lit(uint32(b>>32))
+}
+
+func (s *Solver) watchClause(cref int32) {
+	ls := s.lits(cref)
+	tag := cref << 1
+	if len(ls) == 2 {
+		tag |= 1
+	}
+	s.watches[ls[0].Not()] = append(s.watches[ls[0].Not()], watcher{tag, ls[1]})
+	s.watches[ls[1].Not()] = append(s.watches[ls[1].Not()], watcher{tag, ls[0]})
+}
+
+// enqueue assigns a literal true with a reason clause (noReason for
+// decisions and unit facts).
+func (s *Solver) enqueue(l Lit, from int32) bool {
 	switch s.litValue(l) {
 	case lTrue:
 		return true
@@ -283,36 +372,60 @@ func (s *Solver) enqueue(l Lit, from int) bool {
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
 // propagate performs unit propagation; it returns the ref of a conflicting
-// clause, or -1.
-func (s *Solver) propagate() int {
+// clause, or noReason.
+//
+// A long clause visited past its blocker is kept as [other watched
+// literal, ¬p, ...]. A binary clause is decided from its watcher and its
+// arena copy is left in whatever order it has, except on a conflict,
+// where it is stored as [other, ¬p] like a long clause before analyze
+// reads it (see analyze and clauseLocked for the other two places that
+// read a binary clause's order).
+func (s *Solver) propagate() int32 {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.Stats.Propagations++
+		falseLit := p.Not()
 		ws := s.watches[p]
 		kept := ws[:0]
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if s.litValue(w.blocker) == lTrue {
+			bv := s.litValue(w.blocker)
+			if bv == lTrue {
 				kept = append(kept, w)
 				continue
 			}
-			c := &s.arena[w.cref]
-			// Ensure lits[0] is the other watched literal.
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if w.binary() {
+				kept = append(kept, w)
+				if bv == lFalse {
+					if ls := s.lits(w.cref()); ls[0] == falseLit {
+						ls[0], ls[1] = ls[1], ls[0]
+					}
+					kept = append(kept, ws[i+1:]...)
+					s.watches[p] = kept
+					s.qhead = len(s.trail)
+					return w.cref()
+				}
+				s.enqueue(w.blocker, w.cref())
+				continue
 			}
-			first := c.lits[0]
+			cref := w.cref()
+			ls := s.lits(cref)
+			// Ensure ls[0] is the other watched literal.
+			if ls[0] == falseLit {
+				ls[0], ls[1] = ls[1], ls[0]
+			}
+			first := ls[0]
 			if first != w.blocker && s.litValue(first) == lTrue {
-				kept = append(kept, watcher{w.cref, first})
+				kept = append(kept, watcher{w.tag, first})
 				continue
 			}
 			// Find a new literal to watch.
 			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.litValue(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{w.cref, first})
+			for k := 2; k < len(ls); k++ {
+				if s.litValue(ls[k]) != lFalse {
+					ls[1], ls[k] = ls[k], ls[1]
+					s.watches[ls[1].Not()] = append(s.watches[ls[1].Not()], watcher{w.tag, first})
 					found = true
 					break
 				}
@@ -321,39 +434,46 @@ func (s *Solver) propagate() int {
 				continue
 			}
 			// Clause is unit or conflicting.
-			kept = append(kept, watcher{w.cref, first})
+			kept = append(kept, watcher{w.tag, first})
 			if s.litValue(first) == lFalse {
 				// Conflict: keep remaining watchers, restore list.
 				kept = append(kept, ws[i+1:]...)
 				s.watches[p] = kept
 				s.qhead = len(s.trail)
-				return w.cref
+				return cref
 			}
-			s.enqueue(first, w.cref)
+			s.enqueue(first, cref)
 		}
 		s.watches[p] = kept
 	}
-	return -1
+	return noReason
 }
 
 // analyze performs 1UIP conflict analysis, returning the learnt clause
-// (first literal is the asserting one) and the backjump level.
-func (s *Solver) analyze(confl int) ([]Lit, int) {
-	learnt := []Lit{0} // placeholder for the asserting literal
+// (first literal is the asserting one) and the backjump level. The
+// clause aliases s.buf until the next analyze or AddClause.
+func (s *Solver) analyze(confl int32) ([]Lit, int) {
+	learnt := append(s.buf[:0], 0) // placeholder for the asserting literal
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
 
 	for {
-		c := &s.arena[confl]
-		if c.learnt {
+		if s.isLearnt(confl) {
 			s.bumpClause(confl)
 		}
-		start := 0
+		ls := s.lits(confl)
 		if p != -1 {
-			start = 1
+			// A reason clause: skip the literal it implied. That is ls[0],
+			// except in a binary clause, whose order propagate does not
+			// maintain.
+			if len(ls) > 2 || ls[0].Var() == p.Var() {
+				ls = ls[1:]
+			} else {
+				ls = ls[:1]
+			}
 		}
-		for _, q := range c.lits[start:] {
+		for _, q := range ls {
 			v := q.Var()
 			if !s.seen[v] && s.level[v] > 0 {
 				s.seen[v] = true
@@ -380,6 +500,7 @@ func (s *Solver) analyze(confl int) ([]Lit, int) {
 		}
 	}
 	learnt[0] = p.Not()
+	s.buf = learnt
 
 	// Compute backjump level: max level among learnt[1:].
 	back := 0
@@ -410,12 +531,12 @@ func (s *Solver) bumpVar(v Var) {
 	s.heapFix(v)
 }
 
-func (s *Solver) bumpClause(cref int) {
-	c := &s.arena[cref]
-	c.activity += s.clauseInc
-	if c.activity > 1e20 {
+func (s *Solver) bumpClause(cref int32) {
+	a := s.clauseActivity(cref) + s.clauseInc
+	s.setClauseActivity(cref, a)
+	if a > 1e20 {
 		for _, ref := range s.learnts {
-			s.arena[ref].activity *= 1e-20
+			s.setClauseActivity(ref, s.clauseActivity(ref)*1e-20)
 		}
 		s.clauseInc *= 1e-20
 	}
@@ -434,7 +555,7 @@ func (s *Solver) backtrackTo(level int) {
 	for i := len(s.trail) - 1; i >= bound; i-- {
 		v := s.trail[i].Var()
 		s.assigns[v] = lUndef
-		s.reason[v] = -1
+		s.reason[v] = noReason
 		if s.heapIdx[v] < 0 {
 			s.heapInsert(v)
 		}
@@ -455,10 +576,11 @@ func (s *Solver) pickBranchVar() Var {
 	return -1
 }
 
-// reduceDB removes the less active half of the learnt clauses.
+// reduceDB removes the less active half of the learnt clauses, and
+// compacts the arena once deleted clauses hold more than half of it.
 func (s *Solver) reduceDB() {
 	sort.Slice(s.learnts, func(i, j int) bool {
-		return s.arena[s.learnts[i]].activity > s.arena[s.learnts[j]].activity
+		return s.clauseActivity(s.learnts[i]) > s.clauseActivity(s.learnts[j])
 	})
 	keep := s.learnts[:len(s.learnts)/2]
 	drop := s.learnts[len(s.learnts)/2:]
@@ -469,29 +591,76 @@ func (s *Solver) reduceDB() {
 			continue
 		}
 		s.detachClause(cref)
-		s.free = append(s.free, cref)
-		s.arena[cref] = clause{}
+		s.arena[cref] |= hdrDeleted
+		s.wasted += clauseWords(s.arena, int(cref))
 	}
 	s.learnts = kept
+	if s.wasted > len(s.arena)/2 {
+		s.compact()
+	}
 }
 
-func (s *Solver) clauseLocked(cref int) bool {
-	c := &s.arena[cref]
-	v := c.lits[0].Var()
+// clauseLocked reports whether clause cref is the reason for a current
+// assignment. That is always the clause's first literal, except in a
+// binary clause, whose order propagate does not maintain.
+func (s *Solver) clauseLocked(cref int32) bool {
+	ls := s.lits(cref)
+	return s.implies(cref, ls[0]) || len(ls) == 2 && s.implies(cref, ls[1])
+}
+
+func (s *Solver) implies(cref int32, l Lit) bool {
+	v := l.Var()
 	return s.reason[v] == cref && s.assigns[v] != lUndef
 }
 
-func (s *Solver) detachClause(cref int) {
-	c := &s.arena[cref]
-	for _, wl := range []Lit{c.lits[0].Not(), c.lits[1].Not()} {
+func (s *Solver) detachClause(cref int32) {
+	ls := s.lits(cref)
+	for _, wl := range [2]Lit{ls[0].Not(), ls[1].Not()} {
 		ws := s.watches[wl]
 		for i, w := range ws {
-			if w.cref == cref {
+			if w.cref() == cref {
 				ws[i] = ws[len(ws)-1]
 				s.watches[wl] = ws[:len(ws)-1]
 				break
 			}
 		}
+	}
+}
+
+// compact copies the live clauses into a fresh arena in their arena
+// order and rewrites every reference to them: watchers, reasons and the
+// clause lists. No list is reordered; only reference values change.
+func (s *Solver) compact() {
+	old := s.arena
+	s.arena = make([]Lit, 0, len(old)-s.wasted)
+	for cref := 0; cref < len(old); {
+		n := clauseWords(old, cref)
+		if old[cref]&hdrDeleted == 0 {
+			// Every clause has at least two literals, so the first one's
+			// word can hold the forwarding reference.
+			to := len(s.arena)
+			s.arena = append(s.arena, old[cref:cref+n]...)
+			old[cref+1] = Lit(to)
+		}
+		cref += n
+	}
+	s.wasted = 0
+	fwd := func(cref int32) int32 { return int32(old[cref+1]) }
+	for _, ws := range s.watches {
+		for i, w := range ws {
+			ws[i].tag = fwd(w.cref())<<1 | w.tag&1
+		}
+	}
+	for v, cref := range s.reason {
+		if cref != noReason {
+			s.reason[v] = fwd(cref)
+		}
+	}
+	for i, cref := range s.clauses {
+		s.clauses[i] = fwd(cref)
+	}
+	for i, cref := range s.learnts {
+		s.learnts[i] = fwd(cref)
 	}
 }
 
@@ -519,7 +688,7 @@ func (s *Solver) Solve(assumptions ...Lit) Result {
 		return Unsat
 	}
 	s.backtrackTo(0)
-	if s.propagate() != -1 {
+	if s.propagate() != noReason {
 		s.unsatCI = true
 		return Unsat
 	}
@@ -530,7 +699,7 @@ func (s *Solver) Solve(assumptions ...Lit) Result {
 
 	for {
 		confl := s.propagate()
-		if confl != -1 {
+		if confl != noReason {
 			s.Stats.Conflicts++
 			if s.decisionLevel() <= len(assumptions) {
 				s.Stats.AssumpConflicts++
@@ -574,7 +743,7 @@ func (s *Solver) Solve(assumptions ...Lit) Result {
 				return Unsat
 			}
 			s.trailLim = append(s.trailLim, len(s.trail))
-			s.enqueue(a, -1)
+			s.enqueue(a, noReason)
 			continue
 		}
 		v := s.pickBranchVar()
@@ -583,14 +752,14 @@ func (s *Solver) Solve(assumptions ...Lit) Result {
 		}
 		s.Stats.Decisions++
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.enqueue(MkLit(v, !s.phase[v]), -1)
+		s.enqueue(MkLit(v, !s.phase[v]), noReason)
 	}
 }
 
 func (s *Solver) addLearnt(learnt []Lit) {
 	s.Stats.Learnt++
 	if len(learnt) == 1 {
-		s.enqueue(learnt[0], -1)
+		s.enqueue(learnt[0], noReason)
 		return
 	}
 	cref := s.allocClause(learnt, true)

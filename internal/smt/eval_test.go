@@ -99,7 +99,7 @@ func TestEvalMatchesSolver(t *testing.T) {
 				break
 			}
 			if rng.Intn(2) == 0 && s.CheckAssuming(c) == sat.Sat {
-				s.Assert(c)
+				s.AssertLazy(c)
 				asserted++
 			}
 		}
@@ -140,7 +140,7 @@ func TestEvalUnblastedDefaultsZero(t *testing.T) {
 	s := NewSolver(b)
 	x := b.BV("x", 8)
 	ghost := b.BV("ghost", 16) // never asserted, never blasted
-	s.Assert(b.Eq(x, b.ConstUint(7, 8)))
+	s.AssertLazy(b.Eq(x, b.ConstUint(7, 8)))
 	if s.Check() != sat.Sat {
 		t.Fatal("unsat")
 	}
@@ -166,14 +166,14 @@ func TestModelSurvivesLaterChecks(t *testing.T) {
 	b := NewBuilder()
 	s := NewSolver(b)
 	x := b.BV("x", 8)
-	s.Assert(b.Eq(x, b.ConstUint(5, 8)))
+	s.AssertLazy(b.Eq(x, b.ConstUint(5, 8)))
 	if s.Check() != sat.Sat {
 		t.Fatal("unsat")
 	}
 	m := s.Model()
 	// Push the solver somewhere else.
 	y := b.BV("y", 8)
-	s.Assert(b.Eq(y, b.ConstUint(9, 8)))
+	s.AssertLazy(b.Eq(y, b.ConstUint(9, 8)))
 	if s.Check() != sat.Sat {
 		t.Fatal("unsat after second assert")
 	}

@@ -28,10 +28,7 @@
 // boundary.
 package smt
 
-import (
-	"switchv/internal/p4/value"
-	"switchv/internal/sat"
-)
+import "switchv/internal/sat"
 
 // lazyAssert is one assertion registered through AssertLazy: kept as a
 // term until a check's slice first reaches it, then blasted under an
@@ -44,10 +41,11 @@ type lazyAssert struct {
 	bgOK    int8    // 0 unknown, 1 background satisfies t, -1 it does not
 }
 
-// AssertLazy registers a sliceable assertion. It participates in every
-// Check/CheckAssuming exactly like Assert, but its CNF encoding is
-// deferred until the first check whose slice includes it — a sliced
-// campaign that never reaches it never pays for its clauses.
+// AssertLazy permanently constrains a boolean term to true. Every
+// Check and CheckAssuming activates it; a sliced check activates it only
+// when the check's slice reaches it. Its CNF encoding is deferred until
+// the first check that activates it — a sliced campaign that never
+// reaches it never pays for its clauses.
 func (s *Solver) AssertLazy(t *Term) {
 	s.asserted = append(s.asserted, t)
 	la := lazyAssert{t: t}
@@ -109,11 +107,10 @@ func (s *Solver) bgFails(la *lazyAssert) bool {
 
 // CheckSliced decides the asserted formula conjoined with the extra
 // terms, activating only the lazy assertions inside the variable-sharing
-// closure seeded by the seed terms' and extras' variable support (plus
-// every eagerly-asserted variable — Assert constraints are permanent and
-// always active). Verdicts are identical to CheckAssuming by the
-// argument at the top of this file; only the model differs, and Model()
-// transparently completes it from the background. Without a background
+// closure seeded by the seed terms' and extras' variable support.
+// Verdicts are identical to CheckAssuming by the argument at the top of
+// this file; only the model differs, and Model, ValueBV and ValueBool
+// transparently complete it from the background. Without a background
 // model this is exactly CheckAssuming.
 func (s *Solver) CheckSliced(seed []*Term, extra ...*Term) sat.Result {
 	if s.bg == nil {
@@ -121,9 +118,6 @@ func (s *Solver) CheckSliced(seed []*Term, extra ...*Term) sat.Result {
 	}
 	s.NumChecks++
 	inSlice := map[*Term]bool{}
-	for v := range s.eagerVars {
-		inSlice[v] = true
-	}
 	seen := map[*Term]bool{}
 	var roots []*Term
 	for _, t := range seed {
@@ -202,17 +196,4 @@ func varSupport(t *Term, seen map[*Term]bool, out *[]*Term) {
 	for _, k := range t.kids {
 		varSupport(k, seen, out)
 	}
-}
-
-// completeVar resolves a variable's value after a sliced Sat result:
-// SAT assignment inside the slice, background outside. Returns false
-// when the last check was not sliced.
-func (s *Solver) completeVar(t *Term) (value.V, bool) {
-	if s.lastSlice == nil || t.op != OpBVVar {
-		return value.V{}, false
-	}
-	if !s.lastSlice[t] {
-		return s.bg.Var(t), true
-	}
-	return value.V{}, false
 }

@@ -12,7 +12,7 @@ func TestEqModel(t *testing.T) {
 	b := NewBuilder()
 	s := NewSolver(b)
 	x := b.BV("x", 32)
-	s.Assert(b.Eq(x, b.ConstUint(0x0a000001, 32)))
+	s.AssertLazy(b.Eq(x, b.ConstUint(0x0a000001, 32)))
 	if r := s.Check(); r != sat.Sat {
 		t.Fatalf("Check = %v", r)
 	}
@@ -25,8 +25,8 @@ func TestUnsatEq(t *testing.T) {
 	b := NewBuilder()
 	s := NewSolver(b)
 	x := b.BV("x", 8)
-	s.Assert(b.Eq(x, b.ConstUint(1, 8)))
-	s.Assert(b.Eq(x, b.ConstUint(2, 8)))
+	s.AssertLazy(b.Eq(x, b.ConstUint(1, 8)))
+	s.AssertLazy(b.Eq(x, b.ConstUint(2, 8)))
 	if r := s.Check(); r != sat.Unsat {
 		t.Fatalf("Check = %v", r)
 	}
@@ -37,8 +37,8 @@ func TestUltSemantics(t *testing.T) {
 	s := NewSolver(b)
 	x := b.BV("x", 8)
 	y := b.BV("y", 8)
-	s.Assert(b.Ult(x, y))
-	s.Assert(b.Ule(y, b.ConstUint(5, 8)))
+	s.AssertLazy(b.Ult(x, y))
+	s.AssertLazy(b.Ule(y, b.ConstUint(5, 8)))
 	if r := s.Check(); r != sat.Sat {
 		t.Fatalf("Check = %v", r)
 	}
@@ -57,7 +57,7 @@ func TestAddSubWrap(t *testing.T) {
 	s := NewSolver(b)
 	x := b.BV("x", 8)
 	// x + 1 == 0  =>  x == 255.
-	s.Assert(b.Eq(b.BVAdd(x, b.ConstUint(1, 8)), b.ConstUint(0, 8)))
+	s.AssertLazy(b.Eq(b.BVAdd(x, b.ConstUint(1, 8)), b.ConstUint(0, 8)))
 	if r := s.Check(); r != sat.Sat {
 		t.Fatalf("Check = %v", r)
 	}
@@ -66,7 +66,7 @@ func TestAddSubWrap(t *testing.T) {
 	}
 	// y - 1 == 255  =>  y == 0.
 	y := b.BV("y", 8)
-	s.Assert(b.Eq(b.BVSub(y, b.ConstUint(1, 8)), b.ConstUint(255, 8)))
+	s.AssertLazy(b.Eq(b.BVSub(y, b.ConstUint(1, 8)), b.ConstUint(255, 8)))
 	if r := s.Check(); r != sat.Sat {
 		t.Fatalf("Check = %v", r)
 	}
@@ -79,8 +79,8 @@ func TestShifts(t *testing.T) {
 	b := NewBuilder()
 	s := NewSolver(b)
 	x := b.BV("x", 16)
-	s.Assert(b.Eq(b.BVShlConst(x, 4), b.ConstUint(0xaab0, 16)))
-	s.Assert(b.Eq(b.BVShrConst(x, 8), b.ConstUint(0x0a, 16)))
+	s.AssertLazy(b.Eq(b.BVShlConst(x, 4), b.ConstUint(0xaab0, 16)))
+	s.AssertLazy(b.Eq(b.BVShrConst(x, 8), b.ConstUint(0x0a, 16)))
 	if r := s.Check(); r != sat.Sat {
 		t.Fatalf("Check = %v", r)
 	}
@@ -95,7 +95,7 @@ func TestIte(t *testing.T) {
 	s := NewSolver(b)
 	c := b.BV("c", 1)
 	x := b.Ite(b.Eq(c, b.ConstUint(1, 1)), b.ConstUint(10, 8), b.ConstUint(20, 8))
-	s.Assert(b.Eq(x, b.ConstUint(20, 8)))
+	s.AssertLazy(b.Eq(x, b.ConstUint(20, 8)))
 	if r := s.Check(); r != sat.Sat {
 		t.Fatalf("Check = %v", r)
 	}
@@ -111,8 +111,8 @@ func TestMasking(t *testing.T) {
 	x := b.BV("x", 32)
 	mask := b.ConstUint(0xff000000, 32)
 	want := b.ConstUint(0x0a000000, 32)
-	s.Assert(b.Eq(b.BVAnd(x, mask), want))
-	s.Assert(b.Ne(x, b.ConstUint(0x0a000000, 32)))
+	s.AssertLazy(b.Eq(b.BVAnd(x, mask), want))
+	s.AssertLazy(b.Ne(x, b.ConstUint(0x0a000000, 32)))
 	if r := s.Check(); r != sat.Sat {
 		t.Fatalf("Check = %v", r)
 	}
@@ -127,7 +127,7 @@ func Test128Bit(t *testing.T) {
 	s := NewSolver(b)
 	x := b.BV("x", 128)
 	target := value.New128(0x20010db800000000, 0x42, 128)
-	s.Assert(b.Eq(x, b.Const(target)))
+	s.AssertLazy(b.Eq(x, b.Const(target)))
 	if r := s.Check(); r != sat.Sat {
 		t.Fatalf("Check = %v", r)
 	}
@@ -140,7 +140,7 @@ func TestCheckAssumingDoesNotPersist(t *testing.T) {
 	b := NewBuilder()
 	s := NewSolver(b)
 	x := b.BV("x", 8)
-	s.Assert(b.Ule(x, b.ConstUint(100, 8)))
+	s.AssertLazy(b.Ule(x, b.ConstUint(100, 8)))
 	if r := s.CheckAssuming(b.Eq(x, b.ConstUint(7, 8))); r != sat.Sat {
 		t.Fatalf("assume x=7: %v", r)
 	}
@@ -169,8 +169,8 @@ func TestBoolConnectives(t *testing.T) {
 	y := b.BV("y", 4)
 	p := b.Eq(x, b.ConstUint(3, 4))
 	q := b.Eq(y, b.ConstUint(9, 4))
-	s.Assert(b.Implies(p, q))
-	s.Assert(b.Iff(p, b.True()))
+	s.AssertLazy(b.Implies(p, q))
+	s.AssertLazy(b.Iff(p, b.True()))
 	if r := s.Check(); r != sat.Sat {
 		t.Fatalf("Check = %v", r)
 	}
@@ -347,7 +347,7 @@ func TestRandomTermsAgainstReference(t *testing.T) {
 		s := NewSolver(b)
 		vars := []*Term{b.BV("a", 8), b.BV("b", 8), b.BV("c", 8)}
 		f := randomBoolTerm(b, rng, vars, 3)
-		s.Assert(f)
+		s.AssertLazy(f)
 		switch s.Check() {
 		case sat.Sat:
 			env := map[string]value.V{}
@@ -403,8 +403,8 @@ func BenchmarkBlastAndSolveEq32(b *testing.B) {
 		s := NewSolver(bu)
 		x := bu.BV("x", 32)
 		y := bu.BV("y", 32)
-		s.Assert(bu.Eq(bu.BVAdd(x, y), bu.ConstUint(0xdeadbeef, 32)))
-		s.Assert(bu.Ult(x, y))
+		s.AssertLazy(bu.Eq(bu.BVAdd(x, y), bu.ConstUint(0xdeadbeef, 32)))
+		s.AssertLazy(bu.Ult(x, y))
 		if s.Check() != sat.Sat {
 			b.Fatal("unsat")
 		}
@@ -417,7 +417,7 @@ func TestResizeOps(t *testing.T) {
 	x := b.BV("x", 8)
 	// ZeroExtend: high bits are zero.
 	wide := b.ZeroExtend(x, 16)
-	s.Assert(b.Eq(wide, b.ConstUint(0x00ab, 16)))
+	s.AssertLazy(b.Eq(wide, b.ConstUint(0x00ab, 16)))
 	if r := s.Check(); r != sat.Sat {
 		t.Fatalf("Check = %v", r)
 	}
@@ -430,8 +430,8 @@ func TestResizeOps(t *testing.T) {
 	}
 	// Truncate keeps low bits.
 	y := b.BV("y", 16)
-	s.Assert(b.Eq(y, b.ConstUint(0x12cd, 16)))
-	s.Assert(b.Eq(b.Truncate(y, 8), b.ConstUint(0xcd, 8)))
+	s.AssertLazy(b.Eq(y, b.ConstUint(0x12cd, 16)))
+	s.AssertLazy(b.Eq(b.Truncate(y, 8), b.ConstUint(0xcd, 8)))
 	if r := s.Check(); r != sat.Sat {
 		t.Fatalf("truncate: %v", r)
 	}

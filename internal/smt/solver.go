@@ -8,8 +8,9 @@ import (
 )
 
 // Solver decides QF_BV formulas by Tseitin bit-blasting onto a CDCL SAT
-// solver. Assertions are permanent; CheckAssuming supports the symbolic
-// engine's per-goal queries without re-blasting the pipeline formula.
+// solver. Assertions (AssertLazy) are permanent; CheckAssuming and
+// CheckSliced support the symbolic engine's per-goal queries without
+// re-blasting the pipeline formula.
 type Solver struct {
 	b   *Builder
 	sat *sat.Solver
@@ -22,7 +23,6 @@ type Solver struct {
 	// Slice-restricted solving state (see slice.go).
 	lazy        []lazyAssert
 	bg          *Model
-	eagerVars   map[*Term]bool // support of eager (always-active) assertions
 	varUniverse map[*Term]bool // support union of every assertion
 	lastSlice   map[*Term]bool // slice of the last Sat check (nil = full)
 
@@ -51,7 +51,6 @@ func NewSolver(b *Builder) *Solver {
 		sat:         sat.New(),
 		bvBits:      map[*Term][]sat.Lit{},
 		boolLits:    map[*Term]sat.Lit{},
-		eagerVars:   map[*Term]bool{},
 		varUniverse: map[*Term]bool{},
 	}
 	v := s.sat.NewVar()
@@ -311,23 +310,9 @@ func (s *Solver) blastBV(t *Term) []sat.Lit {
 	return bits
 }
 
-// Assert permanently constrains a boolean term to true. Eager
-// assertions are active in every check, sliced or not; their variables
-// therefore seed every slice (see slice.go).
-func (s *Solver) Assert(t *Term) {
-	s.asserted = append(s.asserted, t)
-	var vars []*Term
-	varSupport(t, map[*Term]bool{}, &vars)
-	for _, v := range vars {
-		s.eagerVars[v] = true
-		s.varUniverse[v] = true
-	}
-	s.addClause(s.BlastBool(t))
-}
-
-// AssertedTerms returns every term passed to Assert, in assertion order.
-// A candidate model is a genuine model of the solver's formula iff it
-// satisfies all of them; the witness engine uses this to confirm
+// AssertedTerms returns every term passed to AssertLazy, in assertion
+// order. A candidate model is a genuine model of the solver's formula iff
+// it satisfies all of them; the witness engine uses this to confirm
 // synthesized packets without a solver call.
 func (s *Solver) AssertedTerms() []*Term { return s.asserted }
 
@@ -352,13 +337,19 @@ func (s *Solver) CheckAssuming(terms ...*Term) sat.Result {
 
 // ValueBV returns the model value of a bitvector term after a Sat result.
 // Terms that never appeared in the formula are unconstrained and read as
-// zero.
+// zero. After a sliced check the value is the completed model's (see
+// Model): a variable outside the slice reads its background value, and
+// any other non-constant term is evaluated under a freshly captured
+// completed model (capture it once with Model to evaluate many terms).
 func (s *Solver) ValueBV(t *Term) value.V {
-	if t.op == OpBVConst {
+	switch {
+	case t.op == OpBVConst:
 		return t.val
-	}
-	if v, ok := s.completeVar(t); ok {
-		return v
+	case s.lastSlice == nil:
+	case t.op != OpBVVar:
+		return Eval(s.Model(), t)
+	case !s.lastSlice[t]:
+		return s.bg.Var(t)
 	}
 	bits, ok := s.bvBits[t]
 	if !ok {
@@ -374,7 +365,12 @@ func (s *Solver) ValueBV(t *Term) value.V {
 }
 
 // ValueBool returns the model value of a boolean term after a Sat result.
+// After a sliced check it is evaluated under the completed model, as in
+// ValueBV.
 func (s *Solver) ValueBool(t *Term) bool {
+	if s.lastSlice != nil {
+		return EvalBool(s.Model(), t)
+	}
 	l, ok := s.boolLits[t]
 	if !ok {
 		return false

@@ -2,11 +2,13 @@ package symbolic
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
 	"switchv/internal/p4/pdpi"
 	"switchv/internal/testutil"
+	"switchv/internal/workload"
 	"switchv/models"
 )
 
@@ -164,5 +166,81 @@ func TestGeneratorPerGoalCache(t *testing.T) {
 	}
 	if churnRep.Cached == churnRep.Goals {
 		t.Fatalf("later-table churn invalidated nothing: %+v", churnRep)
+	}
+}
+
+// TestGenerationGates holds the data-plane generator's deterministic
+// gates on the seed-42 middleblock sets of 150 and 798 entries (the
+// latter is Table 3 Inst1), in CoverBranches mode with enriched goals:
+//
+//   - the exact SMT-check, pruned, witnessed and witness-unsat counts,
+//     which also keep the large set inside its 40-check budget;
+//   - pruning and witnesses avoid at least 40% of the serial path's one
+//     check per goal;
+//   - the packet set and the report are identical at Workers 1 and 4;
+//   - slicing changes no verdict: the covered goal set is identical with
+//     DisableSlicing.
+//
+// The wall-clock gate (at least 2x over the serial path on 4 or more
+// CPUs) stays in BenchmarkDataPlaneGen.
+func TestGenerationGates(t *testing.T) {
+	prog := models.Middleblock()
+	for _, c := range []struct {
+		entries                                    int
+		smtChecks, pruned, witnessed, witnessUnsat int
+	}{
+		{150, 16, 80, 96, 1},
+		{798, 17, 271, 548, 5},
+	} {
+		t.Run(fmt.Sprint(c.entries), func(t *testing.T) {
+			store := pdpi.NewStore()
+			for _, e := range workload.MustEntries(prog, c.entries, 42) {
+				if err := store.Insert(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run := func(gopts GenOptions) ([]TestPacket, Report) {
+				t.Helper()
+				gopts.Mode, gopts.Enriched = CoverBranches, true
+				pkts, rep, err := GeneratePacketsParallel(prog, store, Options{}, gopts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return pkts, rep
+			}
+			p1, r1 := run(GenOptions{Workers: 1})
+			if r1.SMTChecks != c.smtChecks || r1.Pruned != c.pruned ||
+				r1.Witnessed != c.witnessed || r1.WitnessUnsat != c.witnessUnsat {
+				t.Errorf("%d SMT checks, %d pruned, %d witnessed, %d witness-unsat; want %d, %d, %d, %d",
+					r1.SMTChecks, r1.Pruned, r1.Witnessed, r1.WitnessUnsat,
+					c.smtChecks, c.pruned, c.witnessed, c.witnessUnsat)
+			}
+			if lim := r1.Goals * 6 / 10; r1.SMTChecks > lim {
+				t.Errorf("%d SMT checks for %d goals, want <= %d", r1.SMTChecks, r1.Goals, lim)
+			}
+
+			p4, r4 := run(GenOptions{Workers: 4})
+			if renderPackets(p4) != renderPackets(p1) {
+				t.Error("packet set differs between Workers 1 and 4")
+			}
+			if r4 != r1 {
+				t.Errorf("report differs between Workers 1 and 4:\n  1: %+v\n  4: %+v", r1, r4)
+			}
+
+			pu, ru := run(GenOptions{Workers: 1, DisableSlicing: true})
+			if ru.SlicedAsserts != 0 || ru.SlicedBits != 0 {
+				t.Errorf("unsliced run reported slice metrics: %+v", ru)
+			}
+			covered := func(pkts []TestPacket) map[string]bool {
+				m := map[string]bool{}
+				for _, p := range pkts {
+					m[p.GoalKey] = true
+				}
+				return m
+			}
+			if got, want := covered(pu), covered(p1); !maps.Equal(got, want) {
+				t.Errorf("covered goals differ without slicing: %d unsliced vs %d sliced", len(got), len(want))
+			}
+		})
 	}
 }
