@@ -520,26 +520,30 @@ func BenchmarkTrivialSuite(b *testing.B) {
 	}
 }
 
-// BenchmarkCoverageGuidedVsBlind contrasts uniform-random (blind) fuzzing
-// with the coverage-guided schedule on middleblock: same seed, same
-// campaign length, small batches so table coverage accretes gradually. It
-// reports incidents found and tables covered per 1k requests, plus the
-// request count at which each campaign first reaches the blind campaign's
-// final table coverage — the greybox payoff is that guided gets there in
-// at most half the requests.
-func BenchmarkCoverageGuidedVsBlind(b *testing.B) {
+// guidedVsBlind is one seed of the guided-vs-blind comparison: each
+// campaign's final table coverage and incident count, and the requests
+// each needed to first reach the blind campaign's final table coverage.
+type guidedVsBlind struct {
+	seed                            int64
+	blindTables, guidedTables       int
+	blindReach, guidedReach         int
+	blindIncidents, guidedIncidents int
+}
+
+// guidedVsBlindRequests is each campaign's length in requests.
+const guidedVsBlindRequests = 600
+
+// runGuidedVsBlind runs a uniform-random (blind) and a coverage-guided
+// campaign on middleblock for each of seeds 1–5: same seed, same
+// campaign length, one update per request so table coverage accretes
+// gradually. That puts table coverage in the coupon-collector regime: a
+// blind schedule keeps re-drawing already-covered tables (and wastes
+// draws on constraint-heavy tables it already satisfied), while the
+// guided schedule spends its energy on the uncovered ones. Reach is
+// summed over several seeds because a single campaign's first-reach
+// batch is noisy.
+func runGuidedVsBlind(tb testing.TB) []guidedVsBlind {
 	info := p4info.New(models.Middleblock())
-	// One update per request puts table coverage in the coupon-collector
-	// regime: a blind schedule keeps re-drawing already-covered tables
-	// (and wastes draws on constraint-heavy tables it already satisfied),
-	// while the guided schedule spends its energy on the uncovered ones.
-	// Reach is averaged over several seeds because a single campaign's
-	// first-reach batch is noisy.
-	const (
-		nRequests = 600
-		nUpdates  = 1
-	)
-	seeds := []int64{1, 2, 3, 4, 5}
 	run := func(seed int64, guided bool) *switchv.ControlPlaneReport {
 		// A faulty switch gives the incident metric something to find; the
 		// fault (accepting dangling references) fires on the InvalidReference
@@ -548,56 +552,102 @@ func BenchmarkCoverageGuidedVsBlind(b *testing.B) {
 		defer sw.Close()
 		h := switchv.New(info, sw, sw)
 		if err := h.PushPipeline(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		rep, err := h.RunControlPlane(fuzzer.Options{
-			Seed: seed, NumRequests: nRequests, UpdatesPerRequest: nUpdates,
+			Seed: seed, NumRequests: guidedVsBlindRequests, UpdatesPerRequest: 1,
 			CoverageGuided: guided,
 		})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		return rep
 	}
 	// firstReach returns the 1-based batch index at which the trajectory
-	// first covers the given table count (nRequests+1 if never).
+	// first covers the given table count (one past the campaign if never).
 	firstReach := func(rep *switchv.ControlPlaneReport, tables int) int {
 		for i, s := range rep.Trajectory {
 			if s.Tables >= tables {
 				return i + 1
 			}
 		}
-		return nRequests + 1
+		return guidedVsBlindRequests + 1
 	}
+	var out []guidedVsBlind
+	for seed := int64(1); seed <= 5; seed++ {
+		blind, guided := run(seed, false), run(seed, true)
+		bt := blind.Trajectory[len(blind.Trajectory)-1].Tables
+		out = append(out, guidedVsBlind{
+			seed:            seed,
+			blindTables:     bt,
+			guidedTables:    guided.Trajectory[len(guided.Trajectory)-1].Tables,
+			blindReach:      firstReach(blind, bt),
+			guidedReach:     firstReach(guided, bt),
+			blindIncidents:  len(blind.Incidents),
+			guidedIncidents: len(guided.Incidents),
+		})
+	}
+	return out
+}
+
+// BenchmarkCoverageGuidedVsBlind contrasts uniform-random (blind) fuzzing
+// with the coverage-guided schedule (see runGuidedVsBlind). It reports
+// incidents found and tables covered per 1k requests, plus the request
+// count at which each campaign first reaches the blind campaign's final
+// table coverage. Its gates are deterministic and run in go test as
+// TestCoverageGuidedVsBlind.
+func BenchmarkCoverageGuidedVsBlind(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var blindReach, guidedReach, blindTables, guidedTables int
 		var blindIncidents, guidedIncidents int
-		for _, seed := range seeds {
-			blind := run(seed, false)
-			guided := run(seed, true)
-			bt := blind.Trajectory[len(blind.Trajectory)-1].Tables
-			gt := guided.Trajectory[len(guided.Trajectory)-1].Tables
-			if gt < bt {
-				b.Fatalf("seed %d: guided covered %d tables, blind %d", seed, gt, bt)
-			}
-			blindTables += bt
-			guidedTables += gt
-			blindReach += firstReach(blind, bt)
-			guidedReach += firstReach(guided, bt)
-			blindIncidents += len(blind.Incidents)
-			guidedIncidents += len(guided.Incidents)
+		runs := runGuidedVsBlind(b)
+		for _, r := range runs {
+			blindTables += r.blindTables
+			guidedTables += r.guidedTables
+			blindReach += r.blindReach
+			guidedReach += r.guidedReach
+			blindIncidents += r.blindIncidents
+			guidedIncidents += r.guidedIncidents
 		}
-		n := float64(len(seeds))
+		n := float64(len(runs))
 		b.ReportMetric(float64(blindTables)/n, "blind-tables")
 		b.ReportMetric(float64(guidedTables)/n, "guided-tables")
 		b.ReportMetric(float64(blindReach)/n, "blind-req-to-coverage")
 		b.ReportMetric(float64(guidedReach)/n, "guided-req-to-coverage")
-		b.ReportMetric(1000*float64(blindIncidents)/n/nRequests, "blind-incidents-per-1k")
-		b.ReportMetric(1000*float64(guidedIncidents)/n/nRequests, "guided-incidents-per-1k")
-		if guidedReach*2 > blindReach {
-			b.Fatalf("guided needed %d requests (sum over %d seeds) to reach blind's table coverage; blind needed %d (want <= half)",
-				guidedReach, len(seeds), blindReach)
+		b.ReportMetric(1000*float64(blindIncidents)/n/guidedVsBlindRequests, "blind-incidents-per-1k")
+		b.ReportMetric(1000*float64(guidedIncidents)/n/guidedVsBlindRequests, "guided-incidents-per-1k")
+	}
+}
+
+// TestCoverageGuidedVsBlind holds the greybox payoff gates: per seed the
+// guided campaign covers at least the blind campaign's tables, and
+// summed over the seeds it reaches the blind campaign's final table
+// coverage in at most half the requests. The campaigns are
+// deterministic, so every seed's table count and reach is pinned
+// exactly; a drifted count fails here before a gate can.
+func TestCoverageGuidedVsBlind(t *testing.T) {
+	// Per seed: blind tables, blind reach, guided tables, guided reach.
+	want := [][4]int{
+		{12, 84, 12, 39},
+		{12, 88, 12, 39},
+		{12, 105, 12, 40},
+		{12, 83, 12, 50},
+		{12, 131, 12, 33},
+	}
+	var blindReach, guidedReach int
+	for i, r := range runGuidedVsBlind(t) {
+		if r.guidedTables < r.blindTables {
+			t.Errorf("seed %d: guided covered %d tables, blind %d", r.seed, r.guidedTables, r.blindTables)
 		}
+		if got := [4]int{r.blindTables, r.blindReach, r.guidedTables, r.guidedReach}; got != want[i] {
+			t.Errorf("seed %d: blind tables, blind reach, guided tables, guided reach = %v, want %v", r.seed, got, want[i])
+		}
+		blindReach += r.blindReach
+		guidedReach += r.guidedReach
+	}
+	if guidedReach*2 > blindReach {
+		t.Errorf("guided needed %d requests (summed over seeds) to reach blind's table coverage; blind needed %d (want <= half)",
+			guidedReach, blindReach)
 	}
 }
 

@@ -140,7 +140,6 @@ func main() {
 
 	h := switchv.New(info, dev, dp)
 	h.Precheck = precheck
-	h.Reconcile = wire != nil
 	if err := h.PushPipeline(); err != nil {
 		log.Fatalf("pushing pipeline: %v", err)
 	}
@@ -189,7 +188,6 @@ func main() {
 				Factory:    factory,
 				Precheck:   precheck,
 				Quarantine: chaosEvents != nil,
-				Reconcile:  chaosEvents != nil,
 			})
 			if err != nil {
 				log.Fatalf("parallel control plane campaign: %v", err)

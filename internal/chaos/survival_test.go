@@ -114,7 +114,6 @@ func chaosCampaign(t *testing.T, sched *chaos.Schedule, hardened bool) (json []b
 
 	info := p4info.New(models.MustLoad(survivalRole))
 	h := switchv.New(info, dev, nil)
-	h.Reconcile = hardened
 	if perr := h.PushPipeline(); perr != nil {
 		return nil, wire.Events(), 0, perr
 	}

@@ -52,12 +52,12 @@ func TestNewMapPreRegistersModelPoints(t *testing.T) {
 			KeyTableWrite(tab.Name), KeyTableAccept(tab.Name),
 			KeyTableHit(tab.Name), KeyTableMiss(tab.Name),
 		} {
-			if _, ok := m.staticIdx[key]; !ok {
+			if _, ok := m.static[key]; !ok {
 				t.Errorf("static index missing %q", key)
 			}
 		}
 		for _, a := range tab.Actions {
-			if _, ok := m.staticIdx[KeyActionSelect(tab.Name, a.Name)]; !ok {
+			if _, ok := m.static[KeyActionSelect(tab.Name, a.Name)]; !ok {
 				t.Errorf("static index missing action select for %s/%s", tab.Name, a.Name)
 			}
 		}
@@ -276,7 +276,7 @@ func TestNewMapExcluding(t *testing.T) {
 	info := p4info.New(models.Middleblock())
 	full := NewMap(info)
 	dead := "mirror_session_table"
-	if _, ok := full.staticIdx[KeyTableHit(dead)]; !ok {
+	if _, ok := full.static[KeyTableHit(dead)]; !ok {
 		t.Fatalf("fixture table %s not in the model", dead)
 	}
 	m := NewMapExcluding(info, map[string]bool{dead: true})
@@ -286,20 +286,20 @@ func TestNewMapExcluding(t *testing.T) {
 	}
 	// Data-plane points of the dead table are out of the denominator...
 	for _, key := range []string{KeyTableHit(dead), KeyTableMiss(dead)} {
-		if _, ok := m.staticIdx[key]; ok {
+		if _, ok := m.static[key]; ok {
 			t.Errorf("dead table kept data-plane point %q", key)
 		}
 	}
 	// ...but its control-plane points remain: it still takes entries.
 	for _, key := range []string{KeyTableWrite(dead), KeyTableAccept(dead)} {
-		if _, ok := m.staticIdx[key]; !ok {
+		if _, ok := m.static[key]; !ok {
 			t.Errorf("dead table lost control-plane point %q", key)
 		}
 	}
 	for _, tab := range info.Tables() {
 		for _, a := range tab.Actions {
-			_, hasSelect := m.staticIdx[KeyActionSelect(tab.Name, a.Name)]
-			_, hasInvoke := m.staticIdx[KeyActionInvoke(tab.Name, a.Name)]
+			_, hasSelect := m.static[KeyActionSelect(tab.Name, a.Name)]
+			_, hasInvoke := m.static[KeyActionInvoke(tab.Name, a.Name)]
 			if !hasSelect {
 				t.Errorf("missing action select for %s/%s", tab.Name, a.Name)
 			}

@@ -79,12 +79,13 @@ type Config struct {
 
 	// Harden arms the self-healing transport stack on every per-shard
 	// connection: in-RPC retry with idempotency keys (p4rt.Client
-	// SetRetry + redial), torn-write read-back reconciliation
-	// (switchv.Harness.Reconcile), and warm-restart recovery via
+	// SetRetry + redial) and warm-restart recovery via
 	// switchv.SelfHealingDevice — a target that restarts mid-campaign
 	// has its pipeline re-pushed and entry log replayed, and the round
-	// resumes byte-identically. Required when the fleet runs behind a
-	// chaos wire; useful against real switches that reboot.
+	// resumes byte-identically. Torn-write read-back reconciliation
+	// follows the self-healing device: a harness over one reconciles.
+	// Required when the fleet runs behind a chaos wire; useful against
+	// real switches that reboot.
 	Harden bool
 	// RPCTimeout, when positive, overrides the client's default per-RPC
 	// deadline (30s) on every connection the daemon dials. A dropped or

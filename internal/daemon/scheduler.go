@@ -216,7 +216,6 @@ func (d *Daemon) runControlPlane(t Target, round int, info *p4info.Info) (*switc
 			Precheck:   d.cfg.Precheck,
 			Resume:     resume,
 			Quarantine: quarantine,
-			Reconcile:  d.cfg.Harden,
 			OnShard: func(shard int, cp *switchv.ShardCheckpoint) error {
 				if d.stopping() {
 					return setCause(errStopped)
@@ -303,9 +302,9 @@ func flapped(incidents []switchv.Incident) bool {
 // stackFactory builds per-shard stacks over the target's address pool.
 // Addresses are borrowed exclusively (a shard owns its switch while
 // running), dialed with reconnect backoff, and the switch is wiped
-// before the shard fuzzes — shards sharing one physical switch must
-// each start from clean state, since pushing the pipeline does not
-// clear table entries.
+// (switchv.Harness.Wipe) before the shard fuzzes — shards sharing one
+// physical switch must each start from clean state, since pushing the
+// pipeline does not clear table entries.
 func (d *Daemon) stackFactory(t Target, info *p4info.Info) switchv.StackFactory {
 	pool := make(chan string, len(t.Addrs))
 	for _, addr := range t.Addrs {
@@ -321,59 +320,31 @@ func (d *Daemon) stackFactory(t Target, info *p4info.Info) switchv.StackFactory 
 		if d.cfg.RPCTimeout > 0 {
 			cli.SetTimeout(d.cfg.RPCTimeout)
 		}
+		release := func() {
+			cli.Close()
+			pool <- addr
+		}
 		var dev p4rt.Device = cli
 		if d.cfg.Harden {
 			// Self-healing stack: transparent in-RPC retry over redials
 			// (idempotent via session replay), plus warm-restart recovery
-			// wrapping the whole client. The wrapper sits below
-			// prepareSwitch so the pipeline push is recorded for replay.
+			// wrapping the whole client. The wrapper sits below the
+			// harness so the pipeline push is recorded for replay.
 			cli.SetRedialAddr(addr)
 			cli.SetRetry(d.cfg.Backoff)
 			dev = switchv.NewSelfHealing(cli)
 		}
-		if err := prepareSwitch(info, dev); err != nil {
-			cli.Close()
-			pool <- addr
+		h := switchv.New(info, dev, nil)
+		if err := h.PushPipeline(); err != nil {
+			release()
+			return nil, nil, fmt.Errorf("daemon: pushing pipeline: %w", err)
+		}
+		if err := h.Wipe(); err != nil {
+			release()
 			return nil, nil, err
 		}
-		return dev, func() {
-			cli.Close()
-			pool <- addr
-		}, nil
+		return dev, release, nil
 	}
-}
-
-// prepareSwitch pushes the pipeline and wipes any entries left by a
-// previous shard or round. Deletes run in passes because reference
-// validation rejects removing an entry other entries still point to;
-// each pass clears the current leaves.
-func prepareSwitch(info *p4info.Info, dev p4rt.Device) error {
-	if err := dev.SetForwardingPipelineConfig(p4rt.ForwardingPipelineConfig{
-		P4Info: info.Text(),
-		Cookie: 1,
-	}); err != nil {
-		return fmt.Errorf("daemon: pushing pipeline: %w", err)
-	}
-	for pass := 0; pass < 64; pass++ {
-		resp, err := dev.Read(p4rt.ReadRequest{})
-		if err != nil {
-			return fmt.Errorf("daemon: reading state before wipe: %w", err)
-		}
-		if len(resp.Entries) == 0 {
-			return nil
-		}
-		deleted := 0
-		for _, te := range resp.Entries {
-			r := dev.Write(p4rt.WriteRequest{Updates: []p4rt.Update{{Type: p4rt.Delete, Entry: te}}})
-			if r.OK() {
-				deleted++
-			}
-		}
-		if deleted == 0 {
-			return fmt.Errorf("daemon: wipe stuck with %d undeletable entries", len(resp.Entries))
-		}
-	}
-	return fmt.Errorf("daemon: wipe did not converge")
 }
 
 // runDataPlane runs the round's symbolic data-plane campaign over one
@@ -409,7 +380,6 @@ func (d *Daemon) runDataPlane(t Target, round int, info *p4info.Info) (*DataPlan
 		}
 		h := switchv.New(info, dev, dp)
 		h.Precheck = d.cfg.Precheck
-		h.Reconcile = d.cfg.Harden
 		if err := h.PushPipeline(); err != nil {
 			cli.Close()
 			return nil, fmt.Errorf("daemon: target %s round %d: pushing pipeline: %w", t.Name, round, err)

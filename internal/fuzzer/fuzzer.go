@@ -106,7 +106,8 @@ type Fuzzer struct {
 	// deletes can target real entries.
 	installed *pdpi.Store
 
-	// ranks orders tables so that referenced tables come first.
+	// ranks orders tables so that referenced tables come first (see
+	// p4info.Ranks).
 	ranks map[string]int
 
 	deferred []GeneratedUpdate    // updates deferred to later batches
@@ -134,7 +135,7 @@ func New(info *p4info.Info, opts Options) *Fuzzer {
 		rng:         rand.New(rand.NewSource(opts.Seed)),
 		opts:        opts,
 		installed:   pdpi.NewStore(),
-		ranks:       map[string]int{},
+		ranks:       info.Ranks(),
 		PerMutation: map[string]int{},
 		cov:         opts.Coverage,
 	}
@@ -143,30 +144,6 @@ func New(info *p4info.Info, opts Options) *Fuzzer {
 	}
 	if opts.CoverageGuided {
 		f.guide = coverage.NewGuide(f.cov)
-	}
-	// Dependency ranks by fixpoint iteration (the refers_to graph is
-	// acyclic in well-formed models; bail out after |tables| rounds).
-	tables := info.Tables()
-	for _, t := range tables {
-		f.ranks[t.Name] = 0
-	}
-	for round := 0; round < len(tables); round++ {
-		changed := false
-		for _, t := range tables {
-			r := 0
-			for _, dep := range info.Dependencies(t) {
-				if f.ranks[dep]+1 > r {
-					r = f.ranks[dep] + 1
-				}
-			}
-			if r != f.ranks[t.Name] {
-				f.ranks[t.Name] = r
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
 	}
 	return f
 }

@@ -73,17 +73,16 @@ type Oracle struct {
 	info  *p4info.Info
 	state *pdpi.Store
 	cov   *coverage.Map
-
-	// AllowUnavailable relaxes judgement for statuses with code
-	// Unavailable: the transport layer (chaos-hardened campaigns) uses
-	// that code to mean "this update's outcome is unknown or it was not
-	// applied" after read-back reconciliation. Such updates are exempt
-	// from rejected-valid/wrong-status-code checks and are not replayed
-	// onto the expected state — the read-back check still holds because
-	// reconciliation derives Unavailable only for entries absent from
-	// the observed state.
-	AllowUnavailable bool
 }
+
+// UnknownOutcome is the status torn-write reconciliation gives an update
+// whose outcome it cannot know from the read-back: it may not have been
+// applied. CheckBatch exempts an update with exactly this status from
+// judgement and does not replay it onto the expected state. The
+// read-back check still holds, because reconciliation gives it only to
+// updates whose effect is absent from the observed state. Any other
+// UNAVAILABLE status is the switch's own answer and is judged.
+var UnknownOutcome = p4rt.Statusf(p4rt.Unavailable, "reconciled: outcome unknown or not applied")
 
 // New returns an oracle starting from an empty switch.
 func New(info *p4info.Info) *Oracle {
@@ -343,7 +342,7 @@ func (o *Oracle) CheckBatch(req p4rt.WriteRequest, resp p4rt.WriteResponse, obse
 		}
 		verdicts[i] = verdict
 		accepted := resp.Statuses[i].Code == p4rt.OK
-		if o.AllowUnavailable && resp.Statuses[i].Code == p4rt.Unavailable {
+		if resp.Statuses[i] == UnknownOutcome {
 			// Outcome unknown / not applied (per reconciliation): record
 			// the verdict and coverage, but judge nothing and replay
 			// nothing for this update.

@@ -88,9 +88,6 @@ type ParallelOptions struct {
 	// quarantined record carries the shard's seed, so its campaign can
 	// be re-run standalone to reproduce the failure.
 	Quarantine bool
-	// Reconcile enables torn-write read-back reconciliation on every
-	// shard harness (see Harness.Reconcile).
-	Reconcile bool
 }
 
 // QuarantinedShard records one shard whose stack or campaign failed
@@ -425,7 +422,6 @@ func runShard(info *p4info.Info, opts ParallelOptions, worker, shard, batches in
 	}
 	h := New(info, dev, nil)
 	h.Precheck = opts.Precheck
-	h.Reconcile = opts.Reconcile
 	if err := h.PushPipeline(); err != nil {
 		res.err = fmt.Errorf("shard %d: pushing pipeline: %w", shard, err)
 		return res

@@ -3,6 +3,7 @@ package switchv
 import (
 	"strings"
 
+	"switchv/internal/oracle"
 	"switchv/internal/p4/p4info"
 	"switchv/internal/p4/pdpi"
 	"switchv/internal/p4rt"
@@ -24,10 +25,10 @@ func isTransportFailure(resp p4rt.WriteResponse) bool {
 // produced. An update whose effect is visible in the observed state was
 // applied (OK); one whose precondition already failed against the
 // pre-batch state was rejected with the specified code (AlreadyExists /
-// NotFound); anything else is Unavailable — "outcome unknown or not
-// applied" — which the oracle (with AllowUnavailable) exempts from
-// judgement and replay. This is how a controller distinguishes "the ACK
-// was lost but the write landed" from "the write never happened".
+// NotFound); anything else is oracle.UnknownOutcome, which the oracle
+// exempts from judgement and replay. This is how a controller
+// distinguishes "the ACK was lost but the write landed" from "the write
+// never happened".
 func reconcileWriteResponse(info *p4info.Info, prev *pdpi.Store, observed p4rt.ReadResponse, req p4rt.WriteRequest) p4rt.WriteResponse {
 	// The observed post-batch entries, by key.
 	obs := map[string]*pdpi.Entry{}
@@ -49,16 +50,15 @@ func reconcileWriteResponse(info *p4info.Info, prev *pdpi.Store, observed p4rt.R
 	for _, e := range prev.All(info.Program()) {
 		working[e.Key()] = true
 	}
-	unavail := p4rt.Statusf(p4rt.Unavailable, "reconciled: outcome unknown or not applied")
 	resp := p4rt.WriteResponse{Statuses: make([]p4rt.Status, len(req.Updates))}
 	for i := range req.Updates {
 		u := &req.Updates[i]
 		e, err := p4rt.FromWire(info, &u.Entry)
 		if err != nil {
 			// Undecodable updates were certainly rejected, but the exact
-			// status code is lost with the ACK; Unavailable skips the
+			// status code is lost with the ACK; UnknownOutcome skips the
 			// pinned-code check.
-			resp.Statuses[i] = unavail
+			resp.Statuses[i] = oracle.UnknownOutcome
 			continue
 		}
 		key := e.Key()
@@ -71,7 +71,7 @@ func reconcileWriteResponse(info *p4info.Info, prev *pdpi.Store, observed p4rt.R
 				resp.Statuses[i] = p4rt.OKStatus
 				working[key] = true
 			default:
-				resp.Statuses[i] = unavail
+				resp.Statuses[i] = oracle.UnknownOutcome
 			}
 		case p4rt.Modify:
 			switch {
@@ -80,7 +80,7 @@ func reconcileWriteResponse(info *p4info.Info, prev *pdpi.Store, observed p4rt.R
 			case landed(key, e):
 				resp.Statuses[i] = p4rt.OKStatus
 			default:
-				resp.Statuses[i] = unavail
+				resp.Statuses[i] = oracle.UnknownOutcome
 			}
 		case p4rt.Delete:
 			switch {
@@ -90,10 +90,10 @@ func reconcileWriteResponse(info *p4info.Info, prev *pdpi.Store, observed p4rt.R
 				resp.Statuses[i] = p4rt.OKStatus
 				delete(working, key)
 			default:
-				resp.Statuses[i] = unavail
+				resp.Statuses[i] = oracle.UnknownOutcome
 			}
 		default:
-			resp.Statuses[i] = unavail
+			resp.Statuses[i] = oracle.UnknownOutcome
 		}
 	}
 	return resp

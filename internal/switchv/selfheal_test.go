@@ -103,17 +103,20 @@ func (d *tornDevice) Write(req p4rt.WriteRequest) p4rt.WriteResponse {
 	return resp
 }
 
-// TestReconcileTornWrite: with Harness.Reconcile, a torn write is
-// resolved purely by read-back — no retry, no replay cache — and the
-// campaign report is byte-identical to the fault-free run. Without it,
-// the torn write perturbs the report.
+// TestReconcileTornWrite: on a hardened harness (a SelfHealingDevice), a
+// torn write is resolved purely by read-back — no retry, no replay
+// cache — and the campaign report is byte-identical to the fault-free
+// run. Without it, the torn write perturbs the report.
 func TestReconcileTornWrite(t *testing.T) {
 	info := p4info.New(models.MustLoad("middleblock"))
 	run := func(tearAt map[int]bool, reconcile bool) ([]byte, int, error) {
 		sw := &tornDevice{Switch: switchsim.New("middleblock"), tearAt: tearAt}
 		defer sw.Close()
-		h := New(info, sw, sw)
-		h.Reconcile = reconcile
+		var dev p4rt.Device = sw
+		if reconcile {
+			dev = NewSelfHealing(sw)
+		}
+		h := New(info, dev, sw)
 		if err := h.PushPipeline(); err != nil {
 			return nil, 0, err
 		}
@@ -205,6 +208,48 @@ func TestIsTransportFailureShape(t *testing.T) {
 		if got := isTransportFailure(c.resp); got != c.want {
 			t.Errorf("case %d: isTransportFailure(%+v) = %v, want %v", i, c.resp, got, c.want)
 		}
+	}
+}
+
+// busyDevice wraps the simulator and answers its first one-update Write
+// with the switch's own UNAVAILABLE, without applying the update.
+type busyDevice struct {
+	*switchsim.Switch
+	answered bool
+}
+
+func (d *busyDevice) Write(req p4rt.WriteRequest) p4rt.WriteResponse {
+	if d.answered || len(req.Updates) != 1 {
+		return d.Switch.Write(req)
+	}
+	d.answered = true
+	return p4rt.WriteResponse{Statuses: []p4rt.Status{p4rt.Statusf(p4rt.Unavailable, "switch busy")}}
+}
+
+// TestHardenedJudgesSwitchUnavailable: a hardened harness exempts only
+// the status reconciliation gives an update it cannot resolve. A switch
+// that answers a valid insert with its own UNAVAILABLE is reported.
+func TestHardenedJudgesSwitchUnavailable(t *testing.T) {
+	info := p4info.New(models.MustLoad("middleblock"))
+	sw := &busyDevice{Switch: switchsim.New("middleblock")}
+	defer sw.Close()
+	h := New(info, NewSelfHealing(sw), sw)
+	if err := h.PushPipeline(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := h.RunControlPlane(fuzzer.Options{
+		Seed: 1, NumRequests: 1, UpdatesPerRequest: 1,
+		MutateFraction: fuzzer.Disabled, ConstraintAware: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sw.answered || rep.Updates != 1 || rep.MustAccept != 1 {
+		t.Fatalf("answered=%v updates=%d must-accept=%d, want one must-accept update answered UNAVAILABLE",
+			sw.answered, rep.Updates, rep.MustAccept)
+	}
+	if len(rep.Incidents) != 1 || rep.Incidents[0].Kind != "rejected-valid" {
+		t.Fatalf("incidents = %v, want one rejected-valid", rep.Incidents)
 	}
 }
 

@@ -90,6 +90,15 @@ func (m *PrecheckMode) Set(s string) error {
 }
 
 // Harness validates one switch against one model.
+//
+// A harness whose Dev is a *SelfHealingDevice is hardened: its
+// control-plane campaigns also survive torn writes. A write whose ACK
+// was lost in transit (transport-failure response) is resolved by
+// read-back: per-update statuses are reconstructed from the observed
+// state, and an update whose outcome cannot be known gets
+// oracle.UnknownOutcome, which the oracle exempts from judgement. On an
+// unhardened harness a torn write poisons the campaign with false
+// incidents or kills it.
 type Harness struct {
 	Info *p4info.Info
 	Dev  p4rt.Device
@@ -98,13 +107,6 @@ type Harness struct {
 	// the gate: a defective model silently corrupts every downstream
 	// verdict, so opting out is the explicit choice.
 	Precheck PrecheckMode
-	// Reconcile hardens control-plane campaigns against torn writes: a
-	// write whose ACK was lost in transit (transport-failure response)
-	// is resolved by read-back — per-update statuses are reconstructed
-	// from the observed state, with genuinely unknowable outcomes marked
-	// Unavailable and exempted from oracle judgement. Without it, a torn
-	// write poisons the campaign with false incidents or kills it.
-	Reconcile bool
 }
 
 // New builds a harness.
@@ -269,14 +271,14 @@ func (h *Harness) runControlPlane(opts fuzzer.Options, depth int) (*ControlPlane
 	if opts.Coverage == nil {
 		opts.Coverage = coverage.NewMapExcluding(h.Info, crep.UnreachableSet())
 	}
-	if opts.PlateauBatches > 0 || opts.StopAfterIncidents > 0 || opts.CoverageGuided || h.Reconcile {
+	_, reconcile := h.Dev.(*SelfHealingDevice)
+	if opts.PlateauBatches > 0 || opts.StopAfterIncidents > 0 || opts.CoverageGuided || reconcile {
 		depth = 1
 	}
 	cov := opts.Coverage
 	f := fuzzer.New(h.Info, opts)
 	orc := oracle.New(h.Info)
 	orc.SetCoverage(cov)
-	orc.AllowUnavailable = h.Reconcile
 	rep := &ControlPlaneReport{}
 	start := time.Now()
 	n := opts.NumRequests
@@ -296,7 +298,7 @@ func (h *Harness) runControlPlane(opts fuzzer.Options, depth int) (*ControlPlane
 			sb.resp = h.Dev.Write(sb.req)
 			sb.observed, sb.readErr = h.Dev.Read(p4rt.ReadRequest{})
 			if sb.readErr == nil {
-				if h.Reconcile && isTransportFailure(sb.resp) {
+				if reconcile && isTransportFailure(sb.resp) {
 					// Torn write: the ACK died in transit, so resolve what
 					// actually landed from the read-back before judging.
 					sb.resp = reconcileWriteResponse(h.Info, orc.State(), sb.observed, sb.req)
@@ -469,7 +471,7 @@ func (h *Harness) RunDataPlane(entries []*pdpi.Entry, opts DataPlaneOptions) (*D
 	// reverse dependency order so references never dangle mid-wipe. A
 	// switch whose state cannot even be read or cleared is itself a
 	// finding (e.g. the P4Info push silently failed).
-	if err := h.wipe(); err != nil {
+	if err := h.Wipe(); err != nil {
 		rep.Incidents = append(rep.Incidents, Incident{
 			Tool: "p4-symbolic", Kind: "state-unavailable",
 			Detail: fmt.Sprintf("cannot prepare the switch for data-plane testing: %v", err),
@@ -639,7 +641,7 @@ func (h *Harness) RunDataPlane(entries []*pdpi.Entry, opts DataPlaneOptions) (*D
 	// Teardown: remove everything we installed, as the nightly run's
 	// cleanup would. Deletion failures are control-plane bugs (e.g. the
 	// default-route deletion bug).
-	if err := h.wipe(); err != nil {
+	if err := h.Wipe(); err != nil {
 		rep.Incidents = append(rep.Incidents, Incident{
 			Tool: "p4-symbolic", Kind: "teardown-rejected",
 			Detail: fmt.Sprintf("cleaning up installed entries: %v", err),
@@ -901,14 +903,15 @@ func oneUpdate(st p4rt.Status) string {
 	return (&p4rt.WriteResponse{Statuses: []p4rt.Status{st}}).String()
 }
 
-// wipe deletes every installed entry, dependents first: tables in
-// reverse TopoOrder, each table's entries in read-back order, sent in
-// runs (see writeRuns). A read-back entry of a table the P4Info does not
-// name is an error, since wipe cannot order its delete. A failed wipe
-// reports its first failing delete. Every later delete of the same run
-// has been attempted as well, so the switch may hold fewer entries than
-// the failing delete's position suggests; no later run is sent.
-func (h *Harness) wipe() error {
+// Wipe deletes every installed entry, dependents first: it reads the
+// switch back once, then deletes tables in reverse TopoOrder, each
+// table's entries in read-back order, sent in runs (see writeRuns). A
+// read-back entry of a table the P4Info does not name is an error, since
+// Wipe cannot order its delete. A failed wipe reports its first failing
+// delete. Every later delete of the same run has been attempted as well,
+// so the switch may hold fewer entries than the failing delete's
+// position suggests; no later run is sent.
+func (h *Harness) Wipe() error {
 	observed, err := h.Dev.Read(p4rt.ReadRequest{})
 	if err != nil {
 		return fmt.Errorf("switchv: reading state before wipe: %w", err)

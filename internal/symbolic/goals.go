@@ -57,20 +57,14 @@ type TestPacket struct {
 }
 
 // SolveGoal asks the solver for a packet satisfying the goal. It returns
-// (nil, false, nil) when the goal is unreachable (UNSAT).
+// (nil, false, nil) when the goal is unreachable (UNSAT). It reads only
+// the input variables off the solver and captures no model.
 func (ex *Executor) SolveGoal(g Goal) (*TestPacket, bool, error) {
-	switch ex.solver.CheckAssuming(g.Cond) {
-	case sat.Unsat:
-		return nil, false, nil
-	case sat.Sat:
-	default:
-		return nil, false, fmt.Errorf("symbolic: solver returned unknown for %s", g.Key)
-	}
-	pkt, err := ex.extractPacket(g.Key)
-	if err != nil {
+	if ok, err := ex.check(g, false); !ok {
 		return nil, false, err
 	}
-	return pkt, true, nil
+	pkt, err := ex.packetFrom(ex.solver.ValueBV, g.Key)
+	return pkt, err == nil, err
 }
 
 // coneSeed returns the slice seed for a goal: the input variables of
@@ -98,56 +92,53 @@ func (ex *Executor) coneSeed(goalKey string) []*smt.Term {
 	return seed
 }
 
-// SolveGoalSliced is SolveGoal through the slice-restricted solver
-// path: only the assertions inside the goal's cone-of-influence closure
-// are activated (and CNF'd). Verdicts are identical to SolveGoal by
-// construction; only the synthesized packet may differ, since the model
-// is completed from the canonical background outside the slice.
-func (ex *Executor) SolveGoalSliced(g Goal) (*TestPacket, bool, error) {
-	switch ex.solver.CheckSliced(ex.coneSeed(g.Key), g.Cond) {
-	case sat.Unsat:
-		return nil, false, nil
-	case sat.Sat:
-	default:
-		return nil, false, fmt.Errorf("symbolic: solver returned unknown for %s", g.Key)
+// solve runs one SMT check for the goal, on its cone-of-influence slice
+// when sliced: only the assertions inside the slice's closure are
+// activated (and CNF'd), and the model is completed from the canonical
+// background outside it. On SAT it captures the check's model once and
+// returns it with the packet read off it; both are nil when the goal is
+// unreachable.
+func (ex *Executor) solve(g Goal, sliced bool) (*TestPacket, *smt.Model, error) {
+	if ok, err := ex.check(g, sliced); !ok {
+		return nil, nil, err
 	}
-	pkt, err := ex.extractPacket(g.Key)
+	m := ex.solver.Model()
+	pkt, err := ex.packetFrom(m.Var, g.Key)
 	if err != nil {
-		return nil, false, err
+		return nil, nil, err
 	}
-	return pkt, true, nil
+	return pkt, m, nil
 }
 
-// extractPacket reads the input variables' model values and deparses them
-// into packet bytes.
-func (ex *Executor) extractPacket(goalKey string) (*TestPacket, error) {
+// check runs the goal's SMT check and reports whether it is SAT.
+func (ex *Executor) check(g Goal, sliced bool) (bool, error) {
+	var res sat.Result
+	if sliced {
+		res = ex.solver.CheckSliced(ex.coneSeed(g.Key), g.Cond)
+	} else {
+		res = ex.solver.CheckAssuming(g.Cond)
+	}
+	switch res {
+	case sat.Sat:
+		return true, nil
+	case sat.Unsat:
+		return false, nil
+	}
+	return false, fmt.Errorf("symbolic: solver returned unknown for %s", g.Key)
+}
+
+// packetFrom deparses the input variables' values, read through val,
+// into packet bytes. val is the solver's, a captured model's, or a
+// witness model's (confirmed by concrete evaluation, so its packet
+// costs no SMT check).
+func (ex *Executor) packetFrom(val func(*smt.Term) value.V, goalKey string) (*TestPacket, error) {
 	fields := make([]value.V, len(ex.prog.Fields))
 	for i, f := range ex.prog.Fields {
-		fields[i] = ex.solver.ValueBV(ex.inputs[i]).WithWidth(f.Width)
+		fields[i] = val(ex.inputs[i]).WithWidth(f.Width)
 	}
 	data, err := bmv2DeparseFields(ex.prog, fields, []byte("switchv-test"))
 	if err != nil {
 		return nil, fmt.Errorf("symbolic: deparsing model for %s: %w", goalKey, err)
-	}
-	port := uint16(0)
-	if f, ok := ex.prog.FieldByName(ir.FieldIngressPort); ok {
-		port = uint16(fields[f.ID].Uint64())
-	}
-	return &TestPacket{GoalKey: goalKey, Port: port, Data: data}, nil
-}
-
-// extractPacketFromModel deparses a concrete model of the input
-// variables into packet bytes, without touching the solver. The witness
-// path uses it: a synthesized candidate model confirmed by concrete
-// evaluation yields its packet here, spending no SMT check.
-func (ex *Executor) extractPacketFromModel(m *smt.Model, goalKey string) (*TestPacket, error) {
-	fields := make([]value.V, len(ex.prog.Fields))
-	for i, f := range ex.prog.Fields {
-		fields[i] = m.Var(ex.inputs[i]).WithWidth(f.Width)
-	}
-	data, err := bmv2DeparseFields(ex.prog, fields, []byte("switchv-test"))
-	if err != nil {
-		return nil, fmt.Errorf("symbolic: deparsing witness for %s: %w", goalKey, err)
 	}
 	port := uint16(0)
 	if f, ok := ex.prog.FieldByName(ir.FieldIngressPort); ok {

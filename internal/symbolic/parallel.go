@@ -406,20 +406,15 @@ func (g *Generator) Run() ([]TestPacket, Report, error) {
 // the barrier.
 func solveRound(st *shardState, goal int, universe []Goal, undecided []int) *roundResult {
 	r := &roundResult{shard: -1, goal: goal}
-	solve := st.ex.SolveGoal
-	if st.sliced {
-		solve = st.ex.SolveGoalSliced
-	}
-	pkt, ok, err := solve(Goal{Key: universe[goal].Key, Cond: st.conds[goal]})
+	pkt, model, err := st.ex.solve(Goal{Key: universe[goal].Key, Cond: st.conds[goal]}, st.sliced)
 	if err != nil {
 		r.err = err
 		return r
 	}
-	if !ok {
+	if pkt == nil {
 		return r
 	}
 	r.sat, r.pkt = true, pkt
-	model := st.ex.solver.Model()
 	for _, j := range undecided {
 		if j != goal && smt.EvalBool(model, st.conds[j]) {
 			r.hits = append(r.hits, j)

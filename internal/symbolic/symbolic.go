@@ -90,7 +90,7 @@ func TraceKeyDefault(table string) string { return "table:" + table + ":default"
 // Pipeline assertions are registered lazily (smt.AssertLazy): every
 // check is constrained by all of them, but each is only encoded to CNF
 // once a check first needs it, so per-goal checks can be restricted to
-// the goal's cone-of-influence slice (SolveGoalSliced).
+// the goal's cone-of-influence slice (CheckSliced).
 func New(prog *ir.Program, store *pdpi.Store, opts Options) (*Executor, error) {
 	if opts.MaxPort == 0 {
 		opts.MaxPort = 32

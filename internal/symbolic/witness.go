@@ -669,7 +669,7 @@ func (g *Generator) witnessPrepass(decided []bool, outcomes []goalOutcome) error
 			}
 		}
 		if cand != nil {
-			pkt, err := g.ex0.extractPacketFromModel(cand, goal.Key)
+			pkt, err := g.ex0.packetFrom(cand.Var, goal.Key)
 			if err != nil {
 				return err
 			}
@@ -682,21 +682,16 @@ func (g *Generator) witnessPrepass(decided []bool, outcomes []goalOutcome) error
 		// disabled). Its model seeds future witnesses, so each genuinely
 		// new pipeline context costs one check and then amortizes across
 		// the rest of its table.
-		solve := g.ex0.SolveGoal
-		if !g.gopts.DisableSlicing {
-			solve = g.ex0.SolveGoalSliced
-		}
-		pkt, sat, err := solve(goal)
+		pkt, model, err := g.ex0.solve(goal, !g.gopts.DisableSlicing)
 		if err != nil {
 			return err
 		}
 		decided[i] = true
-		if !sat {
+		if pkt == nil {
 			outcomes[i] = goalOutcome{how: bySolve}
 			continue
 		}
 		outcomes[i] = goalOutcome{pkt: pkt, how: bySolve}
-		model := g.ex0.solver.Model()
 		if len(w.seeds[tname]) < maxWitnessSeeds {
 			w.seeds[tname] = append(w.seeds[tname], model)
 		}
