@@ -84,10 +84,13 @@ perfbench:
 # run. run.sh exits 1 when a round's digest or a deterministic count
 # (SMT checks, packets, verdicts, incidents) differs from
 # perfbench/expected.json, so a change that moves what a workload
-# computes fails here. cp-fuzz-inst1 runs at seed 0, which expected.json
-# pins; the data-plane workloads pin any seed.
+# computes fails here. cp-fuzz-inst1 runs at seeds 0 and 52, which
+# expected.json pins with an accepted-invalid and a rejected-valid
+# incident, so the oracle runs under both kinds; the data-plane
+# workloads pin any seed.
 perfbench-gate:
 	bash perfbench/run.sh --workload cp-fuzz-inst1 --seed 0 --seconds 1 --trace 0
+	bash perfbench/run.sh --workload cp-fuzz-inst1 --seed 52 --seconds 1 --trace 0
 	bash perfbench/run.sh --workload dp-cold-inst1 --seconds 1 --trace 0
 	bash perfbench/run.sh --workload dp-cold-wan --seconds 1 --trace 0
 	bash perfbench/run.sh --workload dp-warm-inst1 --seconds 1 --trace 0

@@ -20,9 +20,6 @@ type Guide struct {
 // NewGuide returns a guide over a map.
 func NewGuide(m *Map) *Guide { return &Guide{m: m} }
 
-// Map returns the underlying coverage map.
-func (g *Guide) Map() *Map { return g.m }
-
 // energy maps a coverage count to a scheduling weight: an unexercised
 // region weighs 1, and weight decays quadratically as coverage grows, so
 // cold regions dominate the draw without ever starving hot ones. The

@@ -21,10 +21,13 @@ func (f *Fuzzer) NextBatch() (p4rt.WriteRequest, []GeneratedUpdate, error) {
 	var stillDeferred []GeneratedUpdate
 
 	accept := func(gu GeneratedUpdate) bool {
-		if len(req.Updates) > 0 && f.conflictsWithBatch(tracker, &gu.Update) {
-			return false
+		// Undecodable updates carry no analyzable dependencies.
+		if facts, ok := f.decompose(&gu.Update); ok {
+			if tracker.conflicts(&facts) {
+				return false
+			}
+			tracker.note(&facts)
 		}
-		f.noteInBatch(tracker, &gu.Update)
 		req.Updates = append(req.Updates, gu.Update)
 		meta = append(meta, gu)
 		return true
@@ -76,28 +79,35 @@ func newBatchTracker() *batchTracker {
 	}
 }
 
-// decompose extracts the semantic facts of an update: its entry key, the
+// updateFacts are the semantic facts of an update: its entry key, the
 // key values it provides (its own match values, per key field), and the
 // references it makes (@refers_to values in keys and action params).
-func (f *Fuzzer) decompose(u *p4rt.Update) (entryKey string, provides, refers []refKey, ok bool) {
+type updateFacts struct {
+	entryKey         string
+	provides, refers []refKey
+}
+
+// decompose extracts an update's facts; it reports false for an update
+// that does not decode. NextBatch calls it once per candidate update.
+func (f *Fuzzer) decompose(u *p4rt.Update) (updateFacts, bool) {
 	e, err := p4rt.FromWire(f.info, &u.Entry)
 	if err != nil {
-		return "", nil, nil, false
+		return updateFacts{}, false
 	}
-	entryKey = e.Key()
+	facts := updateFacts{entryKey: e.Key()}
 	for _, m := range e.Matches {
-		provides = append(provides, mkRefKey(e.Table.Name, m.Key, m.Value.String()))
+		facts.provides = append(facts.provides, mkRefKey(e.Table.Name, m.Key, m.Value.String()))
 	}
 	collectInv := func(inv *pdpi.ActionInvocation) {
 		for i, p := range inv.Action.Params {
 			if p.RefersTo != nil && i < len(inv.Args) {
-				refers = append(refers, mkRefKey(p.RefersTo.Table, p.RefersTo.Field, inv.Args[i].String()))
+				facts.refers = append(facts.refers, mkRefKey(p.RefersTo.Table, p.RefersTo.Field, inv.Args[i].String()))
 			}
 		}
 	}
 	for _, m := range e.Matches {
 		if k, found := e.Table.KeyByName(m.Key); found && k.RefersTo != nil {
-			refers = append(refers, mkRefKey(k.RefersTo.Table, k.RefersTo.Field, m.Value.String()))
+			facts.refers = append(facts.refers, mkRefKey(k.RefersTo.Table, k.RefersTo.Field, m.Value.String()))
 		}
 	}
 	if e.Action != nil {
@@ -118,25 +128,21 @@ func (f *Fuzzer) decompose(u *p4rt.Update) (entryKey string, provides, refers []
 			}
 		}
 	}
-	return entryKey, provides, refers, true
+	return facts, true
 }
 
-// conflictsWithBatch reports whether the update's validity could depend on
-// the execution order of the current batch.
-func (f *Fuzzer) conflictsWithBatch(t *batchTracker, u *p4rt.Update) bool {
-	entryKey, provides, refers, ok := f.decompose(u)
-	if !ok {
-		return false // undecodable updates carry no analyzable dependencies
-	}
-	if t.entryKeys[entryKey] {
+// conflicts reports whether an update's validity could depend on the
+// execution order of the current batch.
+func (t *batchTracker) conflicts(u *updateFacts) bool {
+	if t.entryKeys[u.entryKey] {
 		return true
 	}
-	for _, r := range refers {
+	for _, r := range u.refers {
 		if t.provided[r] {
 			return true
 		}
 	}
-	for _, p := range provides {
+	for _, p := range u.provides {
 		if t.referred[p] {
 			return true
 		}
@@ -144,16 +150,13 @@ func (f *Fuzzer) conflictsWithBatch(t *batchTracker, u *p4rt.Update) bool {
 	return false
 }
 
-func (f *Fuzzer) noteInBatch(t *batchTracker, u *p4rt.Update) {
-	entryKey, provides, refers, ok := f.decompose(u)
-	if !ok {
-		return
-	}
-	t.entryKeys[entryKey] = true
-	for _, p := range provides {
+// note adds an accepted update's facts to the batch.
+func (t *batchTracker) note(u *updateFacts) {
+	t.entryKeys[u.entryKey] = true
+	for _, p := range u.provides {
 		t.provided[p] = true
 	}
-	for _, r := range refers {
+	for _, r := range u.refers {
 		t.referred[r] = true
 	}
 }

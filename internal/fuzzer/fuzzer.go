@@ -148,9 +148,6 @@ func New(info *p4info.Info, opts Options) *Fuzzer {
 	return f
 }
 
-// Coverage exposes the campaign's coverage map.
-func (f *Fuzzer) Coverage() *coverage.Map { return f.cov }
-
 // TableRank returns the dependency rank of a table (0 = no dependencies).
 func (f *Fuzzer) TableRank(name string) int { return f.ranks[name] }
 

@@ -46,10 +46,14 @@ func TestBatchesAreOrderIndependent(t *testing.T) {
 		// the batch may conflict.
 		tracker := newBatchTracker()
 		for i := range req.Updates {
-			if i > 0 && f.conflictsWithBatch(tracker, &req.Updates[i]) {
+			facts, ok := f.decompose(&req.Updates[i])
+			if !ok {
+				continue // undecodable updates carry no dependencies
+			}
+			if i > 0 && tracker.conflicts(&facts) {
 				t.Fatalf("batch %d: update %d conflicts with an earlier one", batch, i)
 			}
-			f.noteInBatch(tracker, &req.Updates[i])
+			tracker.note(&facts)
 		}
 		// Keep the pool realistic: pretend the switch accepted everything
 		// decodable and applicable.

@@ -73,6 +73,30 @@ type Oracle struct {
 	info  *p4info.Info
 	state *pdpi.Store
 	cov   *coverage.Map
+
+	// seen memoizes the decode of every entry of the last read-back,
+	// keyed by the entry's wire encoding (p4rt.AppendEntryKey). FromWire
+	// is a pure function of the P4Info and the wire entry, so an entry
+	// read back unchanged is not decoded again. Each read-back replaces
+	// the memo, which so holds only the latest read-back's entries.
+	seen map[string]*seenEntry
+
+	// refs counts the references the entries of refsFor hold, while
+	// refsFor is the state and its version is still refsVersion. Each
+	// batch carries it to the adopted state through the replayed
+	// updates' deltas when the read-back equals the expected state; any
+	// other batch, or a change to the state from outside, drops it and
+	// the next batch rebuilds it from the state.
+	refs        refIndex
+	refsFor     *pdpi.Store
+	refsVersion uint64
+}
+
+// seenEntry is one read-back entry's decode, with the wire encoding that
+// keys it in Oracle.seen.
+type seenEntry struct {
+	wire string
+	decoded
 }
 
 // UnknownOutcome is the status torn-write reconciliation gives an update
@@ -94,7 +118,9 @@ func New(info *p4info.Info) *Oracle {
 // can see which verdict outcomes each table has been tested under.
 func (o *Oracle) SetCoverage(m *coverage.Map) { o.cov = m }
 
-// State exposes the oracle's last observed switch state.
+// State exposes the oracle's last observed switch state. The next
+// CheckBatch replays its batch onto this store in place, so a caller
+// that keeps the state of one batch must Clone it.
 func (o *Oracle) State() *pdpi.Store { return o.state }
 
 // Classify determines an update's ground-truth verdict against a given
@@ -234,28 +260,50 @@ func buildRefIndex(info *p4info.Info, state *pdpi.Store) refIndex {
 	idx := refIndex{}
 	for _, t := range info.Tables() {
 		for _, installed := range state.Entries(t.Name) {
-			for _, m := range installed.Matches {
-				if k, ok := t.KeyByName(m.Key); ok && k.RefersTo != nil {
-					idx[refIndexKey(k.RefersTo.Table, k.RefersTo.Field, m.Value)]++
-				}
-			}
-			var invs []*pdpi.ActionInvocation
-			if installed.Action != nil {
-				invs = append(invs, installed.Action)
-			}
-			for i := range installed.ActionSet {
-				invs = append(invs, &installed.ActionSet[i].ActionInvocation)
-			}
-			for _, inv := range invs {
-				for i, p := range inv.Action.Params {
-					if p.RefersTo != nil && i < len(inv.Args) {
-						idx[refIndexKey(p.RefersTo.Table, p.RefersTo.Field, inv.Args[i])]++
-					}
-				}
-			}
+			idx.add(installed, +1)
 		}
 	}
 	return idx
+}
+
+// add adds delta to the count of every reference e holds, and deletes
+// the counts that reach zero.
+func (idx refIndex) add(e *pdpi.Entry, delta int) {
+	bump := func(table, field string, v value.V) {
+		k := refIndexKey(table, field, v)
+		if n := idx[k] + delta; n != 0 {
+			idx[k] = n
+		} else {
+			delete(idx, k)
+		}
+	}
+	for _, m := range e.Matches {
+		if k, ok := e.Table.KeyByName(m.Key); ok && k.RefersTo != nil {
+			bump(k.RefersTo.Table, k.RefersTo.Field, m.Value)
+		}
+	}
+	invocation := func(inv *pdpi.ActionInvocation) {
+		for i, p := range inv.Action.Params {
+			if p.RefersTo != nil && i < len(inv.Args) {
+				bump(p.RefersTo.Table, p.RefersTo.Field, inv.Args[i])
+			}
+		}
+	}
+	if e.Action != nil {
+		invocation(e.Action)
+	}
+	for i := range e.ActionSet {
+		invocation(&e.ActionSet[i].ActionInvocation)
+	}
+}
+
+// stateRefs returns the reference counts of the current state: the
+// carried ones while they are current, else a fresh scan.
+func (o *Oracle) stateRefs() refIndex {
+	if o.refs == nil || o.refsFor != o.state || o.refsVersion != o.state.Version() {
+		o.refs, o.refsFor, o.refsVersion = buildRefIndex(o.info, o.state), o.state, o.state.Version()
+	}
+	return o.refs
 }
 
 // breaksReferents reports whether deleting the installed entry e would
@@ -284,10 +332,10 @@ func (idx refIndex) breaksReferents(state *pdpi.Store, e *pdpi.Entry) bool {
 // CheckBatch judges a batch: the response statuses against each update's
 // verdict, and the read-back against the state implied by the statuses.
 // It then adopts the observed state as its new baseline and reports the
-// per-update verdicts. Each update and each read-back entry is decoded
-// from the wire, and its key rendered, once per batch; the read-back's
-// decoded entries are compared with the expected ones structurally and
-// become the adopted state.
+// per-update verdicts. Each update is decoded from the wire, and its key
+// rendered, once per batch, and each read-back entry once while it stays
+// installed unchanged; the read-back's decoded entries are compared with
+// the expected ones structurally and become the adopted state.
 func (o *Oracle) CheckBatch(req p4rt.WriteRequest, resp p4rt.WriteResponse, observed p4rt.ReadResponse) ([]Verdict, []Violation) {
 	var violations []Violation
 	verdicts := make([]Verdict, len(req.Updates))
@@ -301,7 +349,7 @@ func (o *Oracle) CheckBatch(req p4rt.WriteRequest, resp p4rt.WriteResponse, obse
 		return verdicts, violations
 	}
 
-	// Judge each update against the pre-batch state. Batches are
+	// Classify each update against the pre-batch state. Batches are
 	// dependency-free (the fuzzer guarantees it), but two updates in one
 	// batch may still target the same entry key; since the switch may
 	// execute a batch in any order (§4 Example 2), verdicts for colliding
@@ -319,9 +367,8 @@ func (o *Oracle) CheckBatch(req p4rt.WriteRequest, resp p4rt.WriteResponse, obse
 			}
 		}
 	}
-
-	expected := o.state.Clone()
-	idx := buildRefIndex(o.info, o.state)
+	idx := o.stateRefs()
+	whys := make([]string, len(req.Updates))
 	for i := range req.Updates {
 		u, d := &req.Updates[i], updates[i]
 		verdict, why := o.classify(o.state, idx, u.Type, d)
@@ -340,7 +387,15 @@ func (o *Oracle) CheckBatch(req p4rt.WriteRequest, resp p4rt.WriteResponse, obse
 				verdict = MayReject
 			}
 		}
-		verdicts[i] = verdict
+		verdicts[i], whys[i] = verdict, why
+	}
+
+	// Judge each status, and replay the accepted updates onto the
+	// pre-batch state, in place: it becomes the expected state.
+	expected := o.state
+	var replayed []replay
+	for i := range req.Updates {
+		u, d, verdict, why := &req.Updates[i], updates[i], verdicts[i], whys[i]
 		accepted := resp.Statuses[i].Code == p4rt.OK
 		if resp.Statuses[i] == UnknownOutcome {
 			// Outcome unknown / not applied (per reconciliation): record
@@ -382,15 +437,19 @@ func (o *Oracle) CheckBatch(req p4rt.WriteRequest, resp p4rt.WriteResponse, obse
 		case MayReject:
 			// Either response is admissible.
 		}
-		// Replay accepted updates onto the expected state.
 		if accepted && d.err == nil {
 			var applyErr error
+			var r replay
 			switch u.Type {
 			case p4rt.Insert:
 				applyErr = expected.InsertKey(d.e, d.key)
+				r.added = d.e
 			case p4rt.Modify:
+				r.removed, _ = expected.GetKey(d.e.Table.Name, d.key)
 				applyErr = expected.Modify(d.e)
+				r.added = d.e
 			case p4rt.Delete:
+				r.removed, _ = expected.GetKey(d.e.Table.Name, d.key)
 				applyErr = expected.Delete(d.e)
 			}
 			if applyErr != nil {
@@ -399,6 +458,8 @@ func (o *Oracle) CheckBatch(req p4rt.WriteRequest, resp p4rt.WriteResponse, obse
 					Kind:        "inconsistent-acceptance",
 					Message:     fmt.Sprintf("switch reported OK but the update cannot apply: %v", applyErr),
 				})
+			} else {
+				replayed = append(replayed, r)
 			}
 		}
 	}
@@ -412,24 +473,68 @@ func (o *Oracle) CheckBatch(req p4rt.WriteRequest, resp p4rt.WriteResponse, obse
 	violations = append(violations, readback...)
 	if adopted != nil {
 		o.state = adopted
+	}
+	if len(readback) == 0 {
+		// The adopted state equals the expected one, so its reference
+		// counts are the pre-batch counts plus the replayed deltas.
+		for _, r := range replayed {
+			if r.removed != nil {
+				idx.add(r.removed, -1)
+			}
+			if r.added != nil {
+				idx.add(r.added, +1)
+			}
+		}
+		o.refs, o.refsFor, o.refsVersion = idx, o.state, o.state.Version()
 	} else {
-		o.state = expected
+		o.refs = nil
 	}
 	return verdicts, violations
 }
+
+// replay is one update replayed onto the expected state: the entry it
+// removed and the entry it added, nil for none.
+type replay struct{ removed, added *pdpi.Entry }
 
 // checkReadback verifies the observed entries decode cleanly (canonical
 // bytestrings, §4's format rules apply to reads too) and match the
 // expected state exactly, down to every action-set member's arguments.
 // It returns the observed entries as a store, in read-back order, or nil
-// when some entry is malformed or read twice.
+// when some entry is malformed or read twice. Entries come through the
+// decode memo, so only new or changed ones are decoded.
+//
+// A read-back that lists the expected entries in the expected order,
+// which a correct switch returns, is adopted as the expected store
+// itself: it holds the observed entries in read-back order already. The
+// memo then takes the expected store's entries, so the state and the
+// memo share one copy of each entry and the next comparison of an
+// unchanged entry is an identity check.
 func (o *Oracle) checkReadback(expected *pdpi.Store, observed p4rt.ReadResponse) (*pdpi.Store, []Violation) {
+	seen := make(map[string]*seenEntry, len(observed.Entries))
+	read := make([]*seenEntry, len(observed.Entries))
+	want := expected.All(o.info.Program())
+	inOrder := len(want) == len(observed.Entries)
+	var wire []byte
+	for i := range observed.Entries {
+		read[i], wire = o.decodeRead(&observed.Entries[i], seen, wire)
+		if s := read[i]; inOrder {
+			if s.err == nil && s.e.Equal(want[i]) {
+				s.e = want[i]
+			} else {
+				inOrder = false
+			}
+		}
+	}
+	o.seen = seen
+	if inOrder {
+		return expected, nil
+	}
+
 	var violations []Violation
 	got := pdpi.NewStore()
 	adoptable := true
 	matched := 0
-	for i := range observed.Entries {
-		d := o.decode(&observed.Entries[i])
+	for i, d := range read {
 		if d.err != nil {
 			violations = append(violations, Violation{
 				UpdateIndex: -1,
@@ -466,13 +571,13 @@ func (o *Oracle) checkReadback(expected *pdpi.Store, observed p4rt.ReadResponse)
 			})
 		}
 	}
-	if matched < expected.Len() {
-		for _, want := range expected.All(o.info.Program()) {
-			if _, ok := got.Get(want); !ok {
+	if matched < len(want) {
+		for _, w := range want {
+			if _, ok := got.Get(w); !ok {
 				violations = append(violations, Violation{
 					UpdateIndex: -1,
 					Kind:        "readback-missing",
-					Message:     "switch lost entry: " + want.Key(),
+					Message:     "switch lost entry: " + w.Key(),
 				})
 			}
 		}
@@ -481,6 +586,26 @@ func (o *Oracle) checkReadback(expected *pdpi.Store, observed p4rt.ReadResponse)
 		return nil, violations
 	}
 	return got, violations
+}
+
+// decodeRead decodes one read-back entry through the memo of the last
+// read-back and records it in next, the memo of this one. wire is
+// scratch space for the entry's key, handed back for reuse. An entry the
+// key cannot represent is decoded every time and left out of the memo.
+func (o *Oracle) decodeRead(te *p4rt.TableEntry, next map[string]*seenEntry, wire []byte) (*seenEntry, []byte) {
+	wire, ok := p4rt.AppendEntryKey(wire[:0], te)
+	if !ok {
+		return &seenEntry{decoded: o.decode(te)}, wire
+	}
+	s := o.seen[string(wire)]
+	if s == nil {
+		s = next[string(wire)] // read twice in this read-back
+	}
+	if s == nil {
+		s = &seenEntry{wire: string(wire), decoded: o.decode(te)}
+	}
+	next[s.wire] = s
+	return s, wire
 }
 
 // isStateDependent reports whether a must-reject reason depends on the

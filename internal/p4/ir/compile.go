@@ -31,16 +31,6 @@ func Compile(prog *ast.Program) (*Program, error) {
 	return c.out, nil
 }
 
-// MustCompile parses and compiles src, panicking on error; for tests and
-// embedded models.
-func MustCompile(src *ast.Program) *Program {
-	p, err := Compile(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 type compiler struct {
 	src *ast.Program
 	out *Program

@@ -312,12 +312,3 @@ func (e *Expr) IsBool() bool { return e.Width == 1 }
 
 // MaxBits is the maximum supported field width.
 const MaxBits = 128
-
-// Mask returns the bitmask of the low w bits for w <= 64; for wider fields
-// callers must use the two-word helpers in the evaluators.
-func Mask(w int) uint64 {
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return 1<<uint(w) - 1
-}

@@ -21,6 +21,7 @@ type Info struct {
 
 	tablesByID  map[uint32]*ir.Table
 	actionsByID map[uint32]*ir.Action
+	deps        map[*ir.Table][]string // Dependencies of each table, computed once
 }
 
 // New derives the Info from a compiled program.
@@ -30,9 +31,11 @@ func New(p *ir.Program) *Info {
 		program:     p,
 		tablesByID:  make(map[uint32]*ir.Table, len(p.Tables)),
 		actionsByID: make(map[uint32]*ir.Action, len(p.Actions)),
+		deps:        make(map[*ir.Table][]string, len(p.Tables)),
 	}
 	for _, t := range p.Tables {
 		info.tablesByID[t.ID] = t
+		info.deps[t] = dependencies(t)
 	}
 	for _, a := range p.Actions {
 		info.actionsByID[a.ID] = a
@@ -159,9 +162,19 @@ func (i *Info) ReferencedBy(target *ir.Table) []string {
 	return dedup(out)
 }
 
-// Dependencies returns the names of tables that the given table's entries
-// may reference (via key or action-parameter @refers_to).
+// Dependencies returns the sorted names of tables that the given table's
+// entries may reference (via key or action-parameter @refers_to). A
+// table of the Info's program gets the list New computed, with its
+// capacity clipped so that an append by the caller copies; callers must
+// not write its elements.
 func (i *Info) Dependencies(t *ir.Table) []string {
+	if d, ok := i.deps[t]; ok {
+		return d[:len(d):len(d)]
+	}
+	return dependencies(t)
+}
+
+func dependencies(t *ir.Table) []string {
 	var out []string
 	for _, k := range t.Keys {
 		if k.RefersTo != nil {
@@ -202,7 +215,7 @@ func (i *Info) TopoOrder() []*ir.Table {
 // Ranks maps each table name to the length of the longest @refers_to
 // path that starts at the table, ignoring self-references. An entry can
 // only reference entries of lower-ranked tables or of its own table.
-// It is computed on every call.
+// It is computed on every call, from the Dependencies New computed.
 func (i *Info) Ranks() map[string]int {
 	tables := i.program.Tables
 	rank := make(map[string]int, len(tables))

@@ -19,10 +19,32 @@ func Parse(src string) (*ast.Program, error) {
 	return p.parseProgram()
 }
 
+// MaxNesting bounds how deeply a program may nest blocks, if statements
+// and expressions. The parser recurses once per level, and a Go stack
+// overflow cannot be recovered from, so a deeper program is a parse
+// error. Each block, if statement, expression (a parenthesized one, a
+// ternary arm, a call argument, an assignment's right-hand side, a
+// condition) and unary operator counts one level; the models under
+// models/ nest nine levels at most.
+const MaxNesting = 1000
+
 type parser struct {
-	toks []token.Token
-	pos  int
+	toks  []token.Token
+	pos   int
+	depth int // levels of nesting open, bounded by MaxNesting
 }
+
+// enter opens one level of nesting, failing past MaxNesting; a caller
+// that succeeds closes the level with leave.
+func (p *parser) enter() error {
+	if p.depth == MaxNesting {
+		return p.errf("nesting deeper than %d levels", MaxNesting)
+	}
+	p.depth++
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 func (p *parser) cur() token.Token  { return p.toks[p.pos] }
 func (p *parser) next() token.Token { t := p.toks[p.pos]; p.pos++; return t }
@@ -526,6 +548,10 @@ func (p *parser) parseKeyElem() (ast.KeyElem, error) {
 // Statements.
 
 func (p *parser) parseBlock() (*ast.BlockStmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	lb, err := p.expect(token.LBrace)
 	if err != nil {
 		return nil, err
@@ -567,6 +593,10 @@ func (p *parser) parseStmt() (ast.Stmt, error) {
 }
 
 func (p *parser) parseIf() (ast.Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	kw := p.next() // if
 	if _, err := p.expect(token.LParen); err != nil {
 		return nil, err
@@ -692,7 +722,13 @@ func (p *parser) finishCall(path []string, pos token.Pos) (*ast.CallExpr, error)
 
 // Expressions, precedence climbing.
 
-func (p *parser) parseExpr() (ast.Expr, error) { return p.parseTernary() }
+func (p *parser) parseExpr() (ast.Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
+	return p.parseTernary()
+}
 
 func (p *parser) parseTernary() (ast.Expr, error) {
 	cond, err := p.parseBinary(0)
@@ -765,6 +801,10 @@ func (p *parser) parseBinary(minPrec int) (ast.Expr, error) {
 func (p *parser) parseUnary() (ast.Expr, error) {
 	switch t := p.cur(); t.Kind {
 	case token.Not, token.Tilde, token.Minus:
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		p.next()
 		x, err := p.parseUnary()
 		if err != nil {

@@ -270,3 +270,49 @@ control c(inout m_t m) {
 		t.Error("parsed apply.t()")
 	}
 }
+
+// TestNestingLimit: a program nesting MaxNesting levels parses, one level
+// more is a parse error, and so is input deep enough to overflow the Go
+// stack of an unbounded recursive descent.
+func TestNestingLimit(t *testing.T) {
+	action := func(body string) string {
+		return "control c() { action a() { " + body + " } apply { } }"
+	}
+	nestingErr := func(err error) bool {
+		return err != nil && strings.Contains(err.Error(), "nesting deeper than")
+	}
+	for _, tc := range []struct {
+		name string
+		src  func(levels int) string
+	}{
+		// The action body is one level, each block inside it one more.
+		{"blocks", func(n int) string {
+			return action(strings.Repeat("{", n-1) + strings.Repeat("}", n-1))
+		}},
+		// The body and the right-hand side are two levels, each
+		// parenthesis one more.
+		{"parentheses", func(n int) string {
+			return action("x = " + strings.Repeat("(", n-2) + "1" + strings.Repeat(")", n-2) + ";")
+		}},
+		// Likewise each unary operator.
+		{"unary", func(n int) string {
+			return action("x = " + strings.Repeat("~", n-2) + "1;")
+		}},
+	} {
+		if _, err := Parse(tc.src(MaxNesting)); err != nil {
+			t.Errorf("%s, %d levels: %v", tc.name, MaxNesting, err)
+		}
+		if _, err := Parse(tc.src(MaxNesting + 1)); !nestingErr(err) {
+			t.Errorf("%s, %d levels: got %v, want a nesting error", tc.name, MaxNesting+1, err)
+		}
+	}
+	// An if statement and its block are two levels each.
+	ifs := strings.Repeat("if (true) { ", MaxNesting/2) + strings.Repeat("}", MaxNesting/2)
+	if _, err := Parse(action(ifs)); !nestingErr(err) {
+		t.Errorf("%d nested ifs: got %v, want a nesting error", MaxNesting/2, err)
+	}
+	deep := action("x = " + strings.Repeat("(", 1_000_000) + "1" + strings.Repeat(")", 1_000_000) + ";")
+	if _, err := Parse(deep); !nestingErr(err) {
+		t.Errorf("a million parentheses: got %v, want a nesting error", err)
+	}
+}

@@ -285,7 +285,12 @@ func (e *Entry) writeAction(b *strings.Builder) {
 // Equal reports whether e and o are the same entry, losslessly: the same
 // table, the same matches in the same order, the same priority, and the
 // same action or action set, down to every member's arguments and weight.
+// Identity is checked first: the oracle mostly compares an entry read
+// back unchanged with itself.
 func (e *Entry) Equal(o *Entry) bool {
+	if e == o {
+		return true
+	}
 	if e.Table.Name != o.Table.Name || e.Priority != o.Priority ||
 		len(e.Matches) != len(o.Matches) || len(e.ActionSet) != len(o.ActionSet) ||
 		(e.Action == nil) != (o.Action == nil) {

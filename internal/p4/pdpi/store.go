@@ -26,8 +26,9 @@ import (
 // over a store (symbolic.New, compile.New) assume it is frozen: fill
 // the store first, and build a new view after any mutation.
 type Store struct {
-	mu     sync.Mutex
-	tables map[string]*table
+	mu      sync.Mutex
+	tables  map[string]*table
+	version uint64 // bumped by every mutation; see Version
 }
 
 // table is one table's installed entries: an index by canonical match
@@ -64,6 +65,15 @@ func (s *Store) TableLen(name string) int {
 	return 0
 }
 
+// Version returns a number that every successful Insert, Modify, Delete
+// and Clear changes, so a view derived from the store can tell whether
+// the store has changed since.
+func (s *Store) Version() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.version
+}
+
 // Insert adds an entry; it fails if an entry with the same match already
 // exists.
 func (s *Store) Insert(e *Entry) error {
@@ -84,6 +94,7 @@ func (s *Store) InsertKey(e *Entry, key string) error {
 	}
 	t.byKey[key] = e
 	t.rows = append(t.rows, e)
+	s.version++
 	return nil
 }
 
@@ -103,6 +114,7 @@ func (s *Store) Modify(e *Entry) error {
 	copy(rows, t.rows)
 	rows[t.index(old)] = e
 	t.rows = rows
+	s.version++
 	return nil
 }
 
@@ -121,6 +133,7 @@ func (s *Store) Delete(e *Entry) error {
 	rows := make([]*Entry, 0, len(t.rows)-1)
 	rows = append(rows, t.rows[:i]...)
 	t.rows = append(rows, t.rows[i+1:]...)
+	s.version++
 	return nil
 }
 
@@ -220,4 +233,5 @@ func (s *Store) Clear() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tables = map[string]*table{}
+	s.version++
 }

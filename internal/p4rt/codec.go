@@ -3,6 +3,7 @@ package p4rt
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Binary message codec. All integers are big-endian fixed width; byte
@@ -97,6 +98,29 @@ func (d *dec) bytes() []byte {
 
 func (d *dec) str() string { return string(d.bytes()) }
 
+// count reads an element count and returns it with the slice to decode
+// that many elements into: nil for a zero count, else a slice with room
+// for no more elements than the bytes left could hold at minSize bytes
+// each, so a corrupt count cannot force a large allocation.
+func count[T any](d *dec, minSize int) (uint32, []T) {
+	n := d.u32()
+	if c := min(int(n), len(d.buf)/minSize); c > 0 {
+		return n, make([]T, 0, c)
+	}
+	return n, nil
+}
+
+// The smallest encodings of the counted elements.
+const (
+	minFieldMatchSize = 4 + 1             // field id, kind 0
+	minParamSize      = 4 + 4             // param id, empty value
+	minActionSize     = 4 + 4             // action id, no params
+	minMemberSize     = minActionSize + 4 // action, weight
+	minTableEntrySize = 4 + 4 + 4 + 1     // table id, priority, no matches, no action
+	minUpdateSize     = 1 + minTableEntrySize
+	minStatusSize     = 4 + 4 // code, empty message
+)
+
 // Table entries.
 
 func encodeFieldMatch(e *enc, m *FieldMatch) {
@@ -112,9 +136,10 @@ func encodeFieldMatch(e *enc, m *FieldMatch) {
 	case m.Optional != nil:
 		kind = 4
 	}
-	// A FieldMatch with several kinds set is not encodable on the real
-	// wire; for fuzzing we encode every populated kind and let the decoder
-	// deliver them all, preserving the "duplicate match kind" badness.
+	// A FieldMatch with several kinds set has no encoding: only the first
+	// populated kind, in the order above, goes on the wire, and the others
+	// are dropped. No fuzzer mutation sets several kinds; FromWire rejects
+	// such a match when it reaches a switch in-process.
 	e.u8(kind)
 	switch kind {
 	case 1:
@@ -158,7 +183,8 @@ func encodeAction(e *enc, a *Action) {
 
 func decodeAction(d *dec) Action {
 	a := Action{ActionID: d.u32()}
-	n := d.u32()
+	var n uint32
+	n, a.Params = count[ActionParam](d, minParamSize)
 	for i := uint32(0); i < n && d.err == nil; i++ {
 		a.Params = append(a.Params, ActionParam{ParamID: d.u32(), Value: d.bytes()})
 	}
@@ -190,7 +216,8 @@ func encodeTableEntry(e *enc, t *TableEntry) {
 
 func decodeTableEntry(d *dec) TableEntry {
 	t := TableEntry{TableID: d.u32(), Priority: d.i32()}
-	n := d.u32()
+	var n uint32
+	n, t.Match = count[FieldMatch](d, minFieldMatchSize)
 	for i := uint32(0); i < n && d.err == nil; i++ {
 		t.Match = append(t.Match, decodeFieldMatch(d))
 	}
@@ -200,7 +227,8 @@ func decodeTableEntry(d *dec) TableEntry {
 		t.Action.Action = &a
 	case 2:
 		t.Action.HasActionSet = true
-		m := d.u32()
+		var m uint32
+		m, t.Action.ActionSet = count[ActionProfileAction](d, minMemberSize)
 		for i := uint32(0); i < m && d.err == nil; i++ {
 			a := decodeAction(d)
 			t.Action.ActionSet = append(t.Action.ActionSet, ActionProfileAction{Action: a, Weight: d.i32()})
@@ -225,7 +253,8 @@ func encodeWriteRequest(r *WriteRequest) []byte {
 func decodeWriteRequest(b []byte) (WriteRequest, error) {
 	d := &dec{buf: b}
 	r := WriteRequest{DeviceID: d.u64()}
-	n := d.u32()
+	var n uint32
+	n, r.Updates = count[Update](d, minUpdateSize)
 	for i := uint32(0); i < n && d.err == nil; i++ {
 		u := Update{Type: UpdateType(d.u8())}
 		u.Entry = decodeTableEntry(d)
@@ -247,7 +276,8 @@ func encodeWriteResponse(r *WriteResponse) []byte {
 func decodeWriteResponse(b []byte) (WriteResponse, error) {
 	d := &dec{buf: b}
 	var r WriteResponse
-	n := d.u32()
+	var n uint32
+	n, r.Statuses = count[Status](d, minStatusSize)
 	for i := uint32(0); i < n && d.err == nil; i++ {
 		r.Statuses = append(r.Statuses, Status{Code: Code(d.u32()), Message: d.str()})
 	}
@@ -267,8 +297,14 @@ func decodeReadRequest(b []byte) (ReadRequest, error) {
 	return r, d.err
 }
 
-func encodeReadResponse(r *ReadResponse) []byte {
-	e := &enc{}
+// encodeReadResponse appends r's encoding to prefix (the server passes the
+// response status), growing it once to exactly the size both need.
+func encodeReadResponse(prefix []byte, r *ReadResponse) []byte {
+	size := 4
+	for i := range r.Entries {
+		size += tableEntrySize(&r.Entries[i])
+	}
+	e := &enc{buf: slices.Grow(prefix, size)}
 	e.u32(uint32(len(r.Entries)))
 	for i := range r.Entries {
 		encodeTableEntry(e, &r.Entries[i])
@@ -276,10 +312,64 @@ func encodeReadResponse(r *ReadResponse) []byte {
 	return e.buf
 }
 
+// tableEntrySize is the length of encodeTableEntry's output for t.
+func tableEntrySize(t *TableEntry) int {
+	n := 4 + 4 + 4 + 1 // table id, priority, match count, action kind
+	for i := range t.Match {
+		m := &t.Match[i]
+		n += 4 + 1 // field id, kind
+		switch {
+		case m.Exact != nil:
+			n += 4 + len(m.Exact.Value)
+		case m.LPM != nil:
+			n += 4 + len(m.LPM.Value) + 4
+		case m.Ternary != nil:
+			n += 4 + len(m.Ternary.Value) + 4 + len(m.Ternary.Mask)
+		case m.Optional != nil:
+			n += 4 + len(m.Optional.Value)
+		}
+	}
+	actionSize := func(a *Action) int {
+		n := 4 + 4 // action id, param count
+		for _, p := range a.Params {
+			n += 4 + 4 + len(p.Value)
+		}
+		return n
+	}
+	switch {
+	case t.Action.Action != nil:
+		n += actionSize(t.Action.Action)
+	case t.Action.HasActionSet || len(t.Action.ActionSet) > 0:
+		n += 4
+		for i := range t.Action.ActionSet {
+			n += actionSize(&t.Action.ActionSet[i].Action) + 4
+		}
+	}
+	return n
+}
+
+// AppendEntryKey appends te's wire encoding to dst, for use as the key of
+// a FromWire memo: FromWire reads nothing the encoding leaves out, so two
+// entries with equal keys decode alike under one P4Info. The encoding
+// keeps one match kind per field, so for an entry with a match that has
+// other than exactly one kind populated AppendEntryKey returns dst
+// unchanged and false, and the entry must bypass the memo.
+func AppendEntryKey(dst []byte, te *TableEntry) ([]byte, bool) {
+	for i := range te.Match {
+		if te.Match[i].KindCount() != 1 {
+			return dst, false
+		}
+	}
+	e := &enc{buf: dst}
+	encodeTableEntry(e, te)
+	return e.buf, true
+}
+
 func decodeReadResponse(b []byte) (ReadResponse, error) {
 	d := &dec{buf: b}
 	var r ReadResponse
-	n := d.u32()
+	var n uint32
+	n, r.Entries = count[TableEntry](d, minTableEntrySize)
 	for i := uint32(0); i < n && d.err == nil; i++ {
 		r.Entries = append(r.Entries, decodeTableEntry(d))
 	}

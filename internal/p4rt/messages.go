@@ -208,7 +208,9 @@ type Device interface {
 	SetForwardingPipelineConfig(cfg ForwardingPipelineConfig) error
 	// Write applies a batch of updates and reports per-update statuses.
 	Write(req WriteRequest) WriteResponse
-	// Read returns the entries currently installed.
+	// Read returns the entries currently installed. The entries may
+	// share storage with the device (switchsim's wire memo does), so
+	// callers must not mutate them.
 	Read(req ReadRequest) (ReadResponse, error)
 	// PacketOut injects a packet.
 	PacketOut(p PacketOut) error

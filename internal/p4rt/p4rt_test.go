@@ -128,7 +128,7 @@ func TestCodecRoundTrips(t *testing.T) {
 	}
 
 	rresp := ReadResponse{Entries: []TableEntry{wr.Updates[0].Entry, wr.Updates[1].Entry}}
-	gotRR, err := decodeReadResponse(encodeReadResponse(&rresp))
+	gotRR, err := decodeReadResponse(encodeReadResponse(nil, &rresp))
 	if err != nil || !reflect.DeepEqual(rresp, gotRR) {
 		t.Errorf("ReadResponse round trip: %+v, %v", gotRR, err)
 	}
@@ -353,5 +353,67 @@ func TestParamOrderIndependence(t *testing.T) {
 	te.Action.Action.Params[0].ParamID = 1
 	if _, err := FromWire(info, &te); err == nil {
 		t.Error("duplicate param id accepted")
+	}
+}
+
+// TestReadResponseSizing: a read response is encoded after its prefix in
+// one buffer grown once to the exact size, and decoding sizes each slice
+// from its count without trusting a count the payload cannot hold.
+func TestReadResponseSizing(t *testing.T) {
+	wr := sampleWriteRequest()
+	rresp := ReadResponse{Entries: []TableEntry{wr.Updates[0].Entry, wr.Updates[1].Entry, {TableID: 1}}}
+	body := &enc{}
+	body.u32(uint32(len(rresp.Entries)))
+	for i := range rresp.Entries {
+		n := len(body.buf)
+		encodeTableEntry(body, &rresp.Entries[i])
+		if got, want := tableEntrySize(&rresp.Entries[i]), len(body.buf)-n; got != want {
+			t.Errorf("entry %d: tableEntrySize %d, encoded %d bytes", i, got, want)
+		}
+	}
+	prefix := encodeStatus(OKStatus)
+	b := encodeReadResponse(prefix, &rresp)
+	if !bytes.Equal(b, append(append([]byte(nil), prefix...), body.buf...)) {
+		t.Error("encodeReadResponse differs from the status followed by the encoded entries")
+	}
+
+	empty, err := decodeReadResponse(encodeReadResponse(nil, &ReadResponse{}))
+	if err != nil || empty.Entries != nil {
+		t.Errorf("empty read response decoded to %#v, %v", empty, err)
+	}
+	// A count of 2^32-1 entries with nothing after it allocates nothing
+	// ahead; the one entry is the failed decode's.
+	if r, err := decodeReadResponse([]byte{0xff, 0xff, 0xff, 0xff}); err == nil || cap(r.Entries) > 1 {
+		t.Errorf("hostile count: %d entries allocated, error %v", cap(r.Entries), err)
+	}
+}
+
+// TestAppendEntryKey: the key tells apart entries that FromWire could
+// decode differently, and refuses an entry whose match has other than
+// exactly one kind set, which the encoding cannot represent.
+func TestAppendEntryKey(t *testing.T) {
+	wr := sampleWriteRequest()
+	a := wr.Updates[0].Entry
+	ka, ok := AppendEntryKey(nil, &a)
+	if !ok {
+		t.Fatal("a well-formed entry has no key")
+	}
+	if kb, _ := AppendEntryKey(nil, &sampleWriteRequest().Updates[0].Entry); !bytes.Equal(ka, kb) {
+		t.Error("equal entries have different keys")
+	}
+	b := sampleWriteRequest().Updates[0].Entry
+	b.Action.Action.Params[0].Value = []byte{4}
+	if kb, _ := AppendEntryKey(nil, &b); bytes.Equal(ka, kb) {
+		t.Error("entries differing in an action argument share a key")
+	}
+	b = sampleWriteRequest().Updates[0].Entry
+	b.Match[0].LPM = &LPMMatch{Value: []byte{5}, PrefixLen: 8}
+	if kb, ok := AppendEntryKey([]byte("x"), &b); ok || string(kb) != "x" {
+		t.Errorf("a match with two kinds got a key: %v", ok)
+	}
+	b = sampleWriteRequest().Updates[0].Entry
+	b.Match[0].Exact = nil
+	if _, ok := AppendEntryKey(nil, &b); ok {
+		t.Error("a match with no kind got a key")
 	}
 }

@@ -277,7 +277,9 @@ func (s *Server) dispatch(f frame) frame {
 		if err != nil {
 			return respond(StatusFromError(err), nil)
 		}
-		return respond(OKStatus, encodeReadResponse(&resp))
+		// The read-back is the largest response: encode it once, after
+		// the status, into one buffer of its exact size.
+		return frame{kind: kindResponse, id: f.id, payload: encodeReadResponse(encodeStatus(OKStatus), &resp)}
 	case kindPacketOut:
 		p, err := decodePacketOut(f.payload)
 		if err != nil {

@@ -66,9 +66,6 @@ func newLayer(t LayerType) Layer {
 	}
 }
 
-// Data returns the raw packet bytes.
-func (p *Packet) Data() []byte { return p.data }
-
 // Layers returns all decoded layers, outermost first.
 func (p *Packet) Layers() []Layer { return p.layers }
 

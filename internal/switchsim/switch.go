@@ -36,6 +36,13 @@ type Switch struct {
 	// makes referential-integrity checks cheap.
 	refCounts map[string]int
 
+	// wire memoizes the wire form of installed entries, keyed by the
+	// stored entry. A stored entry is never written in place (the store
+	// copies on write), so its wire form stays current while it is
+	// installed; Read fills the memo, and a modify, a delete or a
+	// restart drops what it replaces.
+	wire map[*pdpi.Entry]p4rt.TableEntry
+
 	packetIns chan p4rt.PacketIn
 	egressLog []EgressFrame
 	injected  int // packets injected, for the port-sync fault
@@ -52,6 +59,7 @@ func New(role string, faults ...Fault) *Switch {
 		appState:  pdpi.NewStore(),
 		rawValues: map[string]p4rt.TableEntry{},
 		refCounts: map[string]int{},
+		wire:      map[*pdpi.Entry]p4rt.TableEntry{},
 		packetIns: make(chan p4rt.PacketIn, 1024),
 	}
 	for _, f := range faults {
@@ -209,6 +217,7 @@ func (s *Switch) applyUpdate(u *p4rt.Update) p4rt.Status {
 	case p4rt.Modify:
 		if old != nil {
 			s.adjustRefCounts(old, -1)
+			delete(s.wire, old)
 		}
 		_ = s.appState.Modify(applied)
 		s.adjustRefCounts(applied, +1)
@@ -216,6 +225,7 @@ func (s *Switch) applyUpdate(u *p4rt.Update) p4rt.Status {
 		s.adjustRefCounts(applied, -1)
 		_ = s.appState.Delete(applied)
 		delete(s.rawValues, applied.Key())
+		delete(s.wire, applied)
 	}
 	return p4rt.OKStatus
 }
@@ -320,19 +330,29 @@ func (s *Switch) danglingReference(e *pdpi.Entry) (string, bool) {
 	return "", false
 }
 
-// Read implements p4rt.Device.
+// Read implements p4rt.Device. The entries of the response share their
+// match, action and byte-string storage with the switch's memo and with
+// earlier responses: callers must not mutate them.
 func (s *Switch) Read(req p4rt.ReadRequest) (p4rt.ReadResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.info == nil {
 		return p4rt.ReadResponse{}, p4rt.Statusf(p4rt.FailedPrecondition, "no forwarding pipeline config").Err()
 	}
+	installed := s.appState.All(s.info.Program())
 	var resp p4rt.ReadResponse
-	for _, e := range s.appState.All(s.info.Program()) {
+	if req.TableID == 0 && len(installed) > 0 {
+		resp.Entries = make([]p4rt.TableEntry, 0, len(installed))
+	}
+	for _, e := range installed {
 		if req.TableID != 0 && e.Table.ID != req.TableID {
 			continue
 		}
-		te := p4rt.ToWire(e)
+		te, ok := s.wire[e]
+		if !ok {
+			te = p4rt.ToWire(e)
+			s.wire[e] = te
+		}
 		if s.hasFault(FaultZeroBytesAccepted) {
 			if raw, ok := s.rawValues[e.Key()]; ok {
 				te = raw // echo back the non-canonical bytes as stored
@@ -395,6 +415,7 @@ func (s *Switch) Restart() {
 	s.appState = pdpi.NewStore()
 	s.rawValues = map[string]p4rt.TableEntry{}
 	s.refCounts = map[string]int{}
+	s.wire = map[*pdpi.Entry]p4rt.TableEntry{}
 	s.asic = newASIC(s.role, s.hasFault)
 	s.orch = newOrchAgent(s.asic, s.hasFault)
 	s.egressLog = nil

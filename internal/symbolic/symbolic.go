@@ -141,9 +141,6 @@ func (ex *Executor) Builder() *smt.Builder { return ex.b }
 // Input returns the X variable of a field.
 func (ex *Executor) Input(f *ir.Field) *smt.Term { return ex.inputs[f.ID] }
 
-// Output returns the Y expression of a field.
-func (ex *Executor) Output(f *ir.Field) *smt.Term { return ex.outputs[f.ID] }
-
 // Trace returns the guard of a trace key, or false if the construct was
 // never reached.
 func (ex *Executor) Trace(key string) *smt.Term {
