@@ -150,11 +150,11 @@ func BenchmarkTable3GenerationCached(b *testing.B) {
 }
 
 // BenchmarkDataPlaneGen is the ablation for the parallel, solve-avoiding
-// generator (DESIGN.md §5c): serial one-check-per-goal baseline vs
-// model-reuse pruning at workers=1 vs pruning+parallelism at workers=4,
-// over the full goal universe RunDataPlane solves (branch coverage plus
-// the enriched goals). Two middleblock instances stress different
-// regimes:
+// generator (DESIGN.md §5c): serial one-check-per-goal baseline vs the
+// generator (witnesses, model-reuse pruning, slicing, and shard solvers
+// on up to GOMAXPROCS goroutines), over the full goal universe
+// RunDataPlane solves (branch coverage plus the enriched goals). Two
+// middleblock instances stress different regimes:
 //
 //   - small (150 entries): the check-reduction regime. Pruning headroom
 //     is bounded by the mutually-disjoint big tables (each ipv4/ipv6
@@ -163,15 +163,15 @@ func BenchmarkTable3GenerationCached(b *testing.B) {
 //     150 the downstream prunable mass (wcmp/nexthop/neighbor/rif
 //     chains, branches, enriched) clears 40%.
 //   - large (798 entries, the Table 3 Inst1 workload): the wall-clock
-//     regime, where solving dominates the per-shard symbolic-execution
-//     cost and parallel solving pays off. Its serial row is the pure
-//     solver path: one SAT check per goal.
+//     regime. Its serial row is the pure solver path: one SAT check per
+//     goal.
 //
-// The deterministic gates on these runs (exact check counts, the 40%
-// check reduction, identity across worker counts, slicing changing no
-// verdict) run in go test as symbolic.TestGenerationGates. The
-// wall-clock gate stays here: on a >=4-CPU machine pruning+parallelism
-// beat the serial baseline's wall-clock by >=2x (large).
+// Both sets reach the generator's sharded phase with one shard, so one
+// pruned row per set covers every worker count. The deterministic gates
+// on these runs (exact check counts, the 40% check reduction, slicing
+// changing no verdict) run in go test as symbolic.TestGenerationGates.
+// The wall-clock gate stays here: on a >=4-CPU machine the generator
+// beats the serial baseline's wall-clock by >=2x (large).
 func BenchmarkDataPlaneGen(b *testing.B) {
 	prog := models.Middleblock()
 	const mode = symbolic.CoverBranches
@@ -205,11 +205,11 @@ func BenchmarkDataPlaneGen(b *testing.B) {
 		}
 		return elapsed
 	}
-	runParallel := func(b *testing.B, store *pdpi.Store, workers int) (elapsed time.Duration) {
+	runPruned := func(b *testing.B, store *pdpi.Store) (elapsed time.Duration) {
 		for i := 0; i < b.N; i++ {
 			start := time.Now()
 			_, rep, err := symbolic.GeneratePacketsParallel(prog, store, symbolic.Options{},
-				symbolic.GenOptions{Mode: mode, Enriched: true, Workers: workers})
+				symbolic.GenOptions{Mode: mode, Enriched: true})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -224,24 +224,22 @@ func BenchmarkDataPlaneGen(b *testing.B) {
 		}
 		return elapsed
 	}
-	var serialL, pruned4L time.Duration
+	var serialL, prunedL time.Duration
 	small, large := mkStore(b, 150), mkStore(b, 798)
 	b.Run("small/serial", func(b *testing.B) { runSerial(b, small) })
-	b.Run("small/pruned-workers=1", func(b *testing.B) { runParallel(b, small, 1) })
-	b.Run("small/pruned-workers=4", func(b *testing.B) { runParallel(b, small, 4) })
+	b.Run("small/pruned", func(b *testing.B) { runPruned(b, small) })
 	b.Run("large/serial", func(b *testing.B) { serialL = runSerial(b, large) })
-	b.Run("large/pruned-workers=1", func(b *testing.B) { runParallel(b, large, 1) })
-	b.Run("large/pruned-workers=4", func(b *testing.B) { pruned4L = runParallel(b, large, 4) })
-	if serialL == 0 || pruned4L == 0 {
+	b.Run("large/pruned", func(b *testing.B) { prunedL = runPruned(b, large) })
+	if serialL == 0 || prunedL == 0 {
 		return
 	}
 
 	// Wall-clock gate: >=2x over the serial baseline on >=4 CPUs.
-	speedup := float64(serialL) / float64(pruned4L)
+	speedup := float64(serialL) / float64(prunedL)
 	b.ReportMetric(speedup, "speedup-x")
 	b.ReportMetric(float64(runtime.NumCPU()), "cpus")
 	if runtime.NumCPU() >= 4 && speedup < 2 {
-		b.Fatalf("pruned+parallel speedup %.2fx over serial on a %d-CPU machine, want >= 2x", speedup, runtime.NumCPU())
+		b.Fatalf("pruned speedup %.2fx over serial on a %d-CPU machine, want >= 2x", speedup, runtime.NumCPU())
 	}
 }
 

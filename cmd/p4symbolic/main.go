@@ -29,14 +29,24 @@ func main() {
 	seed := flag.Int64("seed", 42, "workload seed")
 	coverage := flag.String("coverage", "entries", "coverage mode: entries or branches")
 	emit := flag.Bool("emit", false, "print each synthesized packet")
-	dpWorkers := flag.Int("dp-workers", 1, "concurrent goal-solving workers (results do not depend on it)")
-	dpShards := flag.Int("dp-shards", 0, "goal-shard count (0 = default; results depend on it)")
 	var precheck switchv.PrecheckMode
 	flag.Var(&precheck, "precheck", "static model preflight: on (the default: refuse on error findings), warn (report only), off (skip)")
 	witness := flag.Bool("witness", true, "solver-free witness synthesis pre-pass")
 	slice := flag.Bool("slice", true, "cone-of-influence slice restriction on per-goal checks")
 	jsonOut := flag.Bool("json", false, "emit one machine-readable JSON report instead of text")
 	flag.Parse()
+
+	var mode symbolic.CoverageMode
+	switch *coverage {
+	case "entries":
+		mode = symbolic.CoverEntries
+	case "branches":
+		mode = symbolic.CoverBranches
+	default:
+		fmt.Fprintf(os.Stderr, "p4symbolic: -coverage %q: want entries or branches\n", *coverage)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	prog, err := models.Load(*role)
 	if err != nil {
@@ -63,15 +73,10 @@ func main() {
 		}
 	}
 
-	mode := symbolic.CoverEntries
-	if *coverage == "branches" {
-		mode = symbolic.CoverBranches
-	}
-
 	t0 := time.Now()
 	packets, rep, err := symbolic.GeneratePacketsParallel(prog, store, symbolic.Options{},
-		symbolic.GenOptions{Mode: mode, Workers: *dpWorkers, Shards: *dpShards,
-			UnreachableTables: dead, DisableWitness: !*witness, DisableSlicing: !*slice})
+		symbolic.GenOptions{Mode: mode, UnreachableTables: dead,
+			DisableWitness: !*witness, DisableSlicing: !*slice})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -130,7 +135,6 @@ func main() {
 			Model        string          `json:"model"`
 			Entries      int             `json:"entries"`
 			Coverage     string          `json:"coverage"`
-			Workers      int             `json:"workers"`
 			Report       symbolic.Report `json:"report"`
 			ChecksAvoid  int             `json:"checks_avoided"`
 			Packets      int             `json:"packets"`
@@ -141,9 +145,8 @@ func main() {
 			SimulationMS float64         `json:"simulation_ms"`
 		}{
 			Model: prog.Name, Entries: len(entries), Coverage: *coverage,
-			Workers: *dpWorkers, Report: rep,
-			ChecksAvoid: rep.Goals - rep.SMTChecks,
-			Packets:     len(packets), Forwarded: fwd, Dropped: dropped, Punted: punted,
+			Report: rep, ChecksAvoid: rep.Goals - rep.SMTChecks,
+			Packets: len(packets), Forwarded: fwd, Dropped: dropped, Punted: punted,
 			GenerationMS: float64(genTime.Microseconds()) / 1e3,
 			SimulationMS: float64(simTime.Microseconds()) / 1e3,
 		}

@@ -49,8 +49,6 @@ func main() {
 	plateau := flag.Int("plateau", 0, "stop fuzzing after N consecutive batches with no new coverage (0 = never)")
 	workers := flag.Int("workers", 0, "fuzz with the parallel sharded engine using N workers (0 = sequential single-stack campaign)")
 	shards := flag.Int("shards", switchv.DefaultShards, "logical shard count for -workers (results depend on it; worker count only changes speed)")
-	dpWorkers := flag.Int("dp-workers", 0, "workers for data-plane generation and simulation (0 = 1; results are identical for any count)")
-	dpShards := flag.Int("dp-shards", 0, "goal-shard count for data-plane generation (0 = default; results depend on it)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	var precheck switchv.PrecheckMode
 	flag.Var(&precheck, "precheck", "static model preflight: on (the default: refuse on error findings), warn (report only), off (skip)")
@@ -247,8 +245,6 @@ func main() {
 			Coverage:    mode,
 			Churn:       *churn,
 			CoverageMap: cov,
-			Workers:     *dpWorkers,
-			Shards:      *dpShards,
 		})
 		if err != nil {
 			log.Fatalf("data plane campaign: %v", err)

@@ -451,11 +451,18 @@ func (sim *Interp) entryMatches(fs fieldSpace, t *ir.Table, e *pdpi.Entry) bool 
 	return true
 }
 
-// BehaviorSet runs the packet repeatedly until an outcome signature
-// repeats, returning the set of distinct behaviors (§5 "Hashing": the
-// simulator uses round-robin selection, so repetition implies closure).
-// maxIter bounds the loop defensively.
+// BehaviorSet returns the interpreter's behavior set for the packet
+// (see the package-level BehaviorSet).
 func (sim *Interp) BehaviorSet(in Input, maxIter int) ([]*Outcome, error) {
+	return BehaviorSet(sim, in, maxIter)
+}
+
+// BehaviorSet runs the packet through sim repeatedly until an outcome
+// signature repeats, returning the set of distinct behaviors (§5
+// "Hashing": the simulator uses round-robin selection, so repetition
+// implies closure). maxIter bounds the loop defensively. Both engines'
+// BehaviorSet methods run this one loop.
+func BehaviorSet(sim Simulator, in Input, maxIter int) ([]*Outcome, error) {
 	seen := map[string]bool{}
 	var out []*Outcome
 	for i := 0; i < maxIter; i++ {

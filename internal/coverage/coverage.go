@@ -16,13 +16,13 @@
 //
 // A Map is one mutex over one table of counts, sized to the traffic of
 // its two consumers. A control-plane campaign shard owns a private map
-// that two goroutines touch (the switch side and the oracle side of the
-// batch loop); a 100-batch, 50-update middleblock campaign makes about
-// 20.8k Add calls, about four per update. A data-plane round shares one
-// map among all its simulation workers (DataPlaneOptions.Workers, the
-// -dp-workers flag), each calling NoteDataPlaneHit, two or three
-// increments per trace step; a 798-entry middleblock round makes about
-// 25.7k. In both, the map takes under 1% of the run's CPU.
+// that two overlapping goroutines touch (the switch side and the oracle
+// side of the batch loop), which is what the lock serves; a 100-batch,
+// 50-update middleblock campaign makes about 20.8k Add calls, about four
+// per update. A data-plane round harvests its simulator traces on one
+// goroutine, calling NoteDataPlaneHit for two or three increments per
+// trace step; a 798-entry middleblock round makes about 25.7k. In both,
+// the map takes under 1% of the run's CPU.
 package coverage
 
 import (

@@ -313,26 +313,10 @@ func (p *Pipeline) internTrace(ids []uint32) []bmv2.TableHit {
 	return tr
 }
 
-// BehaviorSet runs the packet repeatedly until an outcome signature
-// repeats, returning the set of distinct behaviors — the same closure
-// loop as the interpreter's (round-robin selection implies repetition is
-// closure).
+// BehaviorSet returns the pipeline's behavior set for the packet: the
+// interpreter's closure loop (bmv2.BehaviorSet) over the compiled Run.
 func (p *Pipeline) BehaviorSet(in bmv2.Input, maxIter int) ([]*bmv2.Outcome, error) {
-	seen := map[string]bool{}
-	var out []*bmv2.Outcome
-	for i := 0; i < maxIter; i++ {
-		o, err := p.Run(in)
-		if err != nil {
-			return nil, err
-		}
-		sig := o.Signature()
-		if seen[sig] {
-			return out, nil
-		}
-		seen[sig] = true
-		out = append(out, o)
-	}
-	return out, nil
+	return bmv2.BehaviorSet(p, in, maxIter)
 }
 
 // compileStmts lowers a statement list, registering table slots for

@@ -11,7 +11,7 @@ import (
 
 // engineConstructions counts newEngine calls process-wide. The
 // data-plane compare loop is asserted (by regression test) to construct
-// one engine per worker, not one per packet.
+// one engine per round, not one per packet.
 var engineConstructions atomic.Int64
 
 // EngineConstructions returns the process-wide engine construction
@@ -20,8 +20,8 @@ func EngineConstructions() int64 { return engineConstructions.Load() }
 
 // newEngine builds the reference simulator over the program and store:
 // the compiled pipeline, which the differential tests pin to the
-// interpreter's outcomes. Engines are single-goroutine; concurrent
-// workers build one each and may share the store.
+// interpreter's outcomes. Engines are single-goroutine; RunDataPlane
+// builds one per round and resets it between packets.
 func newEngine(prog *ir.Program, store *pdpi.Store) (bmv2.Simulator, error) {
 	engineConstructions.Add(1)
 	return compile.New(prog, store)

@@ -16,28 +16,21 @@ import (
 	"switchv/models"
 )
 
-// TestEngineConstructionsPerWorker is the regression test for the
+// TestEngineConstructionsPerRound is the regression test for the
 // per-packet-simulator bug: the data-plane compare phase must build one
-// engine per worker, not one per packet.
-func TestEngineConstructionsPerWorker(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		h, _ := newHarness(t, "middleblock")
-		before := EngineConstructions()
-		rep, err := h.RunDataPlane(fixtureEntries("middleblock"), DataPlaneOptions{
-			Coverage: symbolic.CoverBranches,
-			Workers:  workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := EngineConstructions() - before
-		if got != int64(workers) {
-			t.Errorf("workers=%d: %d engine constructions for %d packets, want one per worker",
-				workers, got, rep.Packets)
-		}
-		if rep.Packets <= workers {
-			t.Fatalf("campaign too shallow to distinguish per-worker from per-packet: %d packets", rep.Packets)
-		}
+// engine per round, not one per packet.
+func TestEngineConstructionsPerRound(t *testing.T) {
+	h, _ := newHarness(t, "middleblock")
+	before := EngineConstructions()
+	rep, err := h.RunDataPlane(fixtureEntries("middleblock"), DataPlaneOptions{Coverage: symbolic.CoverBranches})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := EngineConstructions() - before; got != 1 {
+		t.Errorf("%d engine constructions for %d packets, want one per round", got, rep.Packets)
+	}
+	if rep.Packets < 2 {
+		t.Fatalf("campaign too shallow to distinguish per-round from per-packet: %d packets", rep.Packets)
 	}
 }
 

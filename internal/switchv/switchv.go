@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"switchv/internal/bmv2"
@@ -434,14 +433,6 @@ type DataPlaneOptions struct {
 	// goal list and credited with per-table/per-entry hits harvested from
 	// the reference simulator's execution traces.
 	CoverageMap *coverage.Map
-	// Workers is the number of concurrent workers for packet generation
-	// and simulation (default 1). The campaign result is identical for
-	// any worker count; only wall-clock time changes.
-	Workers int
-	// Shards is the generator's logical goal-shard count (default
-	// symbolic.DefaultGoalShards). Results depend on it — it is a
-	// campaign parameter, not a concurrency knob.
-	Shards int
 }
 
 // maxBehaviors bounds the simulator behavior-set loop.
@@ -523,8 +514,6 @@ func (h *Harness) RunDataPlane(entries []*pdpi.Entry, opts DataPlaneOptions) (*D
 		Mode:              opts.Coverage,
 		Enriched:          true,
 		Cache:             opts.Cache,
-		Workers:           opts.Workers,
-		Shards:            opts.Shards,
 		UnreachableTables: dead,
 	})
 	if err != nil {
@@ -596,44 +585,24 @@ func (h *Harness) RunDataPlane(entries []*pdpi.Entry, opts DataPlaneOptions) (*D
 	}
 	h.awaitPacketIns(pending)
 
-	// Phase 2 (parallel): simulate each packet's behavior set and
-	// compare against the observed switch behavior. Each worker builds
-	// one engine and resets it between packets — Reset restores the
-	// freshly-constructed state, so per-packet verdicts stay independent
-	// of scheduling and the worker count changes wall-clock time only.
-	// Incidents merge in packet order below.
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sim, simErr := newEngine(prog, store)
-			for i := range jobs {
-				if simErr != nil {
-					incidents[i] = &Incident{Tool: "p4-symbolic", Kind: "simulator-error",
-						Detail: fmt.Sprintf("goal %s: building simulator: %v", all[i].GoalKey, simErr)}
-					continue
-				}
+	// Phase 2: simulate each injected packet's behavior set and compare
+	// it against the observed switch behavior, in packet order, on one
+	// engine per round. Reset restores the freshly built state before
+	// each packet, so each verdict is independent of the packets before
+	// it. Incidents of both phases merge in packet order.
+	sim, simErr := newEngine(prog, store)
+	for i := range all {
+		if incidents[i] == nil {
+			if simErr != nil {
+				incidents[i] = &Incident{Tool: "p4-symbolic", Kind: "simulator-error",
+					Detail: fmt.Sprintf("goal %s: building simulator: %v", all[i].GoalKey, simErr)}
+			} else {
 				sim.Reset()
 				incidents[i] = h.comparePacket(sim, &all[i], injected[i], opts.CoverageMap)
 			}
-		}()
-	}
-	for i := range all {
-		if incidents[i] == nil {
-			jobs <- i
 		}
-	}
-	close(jobs)
-	wg.Wait()
-	for _, inc := range incidents {
-		if inc != nil {
-			rep.Incidents = append(rep.Incidents, *inc)
+		if incidents[i] != nil {
+			rep.Incidents = append(rep.Incidents, *incidents[i])
 		}
 	}
 	rep.TestElapsed = time.Since(testStart)
@@ -718,11 +687,11 @@ func (h *Harness) injectPacket(pkt *symbolic.TestPacket) (p4rt.InjectResult, *In
 }
 
 // comparePacket checks one observed switch behavior against the
-// simulator's valid behavior set (phase 2, safe to run concurrently
-// across packets given a private simulator). When cov is non-nil, the
-// simulator's execution traces (which tables matched which entries,
-// which actions ran) are harvested into it — the data-plane half of the
-// coverage map.
+// simulator's valid behavior set (phase 2 of the differential
+// execution; sim is the round's engine, reset for this packet). When
+// cov is non-nil, the simulator's execution traces (which tables
+// matched which entries, which actions ran) are harvested into it —
+// the data-plane half of the coverage map.
 func (h *Harness) comparePacket(sim bmv2.Simulator, pkt *symbolic.TestPacket, swRes p4rt.InjectResult, cov *coverage.Map) *Incident {
 	behaviors, err := sim.BehaviorSet(bmv2.Input{Port: pkt.Port, Packet: pkt.Data}, maxBehaviors)
 	if err != nil {

@@ -14,18 +14,20 @@
 //     table it traverses;
 //   - parallel goal shards: the goal list is partitioned across
 //     independent Executors (Builder and Solver are single-threaded by
-//     design) driven by a worker pool. Solving proceeds in rounds: each
-//     round, every shard with undecided goals solves its next one;
-//     at the round barrier the obtained models' coverage claims are
-//     merged in shard order against the whole goal universe, so pruning
-//     stays global — a shard's model retires goals owned by any shard;
+//     design), solved on up to GOMAXPROCS goroutines. Solving proceeds
+//     in rounds: each round, every shard with undecided goals solves its
+//     next one; at the round barrier the obtained models' coverage
+//     claims are merged in shard order against the whole goal universe,
+//     so pruning stays global — a shard's model retires goals owned by
+//     any shard;
 //   - per-goal caching: each goal's outcome is keyed by the entries
 //     that can reach it, so entry churn re-solves only affected goals
 //     (see Cache).
 //
 // Determinism contract (as for RunParallelCampaign): the packet set and
 // report are a pure function of (program, entries, options, shard
-// count, cache state). The worker count only changes wall-clock time.
+// count, cache state). The number of goroutines solving shards at once
+// (GOMAXPROCS, capped at the shard count) only changes wall-clock time.
 // This holds because the shard partition is a fixed slice of the
 // canonical goal order, each shard's solver is private and
 // deterministic, every round's task set is a pure function of the
@@ -35,6 +37,7 @@ package symbolic
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"switchv/internal/p4/ir"
@@ -45,9 +48,9 @@ import (
 const (
 	// DefaultGoalShards is the logical shard count for goal solving.
 	// Results depend on it (it fixes the round schedule), so it is
-	// deliberately decoupled from the worker count. Each shard pays for
-	// one symbolic execution of the model, so the default stays small;
-	// raise GenOptions.Shards to feed more workers on big campaigns.
+	// deliberately decoupled from the machine: Run solves up to
+	// GOMAXPROCS shards at once. Each shard pays for one symbolic
+	// execution of the model, so the default stays small.
 	DefaultGoalShards = 4
 	// minGoalsPerShard caps the shard count on small campaigns so a
 	// handful of goals does not pay for eight symbolic executions.
@@ -61,12 +64,9 @@ type GenOptions struct {
 	// Enriched adds the standing "test engineer" goals (EnrichedGoals)
 	// to the universe.
 	Enriched bool
-	// Workers is the number of concurrent shard executors (default 1).
-	// More workers than shards is clamped to the shard count.
-	Workers int
 	// Shards is the logical goal-shard count (default
 	// DefaultGoalShards, capped by minGoalsPerShard). The result
-	// depends on it; the worker count must not.
+	// depends on it; the number of shards solved at once must not.
 	Shards int
 	// Cache, when non-nil, serves per-goal outcomes and absorbs the
 	// run's results.
@@ -231,13 +231,7 @@ func (g *Generator) Run() ([]TestPacket, Report, error) {
 		shards = max
 	}
 	rep.Shards = shards
-	workers := g.gopts.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > shards && shards > 0 {
-		workers = shards
-	}
+	workers := max(1, min(runtime.GOMAXPROCS(0), shards))
 
 	states := make([]*shardState, shards)
 	if shards > 0 {

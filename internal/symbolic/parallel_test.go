@@ -3,29 +3,16 @@ package symbolic
 import (
 	"fmt"
 	"maps"
+	"runtime"
 	"strings"
 	"testing"
 
+	"switchv/internal/p4/ir"
 	"switchv/internal/p4/pdpi"
 	"switchv/internal/testutil"
 	"switchv/internal/workload"
 	"switchv/models"
 )
-
-func genFixture(t *testing.T) (*pdpi.Store, func(GenOptions) ([]TestPacket, Report)) {
-	t.Helper()
-	prog := models.Middleblock()
-	store := pdpi.NewStore()
-	testutil.RoutingFixture(prog, store)
-	return store, func(gopts GenOptions) ([]TestPacket, Report) {
-		t.Helper()
-		pkts, rep, err := GeneratePacketsParallel(prog, store, Options{}, gopts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pkts, rep
-	}
-}
 
 func renderPackets(pkts []TestPacket) string {
 	var sb strings.Builder
@@ -35,22 +22,56 @@ func renderPackets(pkts []TestPacket) string {
 	return sb.String()
 }
 
-// TestGeneratorWorkerCountInvariant is the determinism contract: the
-// packet set AND the report must be bit-identical for any worker count.
+// TestGeneratorWorkerCountInvariant is the determinism contract: Run
+// solves up to GOMAXPROCS shards at once, and the packet set AND the
+// report must be bit-identical whatever that count is. Both workloads
+// reach the sharded phase with at least two shards, so at GOMAXPROCS 2
+// and 4 shard solvers really do run concurrently.
 func TestGeneratorWorkerCountInvariant(t *testing.T) {
-	_, run := genFixture(t)
-	base := GenOptions{Mode: CoverBranches, Enriched: true}
-	p1, r1 := run(base)
-	for _, workers := range []int{2, 4, 13} {
-		opts := base
-		opts.Workers = workers
-		pn, rn := run(opts)
-		if renderPackets(pn) != renderPackets(p1) {
-			t.Fatalf("workers=%d: packet set differs from workers=1", workers)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	routing := models.Middleblock()
+	routingStore := pdpi.NewStore()
+	testutil.RoutingFixture(routing, routingStore)
+	wan := models.MustLoad("wan")
+	wanStore := pdpi.NewStore()
+	for _, e := range workload.MustEntries(wan, 300, 42) {
+		if err := wanStore.Insert(e); err != nil {
+			t.Fatal(err)
 		}
-		if rn != r1 {
-			t.Fatalf("workers=%d: report %+v differs from workers=1 %+v", workers, rn, r1)
-		}
+	}
+	for _, c := range []struct {
+		name  string
+		prog  *ir.Program
+		store *pdpi.Store
+		gopts GenOptions
+	}{
+		{"routing", routing, routingStore, GenOptions{Mode: CoverBranches, Enriched: true, DisableWitness: true}},
+		{"wan-300", wan, wanStore, GenOptions{Mode: CoverEntries, Enriched: true}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var p1 string
+			var r1 Report
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				pkts, rep, err := GeneratePacketsParallel(c.prog, c.store, Options{}, c.gopts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Shards < 2 {
+					t.Fatalf("GOMAXPROCS %d: %d shards, want at least 2 so that shards run concurrently", procs, rep.Shards)
+				}
+				if procs == 1 {
+					p1, r1 = renderPackets(pkts), rep
+					continue
+				}
+				if renderPackets(pkts) != p1 {
+					t.Errorf("GOMAXPROCS %d: packet set differs from GOMAXPROCS 1", procs)
+				}
+				if rep != r1 {
+					t.Errorf("GOMAXPROCS %d: report differs from GOMAXPROCS 1:\n  1: %+v\n  %d: %+v", procs, r1, procs, rep)
+				}
+			}
+		})
 	}
 }
 
@@ -68,7 +89,7 @@ func TestGeneratorMatchesSequential(t *testing.T) {
 	}
 	goals := ex.Goals(CoverBranches)
 	seqPkts, seqCovered, seqUnreachable := solveEach(t, ex, goals)
-	parPkts, parRep, err := GeneratePacketsParallel(prog, store, Options{}, GenOptions{Mode: CoverBranches, Workers: 4})
+	parPkts, parRep, err := GeneratePacketsParallel(prog, store, Options{}, GenOptions{Mode: CoverBranches})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +127,7 @@ func TestPrunedPacketsSatisfyGoals(t *testing.T) {
 	prog := models.Middleblock()
 	store := pdpi.NewStore()
 	testutil.RoutingFixture(prog, store)
-	pkts, rep, err := GeneratePacketsParallel(prog, store, Options{}, GenOptions{Mode: CoverEntries, Workers: 2})
+	pkts, rep, err := GeneratePacketsParallel(prog, store, Options{}, GenOptions{Mode: CoverEntries})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +145,7 @@ func TestGeneratorPerGoalCache(t *testing.T) {
 	store := pdpi.NewStore()
 	testutil.RoutingFixture(prog, store)
 	cache := NewCache()
-	gopts := GenOptions{Mode: CoverBranches, Enriched: true, Cache: cache, Workers: 2}
+	gopts := GenOptions{Mode: CoverBranches, Enriched: true, Cache: cache}
 
 	cold, coldRep, err := GeneratePacketsParallel(prog, store, Options{}, gopts)
 	if err != nil {
@@ -177,12 +198,13 @@ func TestGeneratorPerGoalCache(t *testing.T) {
 //     which also keep the large set inside its 40-check budget;
 //   - pruning and witnesses avoid at least 40% of the serial path's one
 //     check per goal;
-//   - the packet set and the report are identical at Workers 1 and 4;
 //   - slicing changes no verdict: the covered goal set is identical with
 //     DisableSlicing.
 //
-// The wall-clock gate (at least 2x over the serial path on 4 or more
-// CPUs) stays in BenchmarkDataPlaneGen.
+// Both sets reach the sharded phase with one shard, so the worker-count
+// identity is held on other workloads by
+// TestGeneratorWorkerCountInvariant. The wall-clock gate (at least 2x
+// over the serial path on 4 or more CPUs) stays in BenchmarkDataPlaneGen.
 func TestGenerationGates(t *testing.T) {
 	prog := models.Middleblock()
 	for _, c := range []struct {
@@ -208,7 +230,7 @@ func TestGenerationGates(t *testing.T) {
 				}
 				return pkts, rep
 			}
-			p1, r1 := run(GenOptions{Workers: 1})
+			p1, r1 := run(GenOptions{})
 			if r1.SMTChecks != c.smtChecks || r1.Pruned != c.pruned ||
 				r1.Witnessed != c.witnessed || r1.WitnessUnsat != c.witnessUnsat {
 				t.Errorf("%d SMT checks, %d pruned, %d witnessed, %d witness-unsat; want %d, %d, %d, %d",
@@ -219,15 +241,7 @@ func TestGenerationGates(t *testing.T) {
 				t.Errorf("%d SMT checks for %d goals, want <= %d", r1.SMTChecks, r1.Goals, lim)
 			}
 
-			p4, r4 := run(GenOptions{Workers: 4})
-			if renderPackets(p4) != renderPackets(p1) {
-				t.Error("packet set differs between Workers 1 and 4")
-			}
-			if r4 != r1 {
-				t.Errorf("report differs between Workers 1 and 4:\n  1: %+v\n  4: %+v", r1, r4)
-			}
-
-			pu, ru := run(GenOptions{Workers: 1, DisableSlicing: true})
+			pu, ru := run(GenOptions{DisableSlicing: true})
 			if ru.SlicedAsserts != 0 || ru.SlicedBits != 0 {
 				t.Errorf("unsliced run reported slice metrics: %+v", ru)
 			}

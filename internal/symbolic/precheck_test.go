@@ -98,7 +98,7 @@ func TestPrecheckGoalPruning(t *testing.T) {
 		t.Fatalf("unreachable set = %v", dead)
 	}
 
-	base := GenOptions{Mode: CoverEntries, Shards: 1, Workers: 1}
+	base := GenOptions{Mode: CoverEntries, Shards: 1}
 	basePkts, baseRep, err := GeneratePacketsParallel(prog, store, Options{}, base)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestPrecheckWithCache(t *testing.T) {
 	dead := check.Check(prog).UnreachableSet()
 
 	cache := NewCache()
-	opts := GenOptions{Mode: CoverEntries, Shards: 1, Workers: 1, Cache: cache, UnreachableTables: dead}
+	opts := GenOptions{Mode: CoverEntries, Shards: 1, Cache: cache, UnreachableTables: dead}
 	_, cold, err := GeneratePacketsParallel(prog, store, Options{}, opts)
 	if err != nil {
 		t.Fatal(err)
