@@ -64,7 +64,6 @@ func main() {
 	if crep != nil && len(crep.Findings) > 0 && !*jsonOut {
 		fmt.Printf("== p4check preflight ==\n%s", crep.Text())
 	}
-	dead := crep.UnreachableSet()
 	entries := workload.MustEntries(prog, *n, *seed)
 	store := pdpi.NewStore()
 	for _, e := range entries {
@@ -73,10 +72,11 @@ func main() {
 		}
 	}
 
+	// A data-plane round's goal universe and setup, plus the ablations.
+	gopts := switchv.DataPlaneOptions{Coverage: mode}.GenOptions(crep.UnreachableSet())
+	gopts.DisableWitness, gopts.DisableSlicing = !*witness, !*slice
 	t0 := time.Now()
-	packets, rep, err := symbolic.GeneratePacketsParallel(prog, store, symbolic.Options{},
-		symbolic.GenOptions{Mode: mode, UnreachableTables: dead,
-			DisableWitness: !*witness, DisableSlicing: !*slice})
+	packets, rep, err := symbolic.GeneratePacketsParallel(prog, store, symbolic.Options{}, gopts)
 	if err != nil {
 		log.Fatal(err)
 	}

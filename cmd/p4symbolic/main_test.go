@@ -7,6 +7,13 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"switchv/internal/p4/p4info"
+	"switchv/internal/switchsim"
+	"switchv/internal/switchv"
+	"switchv/internal/symbolic"
+	"switchv/internal/workload"
+	"switchv/models"
 )
 
 // TestMain lets the tests run this test binary as the p4symbolic CLI:
@@ -74,5 +81,40 @@ func TestCoverageModes(t *testing.T) {
 		if out.Coverage != mode || out.Packets == 0 {
 			t.Errorf("-coverage %s: report says coverage %q with %d packets", mode, out.Coverage, out.Packets)
 		}
+	}
+}
+
+// TestSameGoalsAsRound: p4symbolic solves a data-plane round's goal
+// universe, enriched goals included. On the 30 seed-42 middleblock
+// entries its report must give the goals, covered goals and SMT checks
+// of a RunDataPlane round on the same entries against an in-process
+// switch.
+func TestSameGoalsAsRound(t *testing.T) {
+	stdout, stderr, code := runCLI(t, "-entries", "30", "-json")
+	if code != 0 {
+		t.Fatalf("exit %d:\n%s", code, stderr)
+	}
+	var out struct {
+		Report symbolic.Report `json:"report"`
+	}
+	if err := json.Unmarshal([]byte(stdout), &out); err != nil {
+		t.Fatalf("%v:\n%s", err, stdout)
+	}
+
+	prog := models.MustLoad("middleblock")
+	sw := switchsim.New("middleblock")
+	defer sw.Close()
+	h := switchv.New(p4info.New(prog), sw, sw)
+	if err := h.PushPipeline(); err != nil {
+		t.Fatal(err)
+	}
+	round, err := h.RunDataPlane(workload.MustEntries(prog, 30, 42), switchv.DataPlaneOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := out.Report, round.SolverReport
+	if got.Goals != want.Goals || got.Covered != want.Covered || got.SMTChecks != want.SMTChecks {
+		t.Errorf("p4symbolic: %d goals, %d covered, %d checks; round: %d goals, %d covered, %d checks",
+			got.Goals, got.Covered, got.SMTChecks, want.Goals, want.Covered, want.SMTChecks)
 	}
 }

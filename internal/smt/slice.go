@@ -49,9 +49,12 @@ type lazyAssert struct {
 func (s *Solver) AssertLazy(t *Term) {
 	s.asserted = append(s.asserted, t)
 	la := lazyAssert{t: t}
-	varSupport(t, map[*Term]bool{}, &la.vars)
+	s.seen.reset()
+	varSupport(t, &s.seen, &la.vars)
 	for _, v := range la.vars {
-		s.varUniverse[v] = true
+		if s.universe.add(v) {
+			s.universeVars = append(s.universeVars, v)
+		}
 	}
 	s.lazy = append(s.lazy, la)
 }
@@ -60,7 +63,9 @@ func (s *Solver) AssertLazy(t *Term) {
 // checks (for the symbolic engine: the all-zero packet with only
 // ethernet valid). CheckSliced falls back to a full check until one is
 // set. Assertions the background does not satisfy are simply forced
-// into every slice, so any parseable background is sound.
+// into every slice, so any parseable background is sound. Build the
+// background with the solver's NewModel: CheckSliced evaluates it in
+// the solver's evaluation scratch.
 func (s *Solver) SetBackground(bg *Model) {
 	s.bg = bg
 	for i := range s.lazy {
@@ -117,17 +122,17 @@ func (s *Solver) CheckSliced(seed []*Term, extra ...*Term) sat.Result {
 		return s.CheckAssuming(extra...)
 	}
 	s.NumChecks++
-	inSlice := map[*Term]bool{}
-	seen := map[*Term]bool{}
+	s.seen.reset()
+	s.slice.reset()
 	var roots []*Term
 	for _, t := range seed {
-		varSupport(t, seen, &roots)
+		varSupport(t, &s.seen, &roots)
 	}
 	for _, t := range extra {
-		varSupport(t, seen, &roots)
+		varSupport(t, &s.seen, &roots)
 	}
 	for _, v := range roots {
-		inSlice[v] = true
+		s.slice.add(v)
 	}
 	active := make([]bool, len(s.lazy))
 	for changed := true; changed; {
@@ -140,7 +145,7 @@ func (s *Solver) CheckSliced(seed []*Term, extra ...*Term) sat.Result {
 			pull := s.bgFails(la)
 			if !pull {
 				for _, v := range la.vars {
-					if inSlice[v] {
+					if s.slice.has(v) {
 						pull = true
 						break
 					}
@@ -152,7 +157,7 @@ func (s *Solver) CheckSliced(seed []*Term, extra ...*Term) sat.Result {
 			active[i] = true
 			changed = true
 			for _, v := range la.vars {
-				inSlice[v] = true
+				s.slice.add(v)
 			}
 		}
 	}
@@ -165,8 +170,8 @@ func (s *Solver) CheckSliced(seed []*Term, extra ...*Term) sat.Result {
 		s.ensureBlasted(i)
 		lits = append(lits, s.lazy[i].act)
 	}
-	for v := range s.varUniverse {
-		if !inSlice[v] {
+	for _, v := range s.universeVars {
+		if !s.slice.has(v) {
 			s.SlicedBits += v.width
 		}
 	}
@@ -174,21 +179,16 @@ func (s *Solver) CheckSliced(seed []*Term, extra ...*Term) sat.Result {
 		lits = append(lits, s.BlastBool(t))
 	}
 	res := s.sat.Solve(lits...)
-	if res == sat.Sat {
-		s.lastSlice = inSlice
-	} else {
-		s.lastSlice = nil
-	}
+	s.sliced = res == sat.Sat
 	return res
 }
 
 // varSupport collects the OpBVVar terms reachable from t, deduplicated
 // through seen (shared across calls to union supports).
-func varSupport(t *Term, seen map[*Term]bool, out *[]*Term) {
-	if seen[t] {
+func varSupport(t *Term, seen *termSet, out *[]*Term) {
+	if !seen.add(t) {
 		return
 	}
-	seen[t] = true
 	if t.op == OpBVVar {
 		*out = append(*out, t)
 		return
@@ -196,4 +196,39 @@ func varSupport(t *Term, seen map[*Term]bool, out *[]*Term) {
 	for _, k := range t.kids {
 		varSupport(k, seen, out)
 	}
+}
+
+// termSet is a set of one builder's terms, indexed by term ID: a term is
+// a member when its slot holds the set's epoch, so reset empties the set
+// in O(1). The epoch of a set in use is never 0 — reset moves it to 1 or
+// past — because freshly grown slots hold 0 and must not count.
+type termSet struct {
+	epoch uint32
+	marks []uint32
+}
+
+// reset empties the set.
+func (s *termSet) reset() {
+	s.epoch++
+	if s.epoch == 0 {
+		// Wrapped: stale stamps could equal the new epoch.
+		clear(s.marks)
+		s.epoch = 1
+	}
+}
+
+func (s *termSet) has(t *Term) bool {
+	return t.id < len(s.marks) && s.marks[t.id] == s.epoch
+}
+
+// add inserts t and reports whether it was absent.
+func (s *termSet) add(t *Term) bool {
+	if t.id >= len(s.marks) {
+		s.marks = append(s.marks, make([]uint32, t.id+1-len(s.marks))...)
+	}
+	if s.marks[t.id] == s.epoch {
+		return false
+	}
+	s.marks[t.id] = s.epoch
+	return true
 }

@@ -1,6 +1,8 @@
 package smt
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"switchv/internal/p4/value"
@@ -17,7 +19,7 @@ func TestSlicedValuesFollowCompletedModel(t *testing.T) {
 	s := NewSolver(b)
 	x, y := b.BV("x", 8), b.BV("y", 8)
 	s.AssertLazy(b.Ule(y, b.ConstUint(10, 8)))
-	s.SetBackground(NewModel(map[*Term]value.V{y: value.Zero(8)}))
+	s.SetBackground(s.NewModel(map[*Term]value.V{y: value.Zero(8)}))
 	y1 := b.BVAdd(y, b.ConstUint(1, 8))
 	hit := b.Eq(y1, b.ConstUint(8, 8))
 	if r := s.CheckAssuming(hit); r != sat.Sat {
@@ -68,7 +70,7 @@ func TestSlicedVerdictsMatchFullChecks(t *testing.T) {
 		sliced.AssertLazy(as)
 		full.AssertLazy(as)
 	}
-	sliced.SetBackground(NewModel(nil))
+	sliced.SetBackground(sliced.NewModel(nil))
 	sats := 0
 	for i, v := range vars {
 		for _, want := range []uint64{0, 2, 3, 5, 8, 19, 50, 200} {
@@ -103,5 +105,129 @@ func TestSlicedVerdictsMatchFullChecks(t *testing.T) {
 	}
 	if sats == 0 {
 		t.Fatal("no query was satisfiable")
+	}
+}
+
+// mapSlice is the map-based definition of a sliced check's counters:
+// the variable-sharing closure of the seed and extras' support, with
+// every assertion the background violates pulled in, counting the
+// assertions left out and the bits of the assertions' variables left
+// out.
+func mapSlice(asserts []*Term, bg map[string]value.V, seed []*Term, extra []*Term) (excluded, bits int) {
+	support := func(t *Term) map[*Term]bool {
+		vars := map[*Term]bool{}
+		var walk func(*Term)
+		walk = func(t *Term) {
+			if t.op == OpBVVar {
+				vars[t] = true
+			}
+			for _, k := range t.kids {
+				walk(k)
+			}
+		}
+		walk(t)
+		return vars
+	}
+	inSlice := map[*Term]bool{}
+	for _, t := range append(append([]*Term{}, seed...), extra...) {
+		for v := range support(t) {
+			inSlice[v] = true
+		}
+	}
+	active := map[int]bool{}
+	for changed := true; changed; {
+		changed = false
+		for i, a := range asserts {
+			if active[i] {
+				continue
+			}
+			holds, _ := refEval(a, bg)
+			pull := holds.IsZero()
+			for v := range support(a) {
+				pull = pull || inSlice[v]
+			}
+			if pull {
+				active[i], changed = true, true
+				for v := range support(a) {
+					inSlice[v] = true
+				}
+			}
+		}
+	}
+	universe := map[*Term]bool{}
+	for i, a := range asserts {
+		if !active[i] {
+			excluded++
+		}
+		for v := range support(a) {
+			universe[v] = true
+		}
+	}
+	for v := range universe {
+		if !inSlice[v] {
+			bits += v.width
+		}
+	}
+	return excluded, bits
+}
+
+// TestSlicedCountsMatchMapDefinition registers random lazy assertions
+// over a dozen variables, interleaved with random sliced checks, and
+// holds every check's SlicedAsserts and SlicedBits increments to
+// mapSlice.
+func TestSlicedCountsMatchMapDefinition(t *testing.T) {
+	bitsSeen := 0
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		b := NewBuilder()
+		s := NewSolver(b)
+		var vars []*Term
+		for i := 0; i < 12; i++ {
+			vars = append(vars, b.BV(fmt.Sprintf("x%d", i), 4+rng.Intn(5)))
+		}
+		pick := func() *Term { return vars[rng.Intn(len(vars))] }
+		konst := func(v *Term) *Term { return b.ConstUint(rng.Uint64(), v.Width()) }
+		bgVars, bgEnv := map[*Term]value.V{}, map[string]value.V{}
+		for _, v := range vars[:4] {
+			val := value.New(rng.Uint64(), v.Width())
+			bgVars[v], bgEnv[v.name] = val, val
+		}
+		s.SetBackground(s.NewModel(bgVars))
+		var asserts []*Term
+		for step := 0; step < 40; step++ {
+			if rng.Intn(3) != 0 {
+				x, y := pick(), pick()
+				var a *Term
+				switch rng.Intn(3) {
+				case 0:
+					a = b.Ule(x, konst(x))
+				case 1:
+					a = b.Ule(x, b.BVAdd(b.Resize(y, x.Width()), konst(x)))
+				default:
+					a = b.Implies(b.Eq(x, konst(x)), b.Ne(y, konst(y)))
+				}
+				s.AssertLazy(a)
+				asserts = append(asserts, a)
+				continue
+			}
+			seedTerms := []*Term{pick()}
+			if rng.Intn(2) == 0 {
+				x := pick()
+				seedTerms = append(seedTerms, b.BVXor(x, b.Resize(pick(), x.Width())))
+			}
+			q := pick()
+			extra := []*Term{b.Ne(q, konst(q))}
+			wantEx, wantBits := mapSlice(asserts, bgEnv, seedTerms, extra)
+			ex0, bits0 := s.SlicedAsserts, s.SlicedBits
+			s.CheckSliced(seedTerms, extra...)
+			if gotEx, gotBits := s.SlicedAsserts-ex0, s.SlicedBits-bits0; gotEx != wantEx || gotBits != wantBits {
+				t.Fatalf("seed %d, step %d: sliced %d assertions and %d bits, want %d and %d",
+					seed, step, gotEx, gotBits, wantEx, wantBits)
+			}
+			bitsSeen += wantBits
+		}
+	}
+	if bitsSeen == 0 {
+		t.Fatal("no check left a variable outside its slice")
 	}
 }

@@ -219,7 +219,9 @@ func (t *Term) eqSelf(b *Builder) *Term { return b.Ule(t, t.maxConst(b)) }
 
 func (t *Term) maxConst(b *Builder) *Term { return b.Const(value.Ones(t.width)) }
 
-// Reference evaluator for the property test.
+// refEval is the memo-free reference evaluator: a plain recursion over
+// the term with variables read from env by name, unlisted ones zero.
+// Boolean terms evaluate to a 1-bit vector and report true.
 func refEval(t *Term, env map[string]value.V) (value.V, bool) {
 	switch t.op {
 	case OpBoolConst:
@@ -230,7 +232,10 @@ func refEval(t *Term, env map[string]value.V) (value.V, bool) {
 	case OpBVConst:
 		return t.val, false
 	case OpBVVar:
-		return env[t.name], false
+		if v, ok := env[t.name]; ok {
+			return v, false
+		}
+		return value.Zero(t.width), false
 	}
 	kid := func(i int) value.V { v, _ := refEval(t.kids[i], env); return v }
 	kidB := func(i int) bool { v, _ := refEval(t.kids[i], env); return !v.IsZero() }
@@ -278,6 +283,8 @@ func refEval(t *Term, env map[string]value.V) (value.V, bool) {
 		return kid(0).Shl(int(kid(1).Uint64())), false
 	case OpBVShr:
 		return kid(0).Shr(int(kid(1).Uint64())), false
+	case OpBVZext, OpBVTrunc:
+		return kid(0).WithWidth(t.width), false
 	}
 	panic("refEval: bad op")
 }

@@ -21,10 +21,14 @@ type Solver struct {
 	asserted []*Term
 
 	// Slice-restricted solving state (see slice.go).
-	lazy        []lazyAssert
-	bg          *Model
-	varUniverse map[*Term]bool // support union of every assertion
-	lastSlice   map[*Term]bool // slice of the last Sat check (nil = full)
+	lazy         []lazyAssert
+	bg           *Model
+	universe     termSet      // support union of every assertion...
+	universeVars []*Term      // ...and its members, in insertion order
+	seen         termSet      // varSupport's visited set
+	slice        termSet      // variables of the last CheckSliced's slice
+	sliced       bool         // the last check was a Sat sliced check
+	eval         *evalScratch // shared by every Model of this solver
 
 	// NumClauses counts Tseitin clauses emitted (benchmark metric).
 	NumClauses int
@@ -44,15 +48,18 @@ type Solver struct {
 	SlicedBits    int
 }
 
-// NewSolver returns a solver sharing the builder's terms.
+// NewSolver returns a solver sharing the builder's terms. Every term
+// handed to the solver must come from that builder: its slicing sets
+// are indexed by term ID.
 func NewSolver(b *Builder) *Solver {
 	s := &Solver{
-		b:           b,
-		sat:         sat.New(),
-		bvBits:      map[*Term][]sat.Lit{},
-		boolLits:    map[*Term]sat.Lit{},
-		varUniverse: map[*Term]bool{},
+		b:        b,
+		sat:      sat.New(),
+		bvBits:   map[*Term][]sat.Lit{},
+		boolLits: map[*Term]sat.Lit{},
+		eval:     &evalScratch{b: b},
 	}
+	s.universe.reset() // grow-only: one epoch for the solver's life
 	v := s.sat.NewVar()
 	s.trueLit = sat.MkLit(v, false)
 	s.addClause(s.trueLit)
@@ -319,7 +326,7 @@ func (s *Solver) AssertedTerms() []*Term { return s.asserted }
 // Check decides the asserted formula.
 func (s *Solver) Check() sat.Result {
 	s.NumChecks++
-	s.lastSlice = nil
+	s.sliced = false
 	return s.sat.Solve(s.activateAll()...)
 }
 
@@ -327,7 +334,7 @@ func (s *Solver) Check() sat.Result {
 // boolean terms, without making them permanent.
 func (s *Solver) CheckAssuming(terms ...*Term) sat.Result {
 	s.NumChecks++
-	s.lastSlice = nil
+	s.sliced = false
 	lits := s.activateAll()
 	for _, t := range terms {
 		lits = append(lits, s.BlastBool(t))
@@ -345,10 +352,10 @@ func (s *Solver) ValueBV(t *Term) value.V {
 	switch {
 	case t.op == OpBVConst:
 		return t.val
-	case s.lastSlice == nil:
+	case !s.sliced:
 	case t.op != OpBVVar:
 		return Eval(s.Model(), t)
-	case !s.lastSlice[t]:
+	case !s.slice.has(t):
 		return s.bg.Var(t)
 	}
 	bits, ok := s.bvBits[t]
@@ -368,7 +375,7 @@ func (s *Solver) ValueBV(t *Term) value.V {
 // After a sliced check it is evaluated under the completed model, as in
 // ValueBV.
 func (s *Solver) ValueBool(t *Term) bool {
-	if s.lastSlice != nil {
+	if s.sliced {
 		return EvalBool(s.Model(), t)
 	}
 	l, ok := s.boolLits[t]

@@ -435,6 +435,21 @@ type DataPlaneOptions struct {
 	CoverageMap *coverage.Map
 }
 
+// GenOptions returns the generator options of a round run with these
+// options: the coverage mode's structural goals plus the enriched goals,
+// the per-goal cache, and the preflight's unreachable tables (dead)
+// decided without a check. RunDataPlane generates with exactly these;
+// p4symbolic starts from them, so both report the same goals, checks
+// and packets on the same entries.
+func (o DataPlaneOptions) GenOptions(dead map[string]bool) symbolic.GenOptions {
+	return symbolic.GenOptions{
+		Mode:              o.Coverage,
+		Enriched:          true,
+		Cache:             o.Cache,
+		UnreachableTables: dead,
+	}
+}
+
 // maxBehaviors bounds the simulator behavior-set loop.
 const maxBehaviors = 32
 
@@ -510,12 +525,7 @@ func (h *Harness) RunDataPlane(entries []*pdpi.Entry, opts DataPlaneOptions) (*D
 	// Constraints"), via the parallel, solve-avoiding generator.
 	prog := h.Info.Program()
 	genStart := time.Now()
-	gen, err := symbolic.NewGenerator(prog, store, symbolic.Options{}, symbolic.GenOptions{
-		Mode:              opts.Coverage,
-		Enriched:          true,
-		Cache:             opts.Cache,
-		UnreachableTables: dead,
-	})
+	gen, err := symbolic.NewGenerator(prog, store, symbolic.Options{}, opts.GenOptions(dead))
 	if err != nil {
 		return rep, err
 	}

@@ -1,6 +1,9 @@
 package symbolic
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"maps"
 	"runtime"
@@ -22,11 +25,29 @@ func renderPackets(pkts []TestPacket) string {
 	return sb.String()
 }
 
+// generationDigest pins a generation's whole output: the first 16 hex
+// digits of a SHA-256 over every packet (goal key, port and bytes, in
+// canonical order) followed by the Report's JSON. A change that moves
+// it changes a packet or a counter (SAT search, CNF, slicing, pruning);
+// one that only changes how fast they are computed leaves it alone.
+func generationDigest(t *testing.T, pkts []TestPacket, rep Report) string {
+	t.Helper()
+	js, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	h.Write([]byte(renderPackets(pkts)))
+	h.Write(js)
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
 // TestGeneratorWorkerCountInvariant is the determinism contract: Run
 // solves up to GOMAXPROCS shards at once, and the packet set AND the
 // report must be bit-identical whatever that count is. Both workloads
 // reach the sharded phase with at least two shards, so at GOMAXPROCS 2
-// and 4 shard solvers really do run concurrently.
+// and 4 shard solvers really do run concurrently. The GOMAXPROCS-1 run
+// must also match its pinned generationDigest.
 func TestGeneratorWorkerCountInvariant(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	routing := models.Middleblock()
@@ -40,13 +61,14 @@ func TestGeneratorWorkerCountInvariant(t *testing.T) {
 		}
 	}
 	for _, c := range []struct {
-		name  string
-		prog  *ir.Program
-		store *pdpi.Store
-		gopts GenOptions
+		name   string
+		prog   *ir.Program
+		store  *pdpi.Store
+		gopts  GenOptions
+		digest string
 	}{
-		{"routing", routing, routingStore, GenOptions{Mode: CoverBranches, Enriched: true, DisableWitness: true}},
-		{"wan-300", wan, wanStore, GenOptions{Mode: CoverEntries, Enriched: true}},
+		{"routing", routing, routingStore, GenOptions{Mode: CoverBranches, Enriched: true, DisableWitness: true}, "45e1740aa5486339"},
+		{"wan-300", wan, wanStore, GenOptions{Mode: CoverEntries, Enriched: true}, "d1316aec37b87d8f"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var p1 string
@@ -62,6 +84,9 @@ func TestGeneratorWorkerCountInvariant(t *testing.T) {
 				}
 				if procs == 1 {
 					p1, r1 = renderPackets(pkts), rep
+					if got := generationDigest(t, pkts, rep); got != c.digest {
+						t.Errorf("generation digest %s, want %s", got, c.digest)
+					}
 					continue
 				}
 				if renderPackets(pkts) != p1 {
@@ -199,7 +224,9 @@ func TestGeneratorPerGoalCache(t *testing.T) {
 //   - pruning and witnesses avoid at least 40% of the serial path's one
 //     check per goal;
 //   - slicing changes no verdict: the covered goal set is identical with
-//     DisableSlicing.
+//     DisableSlicing;
+//   - the sliced run's packets and report match a pinned
+//     generationDigest.
 //
 // Both sets reach the sharded phase with one shard, so the worker-count
 // identity is held on other workloads by
@@ -210,9 +237,10 @@ func TestGenerationGates(t *testing.T) {
 	for _, c := range []struct {
 		entries                                    int
 		smtChecks, pruned, witnessed, witnessUnsat int
+		digest                                     string
 	}{
-		{150, 16, 80, 96, 1},
-		{798, 17, 271, 548, 5},
+		{150, 16, 80, 96, 1, "02e0481881dd341f"},
+		{798, 17, 271, 548, 5, "42d101aff32d6099"},
 	} {
 		t.Run(fmt.Sprint(c.entries), func(t *testing.T) {
 			store := pdpi.NewStore()
@@ -239,6 +267,9 @@ func TestGenerationGates(t *testing.T) {
 			}
 			if lim := r1.Goals * 6 / 10; r1.SMTChecks > lim {
 				t.Errorf("%d SMT checks for %d goals, want <= %d", r1.SMTChecks, r1.Goals, lim)
+			}
+			if got := generationDigest(t, p1, r1); got != c.digest {
+				t.Errorf("generation digest %s, want %s", got, c.digest)
 			}
 
 			pu, ru := run(GenOptions{DisableSlicing: true})

@@ -576,7 +576,7 @@ func zeroSeed(ex *Executor) *smt.Model {
 			vars[ex.inputs[f.ID]] = value.New(1, 1)
 		}
 	}
-	return smt.NewModel(vars)
+	return ex.solver.NewModel(vars)
 }
 
 // witnessPass drives the solver-free pre-pass over the goal universe.
