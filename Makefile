@@ -67,12 +67,15 @@ daemon-smoke:
 # interpreter-vs-compiled engine fuzzer (arbitrary frames must produce
 # bit-identical outcomes), the witness-vs-solver generation fuzzer
 # (fuzzed workloads must reach identical per-goal verdicts with and
-# without the solver-free pre-pass), and the sliced-vs-full-blast fuzzer
-# (cone-of-influence slice restriction must never flip a verdict).
+# without the solver-free pre-pass), the sliced-vs-full-blast fuzzer
+# (cone-of-influence slice restriction must never flip a verdict), and
+# the p4rt WriteRequest decoder fuzzer (arbitrary bytes must not panic
+# it, and a decoded request must survive a re-encode unchanged).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDifferentialEngines' -fuzztime 10s ./internal/p4/compile
 	$(GO) test -run '^$$' -fuzz 'FuzzWitnessVsSolver' -fuzztime 10s ./internal/symbolic
 	$(GO) test -run '^$$' -fuzz 'FuzzSlicedVsFullBlast' -fuzztime 10s ./internal/symbolic
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeWriteRequest' -fuzztime 10s ./internal/p4rt
 
 # perfbench vets and tests the benchmark program. It is its own module
 # (perfbench/go.mod), so the root build and test targets never compile

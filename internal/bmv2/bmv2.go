@@ -92,9 +92,8 @@ type Simulator interface {
 
 // Interp interprets a compiled P4 model against installed entries.
 type Interp struct {
-	prog      *ir.Program
-	store     *pdpi.Store
-	hdrPrefix string
+	prog  *ir.Program
+	store *pdpi.Store
 
 	// rr holds round-robin counters for selector-table entries (the
 	// configured stand-in for hashing, §5 "Hashing").
@@ -107,7 +106,7 @@ type Interp struct {
 // New builds a simulator over a program and an entry store. The store is
 // used by reference: callers may mutate it between runs.
 func New(prog *ir.Program, store *pdpi.Store) (*Interp, error) {
-	sim := &Interp{prog: prog, store: store, rr: map[string]int{}, hdrPrefix: headersPrefix(prog)}
+	sim := &Interp{prog: prog, store: store, rr: map[string]int{}}
 	var ok bool
 	get := func(name string) (*ir.Field, error) {
 		f, found := prog.FieldByName(name)

@@ -13,7 +13,6 @@ package bmv2
 
 import (
 	"fmt"
-	"strings"
 
 	"switchv/internal/p4/ir"
 	"switchv/internal/p4/value"
@@ -31,47 +30,30 @@ func newFieldSpace(prog *ir.Program) fieldSpace {
 	return fs
 }
 
-// headersPrefix returns the parameter name holding the header instances
-// (e.g. "headers"), derived from the first header instance path.
-func headersPrefix(prog *ir.Program) string {
-	if len(prog.HeaderInstances) == 0 {
-		return "headers"
-	}
-	path := prog.HeaderInstances[0].Path
-	if i := strings.IndexByte(path, '.'); i > 0 {
-		return path[:i]
-	}
-	return path
-}
-
-// setF assigns a field by canonical name if the model declares it.
+// setF assigns a field, by its name under the headers struct
+// ("ipv4.ttl"), if the model declares it.
 func (sim *Interp) setF(fs fieldSpace, name string, v uint64) {
-	if f, ok := sim.prog.FieldByName(name); ok {
+	if f, ok := sim.prog.HeaderField(name); ok {
 		fs[f.ID] = value.New(v, f.Width)
 	}
 }
 
 func (sim *Interp) setF128(fs fieldSpace, name string, hi, lo uint64) {
-	if f, ok := sim.prog.FieldByName(name); ok {
+	if f, ok := sim.prog.HeaderField(name); ok {
 		fs[f.ID] = value.New128(hi, lo, f.Width)
 	}
 }
 
 func (sim *Interp) getF(fs fieldSpace, name string) (value.V, bool) {
-	if f, ok := sim.prog.FieldByName(name); ok {
+	if f, ok := sim.prog.HeaderField(name); ok {
 		return fs[f.ID], true
 	}
 	return value.V{}, false
 }
 
 func (sim *Interp) hasInstance(name string) bool {
-	full := sim.hdrPrefix + "." + name
-	for _, hi := range sim.prog.HeaderInstances {
-		if hi.Path == full {
-			return true
-		}
-	}
-	return false
+	_, ok := sim.prog.HeaderField(name + ".$valid")
+	return ok
 }
 
 func be48(b []byte) uint64 {
@@ -87,7 +69,6 @@ func be48(b []byte) uint64 {
 // bytes (opaque to the model) are returned as payload.
 func (sim *Interp) parse(fs fieldSpace, data []byte) (payload []byte, err error) {
 	rest := data
-	p := sim.hdrPrefix
 
 	var eth packet.Ethernet
 	if !sim.hasInstance("ethernet") {
@@ -97,10 +78,10 @@ func (sim *Interp) parse(fs fieldSpace, data []byte) (payload []byte, err error)
 	if err != nil {
 		return nil, err
 	}
-	sim.setF(fs, p+".ethernet.$valid", 1)
-	sim.setF(fs, p+".ethernet.dst_addr", be48(eth.DstMAC[:]))
-	sim.setF(fs, p+".ethernet.src_addr", be48(eth.SrcMAC[:]))
-	sim.setF(fs, p+".ethernet.ether_type", uint64(eth.EtherType))
+	sim.setF(fs, "ethernet.$valid", 1)
+	sim.setF(fs, "ethernet.dst_addr", be48(eth.DstMAC[:]))
+	sim.setF(fs, "ethernet.src_addr", be48(eth.SrcMAC[:]))
+	sim.setF(fs, "ethernet.ether_type", uint64(eth.EtherType))
 
 	etherType := eth.EtherType
 	if etherType == packet.EtherTypeVLAN && sim.hasInstance("vlan") {
@@ -109,15 +90,15 @@ func (sim *Interp) parse(fs fieldSpace, data []byte) (payload []byte, err error)
 		if err != nil {
 			return nil, err
 		}
-		sim.setF(fs, p+".vlan.$valid", 1)
-		sim.setF(fs, p+".vlan.priority", uint64(vlan.Priority))
+		sim.setF(fs, "vlan.$valid", 1)
+		sim.setF(fs, "vlan.priority", uint64(vlan.Priority))
 		de := uint64(0)
 		if vlan.DropElig {
 			de = 1
 		}
-		sim.setF(fs, p+".vlan.drop_eligible", de)
-		sim.setF(fs, p+".vlan.vlan_id", uint64(vlan.VLANID))
-		sim.setF(fs, p+".vlan.ether_type", uint64(vlan.EtherType))
+		sim.setF(fs, "vlan.drop_eligible", de)
+		sim.setF(fs, "vlan.vlan_id", uint64(vlan.VLANID))
+		sim.setF(fs, "vlan.ether_type", uint64(vlan.EtherType))
 		etherType = vlan.EtherType
 	}
 
@@ -131,10 +112,10 @@ func (sim *Interp) parse(fs fieldSpace, data []byte) (payload []byte, err error)
 		if err != nil {
 			return nil, err
 		}
-		sim.setF(fs, p+".arp.$valid", 1)
-		sim.setF(fs, p+".arp.operation", uint64(arp.Operation))
-		sim.setF(fs, p+".arp.sender_ip", uint64(arp.SenderIP.Uint32()))
-		sim.setF(fs, p+".arp.target_ip", uint64(arp.TargetIP.Uint32()))
+		sim.setF(fs, "arp.$valid", 1)
+		sim.setF(fs, "arp.operation", uint64(arp.Operation))
+		sim.setF(fs, "arp.sender_ip", uint64(arp.SenderIP.Uint32()))
+		sim.setF(fs, "arp.target_ip", uint64(arp.TargetIP.Uint32()))
 		return rest, nil
 	case packet.EtherTypeIPv4:
 		return sim.parseIPv4(fs, rest, "ipv4")
@@ -149,13 +130,12 @@ func (sim *Interp) parseIPv4(fs fieldSpace, data []byte, instance string) ([]byt
 	if !sim.hasInstance(instance) {
 		return data, nil
 	}
-	p := sim.hdrPrefix
 	var ip packet.IPv4
 	rest, err := ip.DecodeFromBytes(data)
 	if err != nil {
 		return nil, err
 	}
-	base := p + "." + instance
+	base := instance
 	sim.setF(fs, base+".$valid", 1)
 	sim.setF(fs, base+".dscp", uint64(ip.DSCP()))
 	sim.setF(fs, base+".ecn", uint64(ip.TOS&0x3))
@@ -180,13 +160,12 @@ func (sim *Interp) parseIPv6(fs fieldSpace, data []byte) ([]byte, error) {
 	if !sim.hasInstance("ipv6") {
 		return data, nil
 	}
-	p := sim.hdrPrefix
 	var ip packet.IPv6
 	rest, err := ip.DecodeFromBytes(data)
 	if err != nil {
 		return nil, err
 	}
-	base := p + ".ipv6"
+	base := "ipv6"
 	sim.setF(fs, base+".$valid", 1)
 	sim.setF(fs, base+".dscp", uint64(ip.DSCP()))
 	sim.setF(fs, base+".ecn", uint64(ip.TrafficClass&0x3))
@@ -212,14 +191,13 @@ func (sim *Interp) parseGRE(fs fieldSpace, data []byte) ([]byte, error) {
 	if !sim.hasInstance("gre") {
 		return data, nil
 	}
-	p := sim.hdrPrefix
 	var gre packet.GRE
 	rest, err := gre.DecodeFromBytes(data)
 	if err != nil {
 		return nil, err
 	}
-	sim.setF(fs, p+".gre.$valid", 1)
-	sim.setF(fs, p+".gre.protocol", uint64(gre.Protocol))
+	sim.setF(fs, "gre.$valid", 1)
+	sim.setF(fs, "gre.protocol", uint64(gre.Protocol))
 	if gre.Protocol == packet.EtherTypeIPv4 {
 		return sim.parseIPv4(fs, rest, "inner_ipv4")
 	}
@@ -230,7 +208,6 @@ func (sim *Interp) parseGRE(fs fieldSpace, data []byte) ([]byte, error) {
 // not fail the parse: the remaining bytes stay opaque payload and the L4
 // header simply stays invalid, as in a real parser's accept-on-short path.
 func (sim *Interp) parseL4(fs fieldSpace, data []byte, proto uint8) ([]byte, error) {
-	p := sim.hdrPrefix
 	switch proto {
 	case packet.IPProtocolTCP:
 		if !sim.hasInstance("tcp") {
@@ -241,10 +218,10 @@ func (sim *Interp) parseL4(fs fieldSpace, data []byte, proto uint8) ([]byte, err
 		if err != nil {
 			return data, nil
 		}
-		sim.setF(fs, p+".tcp.$valid", 1)
-		sim.setF(fs, p+".tcp.src_port", uint64(tcp.SrcPort))
-		sim.setF(fs, p+".tcp.dst_port", uint64(tcp.DstPort))
-		sim.setF(fs, p+".tcp.flags", uint64(tcp.Flags))
+		sim.setF(fs, "tcp.$valid", 1)
+		sim.setF(fs, "tcp.src_port", uint64(tcp.SrcPort))
+		sim.setF(fs, "tcp.dst_port", uint64(tcp.DstPort))
+		sim.setF(fs, "tcp.flags", uint64(tcp.Flags))
 		return rest, nil
 	case packet.IPProtocolUDP:
 		if !sim.hasInstance("udp") {
@@ -255,9 +232,9 @@ func (sim *Interp) parseL4(fs fieldSpace, data []byte, proto uint8) ([]byte, err
 		if err != nil {
 			return data, nil
 		}
-		sim.setF(fs, p+".udp.$valid", 1)
-		sim.setF(fs, p+".udp.src_port", uint64(udp.SrcPort))
-		sim.setF(fs, p+".udp.dst_port", uint64(udp.DstPort))
+		sim.setF(fs, "udp.$valid", 1)
+		sim.setF(fs, "udp.src_port", uint64(udp.SrcPort))
+		sim.setF(fs, "udp.dst_port", uint64(udp.DstPort))
 		return rest, nil
 	case packet.IPProtocolICMPv4, packet.IPProtocolICMPv6:
 		if !sim.hasInstance("icmp") {
@@ -268,9 +245,9 @@ func (sim *Interp) parseL4(fs fieldSpace, data []byte, proto uint8) ([]byte, err
 		if err != nil {
 			return data, nil
 		}
-		sim.setF(fs, p+".icmp.$valid", 1)
-		sim.setF(fs, p+".icmp.type", uint64(ic.Type))
-		sim.setF(fs, p+".icmp.code", uint64(ic.Code))
+		sim.setF(fs, "icmp.$valid", 1)
+		sim.setF(fs, "icmp.type", uint64(ic.Type))
+		sim.setF(fs, "icmp.code", uint64(ic.Code))
 		return rest, nil
 	default:
 		return data, nil
@@ -280,13 +257,12 @@ func (sim *Interp) parseL4(fs fieldSpace, data []byte, proto uint8) ([]byte, err
 // deparse reconstructs packet bytes from the field space plus the opaque
 // payload preserved by parse. Lengths and checksums are recomputed.
 func (sim *Interp) deparse(fs fieldSpace, payload []byte) ([]byte, error) {
-	p := sim.hdrPrefix
 	valid := func(instance string) bool {
-		v, ok := sim.getF(fs, p+"."+instance+".$valid")
+		v, ok := sim.getF(fs, instance+".$valid")
 		return ok && !v.IsZero()
 	}
 	get := func(name string) uint64 {
-		v, _ := sim.getF(fs, p+"."+name)
+		v, _ := sim.getF(fs, name)
 		return v.Uint64()
 	}
 
@@ -343,9 +319,9 @@ func (sim *Interp) deparse(fs fieldSpace, payload []byte) ([]byte, error) {
 	}
 	isV6 := false
 	if valid("ipv6") {
-		f, _ := sim.prog.FieldByName(p + ".ipv6.src_addr")
+		f, _ := sim.prog.HeaderField("ipv6.src_addr")
 		src := fs[f.ID]
-		f, _ = sim.prog.FieldByName(p + ".ipv6.dst_addr")
+		f, _ = sim.prog.HeaderField("ipv6.dst_addr")
 		dst := fs[f.ID]
 		ip := &packet.IPv6{
 			TrafficClass: uint8(get("ipv6.dscp"))<<2 | uint8(get("ipv6.ecn")),
@@ -396,7 +372,7 @@ func DeparseFields(prog *ir.Program, fields []value.V, payload []byte) ([]byte, 
 	if len(fields) != len(prog.Fields) {
 		return nil, fmt.Errorf("bmv2: got %d field values for %d fields", len(fields), len(prog.Fields))
 	}
-	sim := &Interp{prog: prog, hdrPrefix: headersPrefix(prog)}
+	sim := &Interp{prog: prog}
 	return sim.deparse(fieldSpace(fields), payload)
 }
 
@@ -405,7 +381,7 @@ func DeparseFields(prog *ir.Program, fields []value.V, payload []byte) ([]byte, 
 // The SwitchV harness uses this to compare switch and simulator outputs
 // on model-visible fields only.
 func ParseFields(prog *ir.Program, data []byte) ([]value.V, []byte, error) {
-	sim := &Interp{prog: prog, hdrPrefix: headersPrefix(prog)}
+	sim := &Interp{prog: prog}
 	fs := newFieldSpace(prog)
 	payload, err := sim.parse(fs, data)
 	return fs, payload, err

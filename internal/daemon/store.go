@@ -107,12 +107,18 @@ func writeJSON(path string, v any) error {
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
+	return writeFile(path, data)
+}
+
+// writeFile atomically replaces path with data and a closing newline: it
+// writes a temporary file beside path and renames it over path, so a
+// reader sees the old document or the new one, never a torn one.
+func writeFile(path string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)
@@ -226,13 +232,7 @@ func (s *Store) SaveReport(target string, round int, rep *switchv.CanonicalRepor
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	path := filepath.Join(s.roundDir(target, round), "report.json")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return writeFile(filepath.Join(s.roundDir(target, round), "report.json"), data)
 }
 
 // LoadReport returns the round's canonical report, or nil before the
@@ -287,13 +287,7 @@ func (s *Store) SaveRecords(records []bugdb.Record) error {
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	path := filepath.Join(s.dir, "incidents.json")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return writeFile(filepath.Join(s.dir, "incidents.json"), data)
 }
 
 // LoadHistory returns a target's persisted status (zero value if new).

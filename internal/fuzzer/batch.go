@@ -58,24 +58,17 @@ func (f *Fuzzer) NextBatch() (p4rt.WriteRequest, []GeneratedUpdate, error) {
 	return req, meta, nil
 }
 
-// refKey names one referenceable key value: "table\x00field\x00value".
-type refKey string
-
-func mkRefKey(table, field, value string) refKey {
-	return refKey(table + "\x00" + field + "\x00" + value)
-}
-
 type batchTracker struct {
-	entryKeys map[string]bool // entry keys touched in this batch
-	provided  map[refKey]bool // key values added/removed by batch updates
-	referred  map[refKey]bool // references made by batch updates
+	entryKeys map[string]bool         // entry keys touched in this batch
+	provided  map[pdpi.Reference]bool // key values added/removed by batch updates
+	referred  map[pdpi.Reference]bool // references made by batch updates
 }
 
 func newBatchTracker() *batchTracker {
 	return &batchTracker{
 		entryKeys: map[string]bool{},
-		provided:  map[refKey]bool{},
-		referred:  map[refKey]bool{},
+		provided:  map[pdpi.Reference]bool{},
+		referred:  map[pdpi.Reference]bool{},
 	}
 }
 
@@ -84,7 +77,7 @@ func newBatchTracker() *batchTracker {
 // references it makes (@refers_to values in keys and action params).
 type updateFacts struct {
 	entryKey         string
-	provides, refers []refKey
+	provides, refers []pdpi.Reference
 }
 
 // decompose extracts an update's facts; it reports false for an update
@@ -96,36 +89,19 @@ func (f *Fuzzer) decompose(u *p4rt.Update) (updateFacts, bool) {
 	}
 	facts := updateFacts{entryKey: e.Key()}
 	for _, m := range e.Matches {
-		facts.provides = append(facts.provides, mkRefKey(e.Table.Name, m.Key, m.Value.String()))
+		facts.provides = append(facts.provides, pdpi.Reference{Table: e.Table.Name, Field: m.Key, Value: m.Value})
 	}
-	collectInv := func(inv *pdpi.ActionInvocation) {
-		for i, p := range inv.Action.Params {
-			if p.RefersTo != nil && i < len(inv.Args) {
-				facts.refers = append(facts.refers, mkRefKey(p.RefersTo.Table, p.RefersTo.Field, inv.Args[i].String()))
-			}
-		}
+	refer := func(r pdpi.Reference) bool {
+		facts.refers = append(facts.refers, r)
+		return true
 	}
-	for _, m := range e.Matches {
-		if k, found := e.Table.KeyByName(m.Key); found && k.RefersTo != nil {
-			facts.refers = append(facts.refers, mkRefKey(k.RefersTo.Table, k.RefersTo.Field, m.Value.String()))
-		}
-	}
-	if e.Action != nil {
-		collectInv(e.Action)
-	}
-	for i := range e.ActionSet {
-		collectInv(&e.ActionSet[i].ActionInvocation)
-	}
+	e.References(refer)
 	// A MODIFY also releases the references its old action held, so a
 	// batch-mate deleting one of those targets would be order-dependent.
+	// (The old entry's key references are the new entry's.)
 	if u.Type == p4rt.Modify {
 		if old, ok := f.installed.Get(e); ok {
-			if old.Action != nil {
-				collectInv(old.Action)
-			}
-			for i := range old.ActionSet {
-				collectInv(&old.ActionSet[i].ActionInvocation)
-			}
+			old.References(refer)
 		}
 	}
 	return facts, true

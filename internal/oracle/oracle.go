@@ -12,7 +12,6 @@ package oracle
 
 import (
 	"fmt"
-	"strings"
 
 	"switchv/internal/coverage"
 	"switchv/internal/p4/constraints"
@@ -128,7 +127,8 @@ func (o *Oracle) State() *pdpi.Store { return o.state }
 // @refers_to referential integrity, applicability, and resource
 // guarantees.
 func (o *Oracle) Classify(state *pdpi.Store, u *p4rt.Update) (Verdict, string) {
-	return o.classify(state, buildRefIndex(o.info, state), u.Type, o.decode(&u.Entry))
+	v, r := o.classify(state, buildRefIndex(o.info, state), u.Type, o.decode(&u.Entry))
+	return v, r.msg
 }
 
 // decoded is one wire entry decoded once: the semantic entry and its
@@ -155,105 +155,92 @@ func (d decoded) table() string {
 	return d.e.Table.Name
 }
 
-func (o *Oracle) classify(state *pdpi.Store, idx refIndex, typ p4rt.UpdateType, d decoded) (Verdict, string) {
+// reason is why an update gets its verdict: the message a violation
+// quotes, whether the verdict depends on the switch's entries (so the
+// order the switch executes a batch in can change it), and the status
+// code the specification requires when the switch rejects the update
+// (OK when it requires none).
+type reason struct {
+	msg   string
+	state bool
+	code  p4rt.Code
+}
+
+// The fixed reasons. Each depends on the switch's entries, and so does
+// every accept: whether an update applies depends on what is installed.
+var (
+	accept        = reason{state: true}
+	alreadyExists = reason{"entry already exists", true, p4rt.AlreadyExists}
+	beyondSize    = reason{msg: "table beyond guaranteed size", state: true}
+	modifyMissing = reason{"modify of non-existent entry", true, p4rt.NotFound}
+	deleteMissing = reason{"delete of non-existent entry", true, p4rt.NotFound}
+	wouldDangle   = reason{msg: "delete would dangle references", state: true}
+)
+
+func (o *Oracle) classify(state *pdpi.Store, idx refIndex, typ p4rt.UpdateType, d decoded) (Verdict, reason) {
 	if d.err != nil {
-		return MustReject, fmt.Sprintf("syntactically invalid: %v", d.err)
+		return MustReject, reason{msg: fmt.Sprintf("syntactically invalid: %v", d.err)}
 	}
 	e := d.e
 	ok, err := constraints.CheckEntry(e)
 	if err != nil {
-		return MustReject, fmt.Sprintf("constraint error: %v", err)
+		return MustReject, reason{msg: fmt.Sprintf("constraint error: %v", err)}
 	}
 	if !ok {
-		return MustReject, fmt.Sprintf("violates @entry_restriction of %s", e.Table.Name)
+		return MustReject, reason{msg: fmt.Sprintf("violates @entry_restriction of %s", e.Table.Name)}
 	}
 	if typ != p4rt.Delete {
-		if msg, bad := o.danglingReference(state, e); bad {
-			return MustReject, msg
+		// Every @refers_to value of e must resolve in state.
+		var r pdpi.Reference
+		resolved := true
+		e.References(func(ref pdpi.Reference) bool {
+			for _, target := range state.Entries(ref.Table) {
+				if m, ok := target.Match(ref.Field); ok && m.Value.Equal(ref.Value) {
+					return true
+				}
+			}
+			r, resolved = ref, false
+			return false
+		})
+		if !resolved {
+			return MustReject, reason{msg: fmt.Sprintf("reference to %s.%s = %s does not resolve", r.Table, r.Field, r.Value), state: true}
 		}
 	}
 	installed, exists := state.GetKey(e.Table.Name, d.key)
 	switch typ {
 	case p4rt.Insert:
 		if exists {
-			return MustReject, "entry already exists"
+			return MustReject, alreadyExists
 		}
 		if state.TableLen(e.Table.Name) >= e.Table.Size {
-			return MayReject, "table beyond guaranteed size"
+			return MayReject, beyondSize
 		}
-		return MustAccept, ""
+		return MustAccept, accept
 	case p4rt.Modify:
 		if !exists {
-			return MustReject, "modify of non-existent entry"
+			return MustReject, modifyMissing
 		}
-		return MustAccept, ""
+		return MustAccept, accept
 	case p4rt.Delete:
 		if !exists {
-			return MustReject, "delete of non-existent entry"
+			return MustReject, deleteMissing
 		}
 		// Deleting an entry that other installed entries reference would
 		// dangle their @refers_to values; referential integrity requires
 		// rejection (§3 "P4-Constraints").
 		if idx.breaksReferents(state, installed) {
-			return MustReject, "delete would dangle references"
+			return MustReject, wouldDangle
 		}
-		return MustAccept, ""
+		return MustAccept, accept
 	default:
-		return MustReject, fmt.Sprintf("unknown update type %d", typ)
+		return MustReject, reason{msg: fmt.Sprintf("unknown update type %d", typ)}
 	}
 }
 
-// danglingReference checks that every @refers_to value of e resolves in
-// state.
-func (o *Oracle) danglingReference(state *pdpi.Store, e *pdpi.Entry) (string, bool) {
-	check := func(ref *pRef, v refValue) (string, bool) {
-		for _, target := range state.Entries(ref.table) {
-			if m, ok := target.Match(ref.field); ok && m.Value.Equal(v.v) {
-				return "", false
-			}
-		}
-		return fmt.Sprintf("reference to %s.%s = %s does not resolve", ref.table, ref.field, v.v), true
-	}
-	for _, m := range e.Matches {
-		k, ok := e.Table.KeyByName(m.Key)
-		if !ok || k.RefersTo == nil {
-			continue
-		}
-		if msg, bad := check(&pRef{k.RefersTo.Table, k.RefersTo.Field}, refValue{m.Value}); bad {
-			return msg, true
-		}
-	}
-	invs := []*pdpi.ActionInvocation{}
-	if e.Action != nil {
-		invs = append(invs, e.Action)
-	}
-	for i := range e.ActionSet {
-		invs = append(invs, &e.ActionSet[i].ActionInvocation)
-	}
-	for _, inv := range invs {
-		for i, p := range inv.Action.Params {
-			if p.RefersTo == nil {
-				continue
-			}
-			if msg, bad := check(&pRef{p.RefersTo.Table, p.RefersTo.Field}, refValue{inv.Args[i]}); bad {
-				return msg, true
-			}
-		}
-	}
-	return "", false
-}
-
-type pRef struct{ table, field string }
-type refValue struct{ v value.V }
-
-// refIndex counts, for each (table, field, value) target, how many
-// installed entries reference it via @refers_to; it makes the
+// refIndex counts, for each referenced key value, how many installed
+// entries reference it via @refers_to; it makes the
 // referential-integrity-on-delete check cheap per update.
-type refIndex map[string]int
-
-func refIndexKey(table, field string, v value.V) string {
-	return table + "\x00" + field + "\x00" + v.String()
-}
+type refIndex map[pdpi.Reference]int
 
 // buildRefIndex scans a state once.
 func buildRefIndex(info *p4info.Info, state *pdpi.Store) refIndex {
@@ -269,32 +256,14 @@ func buildRefIndex(info *p4info.Info, state *pdpi.Store) refIndex {
 // add adds delta to the count of every reference e holds, and deletes
 // the counts that reach zero.
 func (idx refIndex) add(e *pdpi.Entry, delta int) {
-	bump := func(table, field string, v value.V) {
-		k := refIndexKey(table, field, v)
-		if n := idx[k] + delta; n != 0 {
-			idx[k] = n
+	e.References(func(r pdpi.Reference) bool {
+		if n := idx[r] + delta; n != 0 {
+			idx[r] = n
 		} else {
-			delete(idx, k)
+			delete(idx, r)
 		}
-	}
-	for _, m := range e.Matches {
-		if k, ok := e.Table.KeyByName(m.Key); ok && k.RefersTo != nil {
-			bump(k.RefersTo.Table, k.RefersTo.Field, m.Value)
-		}
-	}
-	invocation := func(inv *pdpi.ActionInvocation) {
-		for i, p := range inv.Action.Params {
-			if p.RefersTo != nil && i < len(inv.Args) {
-				bump(p.RefersTo.Table, p.RefersTo.Field, inv.Args[i])
-			}
-		}
-	}
-	if e.Action != nil {
-		invocation(e.Action)
-	}
-	for i := range e.ActionSet {
-		invocation(&e.ActionSet[i].ActionInvocation)
-	}
+		return true
+	})
 }
 
 // stateRefs returns the reference counts of the current state: the
@@ -322,7 +291,7 @@ func (idx refIndex) breaksReferents(state *pdpi.Store, e *pdpi.Entry) bool {
 		return false
 	}
 	for _, m := range e.Matches {
-		if idx[refIndexKey(e.Table.Name, m.Key, m.Value)] > 0 && !stillCovered(m.Key, m.Value) {
+		if idx[pdpi.Reference{Table: e.Table.Name, Field: m.Key, Value: m.Value}] > 0 && !stillCovered(m.Key, m.Value) {
 			return true
 		}
 	}
@@ -368,16 +337,14 @@ func (o *Oracle) CheckBatch(req p4rt.WriteRequest, resp p4rt.WriteResponse, obse
 		}
 	}
 	idx := o.stateRefs()
-	whys := make([]string, len(req.Updates))
+	whys := make([]reason, len(req.Updates))
 	for i := range req.Updates {
 		u, d := &req.Updates[i], updates[i]
 		verdict, why := o.classify(o.state, idx, u.Type, d)
-		if verdict != MustReject || isStateDependent(why) {
-			// Syntactic/constraint invalidity is order-independent; only
-			// state-dependent verdicts are affected by batch collisions.
-			if d.err == nil && keyCount[d.key] > 1 {
-				verdict = MayReject
-			}
+		// Syntactic/constraint invalidity is order-independent; only
+		// state-dependent verdicts are affected by batch collisions.
+		if why.state && keyCount[d.key] > 1 {
+			verdict = MayReject
 		}
 		// Several inserts into a near-full table may exceed capacity
 		// depending on execution order; only guarantee acceptance when the
@@ -415,15 +382,15 @@ func (o *Oracle) CheckBatch(req p4rt.WriteRequest, resp p4rt.WriteResponse, obse
 				violations = append(violations, Violation{
 					UpdateIndex: i,
 					Kind:        "accepted-invalid",
-					Message:     fmt.Sprintf("switch accepted an update it must reject (%s)", why),
+					Message:     fmt.Sprintf("switch accepted an update it must reject (%s)", why.msg),
 				})
-			} else if want := expectedCode(why); want != p4rt.OK && resp.Statuses[i].Code != want {
+			} else if want := why.code; want != p4rt.OK && resp.Statuses[i].Code != want {
 				// The specification pins the status code for these
 				// rejections (e.g. ALREADY_EXISTS for duplicate inserts).
 				violations = append(violations, Violation{
 					UpdateIndex: i,
 					Kind:        "wrong-status-code",
-					Message:     fmt.Sprintf("rejected (%s) with %s, want %s", why, resp.Statuses[i].Code, want),
+					Message:     fmt.Sprintf("rejected (%s) with %s, want %s", why.msg, resp.Statuses[i].Code, want),
 				})
 			}
 		case MustAccept:
@@ -606,32 +573,4 @@ func (o *Oracle) decodeRead(te *p4rt.TableEntry, next map[string]*seenEntry, wir
 	}
 	next[s.wire] = s
 	return s, wire
-}
-
-// isStateDependent reports whether a must-reject reason depends on the
-// switch's current entries (and is therefore sensitive to batch ordering).
-func isStateDependent(why string) bool {
-	switch {
-	case strings.HasPrefix(why, "entry already exists"),
-		strings.HasPrefix(why, "delete of non-existent"),
-		strings.HasPrefix(why, "modify of non-existent"),
-		strings.HasPrefix(why, "delete would dangle"),
-		strings.Contains(why, "does not resolve"):
-		return true
-	}
-	return false
-}
-
-// expectedCode pins the status code the specification requires for a
-// rejection reason (OK = no specific code required).
-func expectedCode(why string) p4rt.Code {
-	switch {
-	case strings.HasPrefix(why, "entry already exists"):
-		return p4rt.AlreadyExists
-	case strings.HasPrefix(why, "delete of non-existent"),
-		strings.HasPrefix(why, "modify of non-existent"):
-		return p4rt.NotFound
-	default:
-		return p4rt.OK
-	}
 }

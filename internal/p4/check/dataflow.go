@@ -113,7 +113,7 @@ func isLocalMetadata(a *dataflow.Analysis, f *ir.Field) bool {
 	if strings.HasPrefix(f.Name, "standard_metadata.") {
 		return false
 	}
-	if p := a.Parser.Prefix; p != "" && strings.HasPrefix(f.Name, p+".") {
+	if p := a.Prog.HeadersPrefix(); p != "" && strings.HasPrefix(f.Name, p+".") {
 		return false
 	}
 	return true

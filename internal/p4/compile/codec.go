@@ -3,7 +3,6 @@ package compile
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
 
 	"switchv/internal/p4/ir"
 	"switchv/internal/p4/value"
@@ -18,10 +17,6 @@ import (
 // transport handling — replicates bmv2's parse/deparse exactly, which
 // the differential harness pins down.
 type codec struct {
-	hasEth, hasVlan, hasArp, hasGre bool
-	hasIPv4, hasInner, hasIPv6      bool
-	hasTCP, hasUDP, hasICMP         bool
-
 	ethValid, ethDst, ethSrc, ethType             fref
 	vlanValid, vlanPrio, vlanDE, vlanID, vlanType fref
 	arpValid, arpOp, arpSender, arpTarget         fref
@@ -45,26 +40,20 @@ type fref struct {
 	id, w int
 }
 
+// declared reports whether the model declares the field; for a validity
+// field, whether it declares the header instance.
+func (r fref) declared() bool { return r.id >= 0 }
+
 type ipv4Refs struct {
 	valid, dscp, ecn, ident, ttl, proto, src, dst fref
 }
 
 func newCodec(prog *ir.Program) *codec {
-	pfx := headersPrefix(prog)
 	ref := func(name string) fref {
-		if f, ok := prog.FieldByName(pfx + "." + name); ok {
+		if f, ok := prog.HeaderField(name); ok {
 			return fref{f.ID, f.Width}
 		}
 		return fref{-1, 0}
-	}
-	has := func(instance string) bool {
-		full := pfx + "." + instance
-		for _, hi := range prog.HeaderInstances {
-			if hi.Path == full {
-				return true
-			}
-		}
-		return false
 	}
 	ip4refs := func(instance string) ipv4Refs {
 		return ipv4Refs{
@@ -79,10 +68,6 @@ func newCodec(prog *ir.Program) *codec {
 		}
 	}
 	return &codec{
-		hasEth: has("ethernet"), hasVlan: has("vlan"), hasArp: has("arp"),
-		hasGre: has("gre"), hasIPv4: has("ipv4"), hasInner: has("inner_ipv4"),
-		hasIPv6: has("ipv6"), hasTCP: has("tcp"), hasUDP: has("udp"), hasICMP: has("icmp"),
-
 		ethValid: ref("ethernet.$valid"), ethDst: ref("ethernet.dst_addr"),
 		ethSrc: ref("ethernet.src_addr"), ethType: ref("ethernet.ether_type"),
 		vlanValid: ref("vlan.$valid"), vlanPrio: ref("vlan.priority"),
@@ -100,19 +85,6 @@ func newCodec(prog *ir.Program) *codec {
 		udpValid: ref("udp.$valid"), udpSrc: ref("udp.src_port"), udpDst: ref("udp.dst_port"),
 		icmpValid: ref("icmp.$valid"), icmpType: ref("icmp.type"), icmpCode: ref("icmp.code"),
 	}
-}
-
-// headersPrefix mirrors bmv2's: the parameter name holding the header
-// instances, from the first instance path.
-func headersPrefix(prog *ir.Program) string {
-	if len(prog.HeaderInstances) == 0 {
-		return "headers"
-	}
-	path := prog.HeaderInstances[0].Path
-	if i := strings.IndexByte(path, '.'); i > 0 {
-		return path[:i]
-	}
-	return path
 }
 
 func set(fs []value.V, r fref, v uint64) {
@@ -150,7 +122,7 @@ func be48(b []byte) uint64 {
 // opaque payload — the same layering walk as the interpreter's parse.
 func (c *codec) parse(fs []value.V, data []byte) (payload []byte, err error) {
 	rest := data
-	if !c.hasEth {
+	if !c.ethValid.declared() {
 		return rest, fmt.Errorf("model has no ethernet header instance")
 	}
 	var eth packet.Ethernet
@@ -164,7 +136,7 @@ func (c *codec) parse(fs []value.V, data []byte) (payload []byte, err error) {
 	set(fs, c.ethType, uint64(eth.EtherType))
 
 	etherType := eth.EtherType
-	if etherType == packet.EtherTypeVLAN && c.hasVlan {
+	if etherType == packet.EtherTypeVLAN && c.vlanValid.declared() {
 		var vlan packet.VLAN
 		rest, err = vlan.DecodeFromBytes(rest)
 		if err != nil {
@@ -184,7 +156,7 @@ func (c *codec) parse(fs []value.V, data []byte) (payload []byte, err error) {
 
 	switch etherType {
 	case packet.EtherTypeARP:
-		if !c.hasArp {
+		if !c.arpValid.declared() {
 			return rest, nil
 		}
 		var arp packet.ARP
@@ -211,7 +183,7 @@ func (c *codec) parseIPv4(fs []value.V, data []byte, inner bool) ([]byte, error)
 	if inner {
 		refs = &c.inner
 	}
-	if (inner && !c.hasInner) || (!inner && !c.hasIPv4) {
+	if !refs.valid.declared() {
 		return data, nil
 	}
 	var ip packet.IPv4
@@ -240,7 +212,7 @@ func (c *codec) parseIPv4(fs []value.V, data []byte, inner bool) ([]byte, error)
 }
 
 func (c *codec) parseIPv6(fs []value.V, data []byte) ([]byte, error) {
-	if !c.hasIPv6 {
+	if !c.ip6Valid.declared() {
 		return data, nil
 	}
 	var ip packet.IPv6
@@ -270,7 +242,7 @@ func (c *codec) parseIPv6(fs []value.V, data []byte) ([]byte, error) {
 }
 
 func (c *codec) parseGRE(fs []value.V, data []byte) ([]byte, error) {
-	if !c.hasGre {
+	if !c.greValid.declared() {
 		return data, nil
 	}
 	var gre packet.GRE
@@ -291,7 +263,7 @@ func (c *codec) parseGRE(fs []value.V, data []byte) ([]byte, error) {
 func (c *codec) parseL4(fs []value.V, data []byte, proto uint8) ([]byte, error) {
 	switch proto {
 	case packet.IPProtocolTCP:
-		if !c.hasTCP {
+		if !c.tcpValid.declared() {
 			return data, nil
 		}
 		var tcp packet.TCP
@@ -305,7 +277,7 @@ func (c *codec) parseL4(fs []value.V, data []byte, proto uint8) ([]byte, error) 
 		set(fs, c.tcpFlags, uint64(tcp.Flags))
 		return rest, nil
 	case packet.IPProtocolUDP:
-		if !c.hasUDP {
+		if !c.udpValid.declared() {
 			return data, nil
 		}
 		var udp packet.UDP
@@ -318,7 +290,7 @@ func (c *codec) parseL4(fs []value.V, data []byte, proto uint8) ([]byte, error) 
 		set(fs, c.udpDst, uint64(udp.DstPort))
 		return rest, nil
 	case packet.IPProtocolICMPv4, packet.IPProtocolICMPv6:
-		if !c.hasICMP {
+		if !c.icmpValid.declared() {
 			return data, nil
 		}
 		var ic packet.ICMPv4 // same leading layout as ICMPv6

@@ -129,9 +129,6 @@ func TestParserModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps := ParserOf(prog)
-	if ps.Prefix != "headers" {
-		t.Fatalf("prefix = %q", ps.Prefix)
-	}
 	if v := ps.Initial("headers.ethernet"); v != Valid {
 		t.Errorf("ethernet initial = %v", v)
 	}

@@ -1,10 +1,6 @@
 package dataflow
 
-import (
-	"strings"
-
-	"switchv/internal/p4/ir"
-)
+import "switchv/internal/p4/ir"
 
 // Validity is the header-validity lattice: Top (may or may not be valid)
 // above Valid and Invalid.
@@ -86,56 +82,39 @@ type Spec struct {
 }
 
 // parserChain is the fixed knowledge the reference parser (and the
-// symbolic executor's axioms) have about header instance names.
-var parserChain = map[string]Spec{
-	"ethernet":   {Role: RoleEthernet},
-	"vlan":       {Role: RoleVlan, EtherType: 0x8100},
-	"ipv4":       {Role: RoleL3, EtherType: 0x0800},
-	"ipv6":       {Role: RoleL3, EtherType: 0x86DD},
-	"arp":        {Role: RoleL3, EtherType: 0x0806},
-	"tcp":        {Role: RoleL4, Proto: 6, V6Next: 6},
-	"udp":        {Role: RoleL4, Proto: 17, V6Next: 17},
-	"icmp":       {Role: RoleL4, Proto: 1, V6Next: 58},
-	"gre":        {Role: RoleL4, Proto: 47, V6Next: -1},
-	"inner_ipv4": {Role: RoleInner},
-}
-
-// chainOrder fixes the parse order of the known headers, outermost
-// first — the deterministic iteration order for consumers that patch or
-// recompute validity along the chain.
-var chainOrder = []string{
-	"ethernet", "vlan", "ipv4", "ipv6", "arp",
-	"tcp", "udp", "icmp", "gre", "inner_ipv4",
+// symbolic executor's axioms) have about header instance names, in parse
+// order, outermost first: the deterministic iteration order for
+// consumers that patch or recompute validity along the chain.
+var parserChain = []Spec{
+	{Name: "ethernet", Role: RoleEthernet},
+	{Name: "vlan", Role: RoleVlan, EtherType: 0x8100},
+	{Name: "ipv4", Role: RoleL3, EtherType: 0x0800},
+	{Name: "ipv6", Role: RoleL3, EtherType: 0x86DD},
+	{Name: "arp", Role: RoleL3, EtherType: 0x0806},
+	{Name: "tcp", Role: RoleL4, Proto: 6, V6Next: 6},
+	{Name: "udp", Role: RoleL4, Proto: 17, V6Next: 17},
+	{Name: "icmp", Role: RoleL4, Proto: 1, V6Next: 58},
+	{Name: "gre", Role: RoleL4, Proto: 47, V6Next: -1},
+	{Name: "inner_ipv4", Role: RoleInner},
 }
 
 // Parser is the static model of the parser for one program: which of its
 // header instances the parser can reach and through which discriminator
 // fields.
 type Parser struct {
-	// Prefix is the headers struct parameter name (e.g. "headers"), ""
-	// when the program declares no header instances.
-	Prefix string
-	prog   *ir.Program
-	specs  map[string]Spec // header path -> spec
+	prog  *ir.Program
+	specs map[string]Spec // header path -> spec
+	chain []Spec          // the program's specs in parse order
 }
 
-// ParserOf builds the parser model for a program.
+// ParserOf builds the parser model for a program: a parserChain header
+// is known when the program declares it under its headers struct.
 func ParserOf(p *ir.Program) *Parser {
 	ps := &Parser{prog: p, specs: map[string]Spec{}}
-	if len(p.HeaderInstances) > 0 {
-		path := p.HeaderInstances[0].Path
-		if i := strings.IndexByte(path, '.'); i > 0 {
-			ps.Prefix = path[:i]
-		}
-	}
-	for _, hi := range p.HeaderInstances {
-		name := hi.Path
-		if ps.Prefix != "" {
-			name = strings.TrimPrefix(name, ps.Prefix+".")
-		}
-		if spec, ok := parserChain[name]; ok {
-			spec.Name = name
-			ps.specs[hi.Path] = spec
+	for _, spec := range parserChain {
+		if valid, ok := p.HeaderField(spec.Name + ".$valid"); ok {
+			ps.specs[valid.Header] = spec
+			ps.chain = append(ps.chain, spec)
 		}
 	}
 	return ps
@@ -143,18 +122,7 @@ func ParserOf(p *ir.Program) *Parser {
 
 // Chain lists the program's parser-known headers in parse order
 // (outermost first). The order is deterministic by construction.
-func (ps *Parser) Chain() []Spec {
-	var out []Spec
-	for _, name := range chainOrder {
-		if ps.Prefix == "" {
-			continue
-		}
-		if s, ok := ps.specs[ps.Prefix+"."+name]; ok {
-			out = append(out, s)
-		}
-	}
-	return out
-}
+func (ps *Parser) Chain() []Spec { return ps.chain }
 
 // Spec returns the parser spec for a header path.
 func (ps *Parser) Spec(header string) (Spec, bool) {
@@ -182,11 +150,6 @@ func (ps *Parser) Initial(header string) Validity {
 	return Top
 }
 
-// field resolves "name" under the headers prefix.
-func (ps *Parser) field(name string) (*ir.Field, bool) {
-	return ps.prog.FieldByName(ps.Prefix + "." + name)
-}
-
 // Discriminators returns the fields whose values determine whether the
 // parser marks the header valid: the EtherType chain for L2.5/L3
 // headers, the IP protocol / next-header fields for L4 headers, and
@@ -210,7 +173,7 @@ func (ps *Parser) Discriminators(header string) []*ir.Field {
 	}
 	var out []*ir.Field
 	for _, n := range names {
-		if f, ok := ps.field(n); ok {
+		if f, ok := ps.prog.HeaderField(n); ok {
 			out = append(out, f)
 		}
 	}

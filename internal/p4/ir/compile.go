@@ -278,6 +278,9 @@ func (c *compiler) flattenStruct(prefix string, st *ast.Struct) error {
 			continue
 		}
 		if h, ok := c.headerTypes[f.Type.Name]; ok {
+			if len(c.out.HeaderInstances) == 0 {
+				c.out.headersPrefix, _, _ = strings.Cut(path, ".")
+			}
 			c.out.HeaderInstances = append(c.out.HeaderInstances, HeaderInstance{Path: path, TypeName: f.Type.Name})
 			c.addField(&Field{Name: path + ".$valid", Width: 1, IsValidity: true, Header: path})
 			for _, hf := range h.Fields {

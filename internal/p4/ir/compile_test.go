@@ -303,6 +303,46 @@ control c(inout headers_t headers, inout m_t m) {
 	}
 }
 
+// TestHeaderFields: the headers prefix is the struct parameter holding
+// the header instances, whatever it is named, and HeaderField looks a
+// field up by its name under it.
+func TestHeaderFields(t *testing.T) {
+	p := compile(t, base)
+	if got := p.HeadersPrefix(); got != "headers" {
+		t.Fatalf("HeadersPrefix() = %q, want headers", got)
+	}
+	if f, ok := p.HeaderField("ipv4.ttl"); !ok || f.Name != "headers.ipv4.ttl" {
+		t.Errorf("HeaderField(ipv4.ttl) = %v, %v", f, ok)
+	}
+	if f, ok := p.HeaderField("ipv4.$valid"); !ok || !f.IsValidity || f.Header != "headers.ipv4" {
+		t.Errorf("HeaderField(ipv4.$valid) = %+v, %v", f, ok)
+	}
+	for _, name := range []string{"vrf_id", "meta.vrf_id", "headers.ipv4.ttl", "ipv6.$valid"} {
+		if _, ok := p.HeaderField(name); ok {
+			t.Errorf("HeaderField(%s) found a field", name)
+		}
+	}
+
+	renamed := compile(t, strings.NewReplacer("headers_t headers", "headers_t hdr", "headers.", "hdr.").Replace(base))
+	if got := renamed.HeadersPrefix(); got != "hdr" {
+		t.Errorf("renamed parameter: HeadersPrefix() = %q, want hdr", got)
+	}
+	if f, ok := renamed.HeaderField("ipv4.dst_addr"); !ok || f.Name != "hdr.ipv4.dst_addr" {
+		t.Errorf("renamed parameter: HeaderField(ipv4.dst_addr) = %v, %v", f, ok)
+	}
+
+	none := compile(t, `
+struct m_t { bit<8> a; }
+control c(inout m_t m) { apply { } }
+`)
+	if got := none.HeadersPrefix(); got != "" {
+		t.Errorf("no headers: HeadersPrefix() = %q, want empty", got)
+	}
+	if _, ok := none.HeaderField("a"); ok {
+		t.Error("no headers: HeaderField(a) found a field")
+	}
+}
+
 func TestConstExprFolding(t *testing.T) {
 	src := `
 const bit<16> A = 10;

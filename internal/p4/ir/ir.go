@@ -68,9 +68,10 @@ type Program struct {
 	// simulator uses these to map packets onto the field space.
 	HeaderInstances []HeaderInstance
 
-	fieldByName  map[string]*Field
-	tableByName  map[string]*Table
-	actionByName map[string]*Action
+	headersPrefix string // see HeadersPrefix
+	fieldByName   map[string]*Field
+	tableByName   map[string]*Table
+	actionByName  map[string]*Action
 
 	// NoActionID is the id of the implicit NoAction.
 	NoAction *Action
@@ -86,6 +87,22 @@ type HeaderInstance struct {
 func (p *Program) FieldByName(name string) (*Field, bool) {
 	f, ok := p.fieldByName[name]
 	return f, ok
+}
+
+// HeadersPrefix returns the name of the struct parameter holding the
+// header instances ("headers"): the first segment of the first header
+// instance's path. It is "" when the program declares no header.
+func (p *Program) HeadersPrefix() string { return p.headersPrefix }
+
+// HeaderField returns the field with the given name under the headers
+// struct: HeaderField("ipv4.ttl") is "headers.ipv4.ttl" when the headers
+// parameter is named headers, and HeaderField("ipv4.$valid") is the
+// instance's validity bit, so it also tells whether the instance exists.
+func (p *Program) HeaderField(name string) (*Field, bool) {
+	if p.headersPrefix == "" {
+		return nil, false
+	}
+	return p.FieldByName(p.headersPrefix + "." + name)
 }
 
 // TableByName returns the named table.

@@ -183,6 +183,50 @@ func (e *Entry) validateInvocation(inv *ActionInvocation) error {
 	return nil
 }
 
+// Reference is one @refers_to value: the table and key field it refers
+// to, and the value. It is also the key of a referenceable value, since
+// an entry whose match on key Field of table Table has value Value
+// provides exactly the Reference that resolves there.
+type Reference struct {
+	Table, Field string
+	Value        value.V
+}
+
+// References calls yield with each @refers_to value the entry holds:
+// those of its key matches first, in match order, then its action's
+// parameters, then each action-set member's parameters, in member order.
+// It stops when yield returns false.
+func (e *Entry) References(yield func(Reference) bool) {
+	for _, m := range e.Matches {
+		if k, ok := e.Table.KeyByName(m.Key); ok && k.RefersTo != nil {
+			if !yield(Reference{k.RefersTo.Table, k.RefersTo.Field, m.Value}) {
+				return
+			}
+		}
+	}
+	if e.Action != nil && !e.Action.references(yield) {
+		return
+	}
+	for i := range e.ActionSet {
+		if !e.ActionSet[i].references(yield) {
+			return
+		}
+	}
+}
+
+// references yields the invocation's @refers_to arguments and reports
+// whether yield took them all.
+func (inv *ActionInvocation) references(yield func(Reference) bool) bool {
+	for i, p := range inv.Action.Params {
+		if p.RefersTo != nil && i < len(inv.Args) {
+			if !yield(Reference{p.RefersTo.Table, p.RefersTo.Field, inv.Args[i]}) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Key returns a canonical string identifying the entry's match (table,
 // matches and priority, excluding the action), used for duplicate
 // detection: two entries with equal Key() collide in the table. It is on

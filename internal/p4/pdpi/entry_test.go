@@ -1,10 +1,12 @@
 package pdpi
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"switchv/internal/p4/ir"
+	"switchv/internal/p4/parser"
 	"switchv/internal/p4/value"
 	"switchv/models"
 )
@@ -224,5 +226,88 @@ func TestClone(t *testing.T) {
 	cp2.ActionSet[0].Args[0] = value.New(9, 10)
 	if sel.ActionSet[0].Args[0].Uint64() != 1 {
 		t.Error("Clone aliases the action set")
+	}
+}
+
+// refModel has a selector table whose key and action both carry
+// @refers_to values, and a plain table with the same action.
+const refModel = `
+struct meta_t { bit<8> a; bit<8> g; }
+control c(inout meta_t m) {
+  action set_a(bit<8> a) { m.a = a; }
+  action pick(@refers_to(target, a) bit<8> x, bit<8> plain, @refers_to(target, a) bit<8> y) { m.g = x; }
+  table target { key = { m.a : exact @name("a"); } actions = { set_a; } size = 8; }
+  table sel {
+    key = { m.a : exact @name("a"); m.g : exact @refers_to(target, a) @name("g"); }
+    actions = { pick; }
+    implementation = action_selector;
+    size = 8;
+  }
+  table direct {
+    key = { m.g : exact @refers_to(target, a) @name("g"); }
+    actions = { pick; }
+    size = 8;
+  }
+  apply { target.apply(); sel.apply(); direct.apply(); }
+}
+`
+
+// TestReferences pins the enumeration order of an entry's @refers_to
+// values (key matches, then the action, then each action-set member)
+// and that it stops as soon as yield returns false.
+func TestReferences(t *testing.T) {
+	ast, err := parser.Parse(refModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := ir.Compile(ast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, _ := prog.TableByName("sel")
+	direct, _ := prog.TableByName("direct")
+	pick, _ := prog.ActionByName("pick")
+	v := func(x uint64) value.V { return value.New(x, 8) }
+	ref := func(x uint64) Reference { return Reference{Table: "target", Field: "a", Value: v(x)} }
+	collect := func(e *Entry, stop int) []Reference {
+		var got []Reference
+		e.References(func(r Reference) bool {
+			got = append(got, r)
+			return len(got) != stop
+		})
+		return got
+	}
+
+	selector := &Entry{
+		Table: sel,
+		Matches: []Match{
+			{Key: "a", Kind: ir.MatchExact, Value: v(9)},
+			{Key: "g", Kind: ir.MatchExact, Value: v(1)},
+		},
+		ActionSet: []WeightedAction{
+			{ActionInvocation{pick, []value.V{v(2), v(7), v(3)}}, 1},
+			{ActionInvocation{pick, []value.V{v(4), v(8), v(5)}}, 2},
+		},
+	}
+	if err := selector.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	want := []Reference{ref(1), ref(2), ref(3), ref(4), ref(5)}
+	if got := collect(selector, -1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("selector references = %v, want %v", got, want)
+	}
+	for stop := 1; stop <= len(want); stop++ {
+		if got := collect(selector, stop); !reflect.DeepEqual(got, want[:stop]) {
+			t.Errorf("stopping after %d: got %v", stop, got)
+		}
+	}
+
+	plain := &Entry{
+		Table:   direct,
+		Matches: []Match{{Key: "g", Kind: ir.MatchExact, Value: v(6)}},
+		Action:  &ActionInvocation{pick, []value.V{v(2), v(7), v(3)}},
+	}
+	if got, want := collect(plain, -1), []Reference{ref(6), ref(2), ref(3)}; !reflect.DeepEqual(got, want) {
+		t.Errorf("plain references = %v, want %v", got, want)
 	}
 }

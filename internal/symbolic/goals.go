@@ -368,39 +368,29 @@ func (ex *Executor) EnrichedGoals() []Goal {
 		{Key: "enriched:forward", Cond: ex.ForwardCond()},
 	}
 	field := func(name string) (*smt.Term, bool) {
-		f, ok := ex.prog.FieldByName(name)
+		f, ok := ex.prog.HeaderField(name)
 		if !ok {
 			return nil, false
 		}
 		return ex.inputs[f.ID], true
 	}
-	prefix := ""
-	if len(ex.prog.HeaderInstances) > 0 {
-		path := ex.prog.HeaderInstances[0].Path
-		for i := 0; i < len(path); i++ {
-			if path[i] == '.' {
-				prefix = path[:i]
-				break
-			}
-		}
-	}
-	if dscp, ok := field(prefix + ".ipv4.dscp"); ok {
+	if dscp, ok := field("ipv4.dscp"); ok {
 		goals = append(goals, Goal{
 			Key:  "enriched:forward-dscp-nonzero",
 			Cond: b.And(ex.ForwardCond(), b.Ne(dscp, b.ConstUint(0, dscp.Width()))),
 		})
 	}
-	if dst, ok := field(prefix + ".ipv4.dst_addr"); ok {
+	if dst, ok := field("ipv4.dst_addr"); ok {
 		cond := b.And(ex.ForwardCond(), b.Eq(dst, b.ConstUint(0xffffffff, 32)))
 		// Tunnel-capable models could satisfy this with a GRE packet whose
 		// broadcast outer header is decapsulated away; require a plain
 		// packet so the L3 lookup actually sees the broadcast address.
-		if gre, ok := field(prefix + ".gre.$valid"); ok {
+		if gre, ok := field("gre.$valid"); ok {
 			cond = b.And(cond, b.Eq(gre, b.ConstUint(0, 1)))
 		}
 		goals = append(goals, Goal{Key: "enriched:forward-broadcast", Cond: cond})
 	}
-	if ttl, ok := field(prefix + ".ipv4.ttl"); ok {
+	if ttl, ok := field("ipv4.ttl"); ok {
 		goals = append(goals, Goal{
 			Key:  "enriched:forward-ttl2",
 			Cond: b.And(ex.ForwardCond(), b.Eq(ttl, b.ConstUint(2, ttl.Width()))),

@@ -157,12 +157,11 @@ type shardState struct {
 // roundResult is one shard's contribution to a round: the verdict on
 // its own goal plus the universe goals its model also satisfies.
 type roundResult struct {
-	shard int
-	goal  int
-	err   error
-	sat   bool
-	pkt   *TestPacket
-	hits  []int // undecided-at-round-start goal indices the model satisfies
+	goal int
+	err  error
+	sat  bool
+	pkt  *TestPacket
+	hits []int // undecided-at-round-start goal indices the model satisfies
 }
 
 // Run generates packets for every reachable goal. Packets are returned
@@ -342,6 +341,12 @@ func (g *Generator) Run() ([]TestPacket, Report, error) {
 	}
 
 	rep.SMTChecks += prepassChecks
+	if shards == 0 {
+		// Everything was decided before sharding (cache plus witness
+		// pre-pass): only the shard-0 executor was built, and it has
+		// checked nothing since the pre-pass.
+		states = []*shardState{{ex: g.ex0, checks: g.ex0.solver.NumChecks}}
+	}
 	for _, st := range states {
 		rep.SMTChecks += st.ex.solver.NumChecks - st.checks
 		rep.SATStats.Add(st.ex.solver.Stats())
@@ -351,17 +356,6 @@ func (g *Generator) Run() ([]TestPacket, Report, error) {
 		rep.CNFReuse += st.ex.solver.CNFReuse
 		rep.SlicedAsserts += st.ex.solver.SlicedAsserts
 		rep.SlicedBits += st.ex.solver.SlicedBits
-	}
-	if shards == 0 {
-		// Everything was decided before sharding (cache plus witness
-		// pre-pass): only the shard-0 executor was built.
-		rep.Terms = g.ex0.b.NumTerms()
-		rep.Clauses = g.ex0.solver.NumClauses
-		rep.Vars = g.ex0.solver.NumVars()
-		rep.CNFReuse = g.ex0.solver.CNFReuse
-		rep.SlicedAsserts = g.ex0.solver.SlicedAsserts
-		rep.SlicedBits = g.ex0.solver.SlicedBits
-		rep.SATStats.Add(g.ex0.solver.Stats())
 	}
 
 	var packets []TestPacket
@@ -399,7 +393,7 @@ func (g *Generator) Run() ([]TestPacket, Report, error) {
 // undecided at the round start — the global pruning claims merged at
 // the barrier.
 func solveRound(st *shardState, goal int, universe []Goal, undecided []int) *roundResult {
-	r := &roundResult{shard: -1, goal: goal}
+	r := &roundResult{goal: goal}
 	pkt, model, err := st.ex.solve(Goal{Key: universe[goal].Key, Cond: st.conds[goal]}, st.sliced)
 	if err != nil {
 		r.err = err

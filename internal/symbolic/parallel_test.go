@@ -47,7 +47,8 @@ func generationDigest(t *testing.T, pkts []TestPacket, rep Report) string {
 // report must be bit-identical whatever that count is. Both workloads
 // reach the sharded phase with at least two shards, so at GOMAXPROCS 2
 // and 4 shard solvers really do run concurrently. The GOMAXPROCS-1 run
-// must also match its pinned generationDigest.
+// must also match its pinned generationDigest, and each of its packets
+// must hit its goal in the reference simulator (checkHits).
 func TestGeneratorWorkerCountInvariant(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	routing := models.Middleblock()
@@ -87,6 +88,7 @@ func TestGeneratorWorkerCountInvariant(t *testing.T) {
 					if got := generationDigest(t, pkts, rep); got != c.digest {
 						t.Errorf("generation digest %s, want %s", got, c.digest)
 					}
+					checkHits(t, c.prog, c.store, pkts)
 					continue
 				}
 				if renderPackets(pkts) != p1 {
@@ -226,7 +228,8 @@ func TestGeneratorPerGoalCache(t *testing.T) {
 //   - slicing changes no verdict: the covered goal set is identical with
 //     DisableSlicing;
 //   - the sliced run's packets and report match a pinned
-//     generationDigest.
+//     generationDigest, and every packet hits its goal in the reference
+//     simulator (checkHits).
 //
 // Both sets reach the sharded phase with one shard, so the worker-count
 // identity is held on other workloads by
@@ -271,6 +274,7 @@ func TestGenerationGates(t *testing.T) {
 			if got := generationDigest(t, p1, r1); got != c.digest {
 				t.Errorf("generation digest %s, want %s", got, c.digest)
 			}
+			checkHits(t, prog, store, p1)
 
 			pu, ru := run(GenOptions{DisableSlicing: true})
 			if ru.SlicedAsserts != 0 || ru.SlicedBits != 0 {

@@ -164,18 +164,8 @@ func (ex *Executor) recordTrace(key string, guard *smt.Term) {
 // correspond to parseable packets.
 func (ex *Executor) assertParserAxioms() error {
 	b := ex.b
-	prefix := ""
-	if len(ex.prog.HeaderInstances) > 0 {
-		path := ex.prog.HeaderInstances[0].Path
-		for i := 0; i < len(path); i++ {
-			if path[i] == '.' {
-				prefix = path[:i]
-				break
-			}
-		}
-	}
 	field := func(name string) *smt.Term {
-		if f, ok := ex.prog.FieldByName(prefix + "." + name); ok {
+		if f, ok := ex.prog.HeaderField(name); ok {
 			return ex.inputs[f.ID]
 		}
 		return nil
@@ -277,11 +267,12 @@ func (ex *Executor) assertParserAxioms() error {
 	}
 	// Metadata fields (everything outside the headers struct and standard
 	// metadata) start out zero.
+	prefix := ex.prog.HeadersPrefix()
 	for _, f := range ex.prog.Fields {
 		if f.Header != "" || f.Name[0] == '$' {
 			continue
 		}
-		if prefix != "" && len(f.Name) > len(prefix) && f.Name[:len(prefix)+1] == prefix+"." {
+		if prefix != "" && strings.HasPrefix(f.Name, prefix+".") {
 			continue
 		}
 		if f.Name == ir.FieldIngressPort || f.Name == "standard_metadata.egress_port" ||

@@ -182,19 +182,14 @@ func (tw *tableWitness) slotVal(s *keySlot, assign []bool) value.V {
 // no VLAN-tagged or IPv6-carried-L4 witnesses) — goals needing those
 // contexts fall back to the solver.
 func (tw *tableWitness) couplingNode(ex *Executor) bdd.Node {
-	ps := tw.ps
-	prefix := ps.Prefix
-	if prefix == "" {
-		return bdd.True
-	}
-	bld := tw.bld
+	ps, bld := tw.ps, tw.bld
 	cons := bdd.True
-	etherField, _ := ex.prog.FieldByName(prefix + ".ethernet.ether_type")
+	etherField, _ := ex.prog.HeaderField("ethernet.ether_type")
 	etherSlot := tw.slotFor(etherField)
 	if etherSlot != nil && !etherSlot.raw {
 		etherSlot = nil
 	}
-	if etherSlot != nil && ps.Reachable(prefix+".vlan") {
+	if _, vlan := ex.prog.HeaderField("vlan.$valid"); etherSlot != nil && vlan {
 		cons = bld.And(cons, bld.Not(tw.eqSlotConst(etherSlot, 0x8100)))
 	}
 	var l3Validity []*keySlot
@@ -216,7 +211,7 @@ func (tw *tableWitness) couplingNode(ex *Executor) bdd.Node {
 			cons = bld.And(cons, bld.Iff(bld.Var(s.off), tw.eqSlotConst(etherSlot, spec.EtherType)))
 		}
 	}
-	protoField, _ := ex.prog.FieldByName(prefix + ".ipv4.protocol")
+	protoField, _ := ex.prog.HeaderField("ipv4.protocol")
 	protoSlot := tw.slotFor(protoField)
 	if protoSlot != nil && !protoSlot.raw {
 		protoSlot = nil
@@ -361,12 +356,8 @@ func (tw *tableWitness) synthFree(ex *Executor, seed *smt.Model, node bdd.Node) 
 // invalid header.
 func (tw *tableWitness) repair(ex *Executor, seed *smt.Model, patch map[*smt.Term]value.V, assign []bool) bool {
 	ps := tw.ps
-	prefix := ps.Prefix
-	if prefix == "" {
-		return true
-	}
 	input := func(name string) *smt.Term {
-		if f, ok := ex.prog.FieldByName(name); ok {
+		if f, ok := ex.prog.HeaderField(name); ok {
 			return ex.inputs[f.ID]
 		}
 		return nil
@@ -377,15 +368,16 @@ func (tw *tableWitness) repair(ex *Executor, seed *smt.Model, patch map[*smt.Ter
 		}
 		return smt.Eval(seed, t)
 	}
-	ether := input(prefix + ".ethernet.ether_type")
-	etherField, _ := ex.prog.FieldByName(prefix + ".ethernet.ether_type")
+	ether := input("ethernet.ether_type")
+	etherField, _ := ex.prog.HeaderField("ethernet.ether_type")
 	etherSlot := tw.slotFor(etherField)
 	if etherSlot != nil && !etherSlot.raw {
 		etherSlot = nil
 	}
 
 	// Decide the L3 context implied by the assignment.
-	want := "" // L3 header (short name) to parse; "" = plain L2
+	want := ""          // L3 header (short name) to parse; "" = plain L2
+	var etherVal uint64 // the EtherType selecting want
 	determined := false
 	for i := range tw.slots {
 		s := &tw.slots[i]
@@ -396,11 +388,10 @@ func (tw *tableWitness) repair(ex *Executor, seed *smt.Model, patch map[*smt.Ter
 		if spec, ok := ps.Spec(f.Header); ok && spec.Role == dataflow.RoleL3 {
 			determined = true
 			if want == "" && !tw.slotVal(s, assign).Equal(value.Zero(1)) {
-				want = spec.Name
+				want, etherVal = spec.Name, spec.EtherType
 			}
 		}
 	}
-	var etherVal uint64
 	switch {
 	case etherSlot != nil:
 		determined = true
@@ -411,11 +402,6 @@ func (tw *tableWitness) repair(ex *Executor, seed *smt.Model, patch map[*smt.Ter
 			}
 		}
 	case determined:
-		if want != "" {
-			if spec, ok := ps.Spec(prefix + "." + want); ok {
-				etherVal = spec.EtherType
-			}
-		}
 		if ether != nil {
 			patch[ether] = value.New(etherVal, ether.Width())
 		}
@@ -456,7 +442,7 @@ func (tw *tableWitness) repair(ex *Executor, seed *smt.Model, patch map[*smt.Ter
 			default:
 				continue // L4/inner recomputed below
 			}
-			if vt := input(prefix + "." + spec.Name + ".$valid"); vt != nil {
+			if vt := input(spec.Name + ".$valid"); vt != nil {
 				b := value.Zero(1)
 				if v {
 					b = value.New(1, 1)
@@ -468,13 +454,13 @@ func (tw *tableWitness) repair(ex *Executor, seed *smt.Model, patch map[*smt.Ter
 
 	// Recompute the L4 and inner validities whenever the context or a
 	// protocol discriminator changed under our feet.
-	protoT := input(prefix + ".ipv4.protocol")
-	v6T := input(prefix + ".ipv6.next_header")
+	protoT := input("ipv4.protocol")
+	v6T := input("ipv6.next_header")
 	_, protoPatched := patch[protoT]
 	_, v6Patched := patch[v6T]
 	if determined || protoPatched || v6Patched {
 		headerValid := func(name string) bool {
-			vt := input(prefix + "." + name + ".$valid")
+			vt := input(name + ".$valid")
 			return vt != nil && !cur(vt).Equal(value.Zero(1))
 		}
 		v4, v6 := headerValid("ipv4"), headerValid("ipv6")
@@ -496,12 +482,12 @@ func (tw *tableWitness) repair(ex *Executor, seed *smt.Model, patch map[*smt.Ter
 					greValid = v
 				}
 			case dataflow.RoleInner:
-				gp := input(prefix + ".gre.protocol")
+				gp := input("gre.protocol")
 				v = greValid && gp != nil && cur(gp).Uint64() == 0x0800
 			default:
 				continue
 			}
-			if vt := input(prefix + "." + spec.Name + ".$valid"); vt != nil {
+			if vt := input(spec.Name + ".$valid"); vt != nil {
 				b := value.Zero(1)
 				if v {
 					b = value.New(1, 1)
@@ -514,13 +500,12 @@ func (tw *tableWitness) repair(ex *Executor, seed *smt.Model, patch map[*smt.Ter
 	// Axiom compliance: every field of every invalid chain header reads
 	// as zero. A nonzero assignment inside one is irreparable.
 	for _, spec := range ps.Chain() {
-		hpath := prefix + "." + spec.Name
-		vt := input(hpath + ".$valid")
-		if vt == nil || !cur(vt).Equal(value.Zero(1)) {
+		valid, ok := ex.prog.HeaderField(spec.Name + ".$valid")
+		if !ok || !cur(ex.inputs[valid.ID]).Equal(value.Zero(1)) {
 			continue
 		}
 		for _, f := range ex.prog.Fields {
-			if f.Header != hpath || f.IsValidity {
+			if f.Header != valid.Header || f.IsValidity {
 				continue
 			}
 			t := ex.inputs[f.ID]
@@ -570,11 +555,8 @@ func steer(cand *smt.Model, state *smt.Term, want value.V, patch map[*smt.Term]v
 // whose goals all repair cleanly never pay a single check.
 func zeroSeed(ex *Executor) *smt.Model {
 	vars := map[*smt.Term]value.V{}
-	ps := dataflow.ParserOf(ex.prog)
-	if ps.Prefix != "" {
-		if f, ok := ex.prog.FieldByName(ps.Prefix + ".ethernet.$valid"); ok {
-			vars[ex.inputs[f.ID]] = value.New(1, 1)
-		}
+	if f, ok := ex.prog.HeaderField("ethernet.$valid"); ok {
+		vars[ex.inputs[f.ID]] = value.New(1, 1)
 	}
 	return ex.solver.NewModel(vars)
 }
