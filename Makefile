@@ -28,11 +28,10 @@ race:
 
 # lint enforces the determinism invariants on every internal package: no
 # wall-clock time or process-global randomness in results, no map
-# iteration order leaking into ordered output (see tools/detlint).
+# iteration order leaking into ordered output (see tools/detlint). The
+# package list comes from go list, so a new package is linted too.
 lint:
-	$(GO) run ./tools/detlint ./internal/fuzzer ./internal/symbolic ./internal/switchv ./internal/coverage ./internal/daemon ./internal/p4/compile ./internal/chaos ./internal/sat ./internal/smt ./internal/bdd ./internal/bugdb ./internal/oracle ./internal/packet \
-		./internal/bmv2 ./internal/p4/check ./internal/p4/dataflow ./internal/p4/pdpi ./internal/p4/constraints ./internal/p4/ir ./internal/switchsim ./internal/workload \
-		./internal/p4rt ./internal/trivial ./internal/experiments ./internal/testutil ./internal/p4/ast ./internal/p4/p4info ./internal/p4/parser ./internal/p4/token ./internal/p4/value
+	$(GO) run ./tools/detlint $$($(GO) list -f '{{.Dir}}' ./internal/... | sed "s|^$$(pwd)/|./|")
 
 # matrix runs the fault-detection matrix: every injectable fault must be
 # caught, and the union of all fixtures must stay incident-free.

@@ -3,7 +3,6 @@ package daemon
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"switchv/internal/fuzzer"
@@ -188,20 +187,6 @@ func (d *Daemon) runControlPlane(t Target, round int, info *p4info.Info) (*switc
 			return nil, err
 		}
 
-		// stopCause records why OnShard stopped the campaign; the engine
-		// wraps the cause into ErrCampaignStopped as text only, so the
-		// distinction (flap vs. shutdown) is kept here.
-		var causeMu sync.Mutex
-		var stopCause error
-		setCause := func(err error) error {
-			causeMu.Lock()
-			if stopCause == nil {
-				stopCause = err
-			}
-			causeMu.Unlock()
-			return err
-		}
-
 		// The last attempt runs with quarantine semantics: shards whose
 		// stacks still fail after every flap retry are sidelined (recorded
 		// in the report with their seeds) and the round completes over the
@@ -218,21 +203,21 @@ func (d *Daemon) runControlPlane(t Target, round int, info *p4info.Info) (*switc
 			Quarantine: quarantine,
 			OnShard: func(shard int, cp *switchv.ShardCheckpoint) error {
 				if d.stopping() {
-					return setCause(errStopped)
+					return errStopped
 				}
 				// A shard whose read-backs died mid-flight observed a
 				// flapping transport, not the switch's behavior; drop it
 				// and re-run after the target settles — except on the
 				// final degraded attempt, which takes what it can get.
 				if !quarantine && flapped(cp.Report.Incidents) {
-					return setCause(errFlap)
+					return errFlap
 				}
 				if err := d.store.SaveShard(t.Name, round, shard, cp); err != nil {
-					return setCause(err)
+					return err
 				}
 				if d.cfg.ShardHook != nil {
 					if err := d.cfg.ShardHook(t.Name, round, shard); err != nil {
-						return setCause(fmt.Errorf("%w: %v", errStopped, err))
+						return fmt.Errorf("%w: %v", errStopped, err)
 					}
 				}
 				return nil
@@ -250,14 +235,12 @@ func (d *Daemon) runControlPlane(t Target, round int, info *p4info.Info) (*switc
 			}
 			return rep.Canon(), nil
 		}
+		// The engine wraps OnShard's cause into ErrCampaignStopped: a
+		// flap retries below, any other stop ends the round.
 		if errors.Is(err, switchv.ErrCampaignStopped) {
-			causeMu.Lock()
-			cause := stopCause
-			causeMu.Unlock()
-			if cause != nil && !errors.Is(cause, errFlap) {
-				return nil, cause
+			if !errors.Is(err, errFlap) {
+				return nil, err
 			}
-			// Flap: fall through to the retry path below.
 			err = errFlap
 		}
 		if d.stopping() {
@@ -312,27 +295,14 @@ func (d *Daemon) stackFactory(t Target, info *p4info.Info) switchv.StackFactory 
 	}
 	return func(shard int) (p4rt.Device, func(), error) {
 		addr := <-pool
-		cli, err := p4rt.Reconnect(addr, d.cfg.Backoff)
+		cli, dev, err := d.dial(addr)
 		if err != nil {
 			pool <- addr
 			return nil, nil, err
 		}
-		if d.cfg.RPCTimeout > 0 {
-			cli.SetTimeout(d.cfg.RPCTimeout)
-		}
 		release := func() {
 			cli.Close()
 			pool <- addr
-		}
-		var dev p4rt.Device = cli
-		if d.cfg.Harden {
-			// Self-healing stack: transparent in-RPC retry over redials
-			// (idempotent via session replay), plus warm-restart recovery
-			// wrapping the whole client. The wrapper sits below the
-			// harness so the pipeline push is recorded for replay.
-			cli.SetRedialAddr(addr)
-			cli.SetRetry(d.cfg.Backoff)
-			dev = switchv.NewSelfHealing(cli)
 		}
 		h := switchv.New(info, dev, nil)
 		if err := h.PushPipeline(); err != nil {
@@ -347,6 +317,35 @@ func (d *Daemon) stackFactory(t Target, info *p4info.Info) switchv.StackFactory 
 	}
 }
 
+// stackDevice is what a daemon stack drives: the P4Runtime device and
+// its frame injection.
+type stackDevice interface {
+	p4rt.Device
+	switchv.DataPlane
+}
+
+// dial connects to a target address the way every daemon stack does:
+// with reconnect backoff and the RPC timeout, and under Harden behind a
+// self-healing stack — transparent in-RPC retry over redials
+// (idempotent via session replay), plus warm-restart recovery wrapping
+// the whole client. The wrapper sits below the harness, so the pipeline
+// push is recorded for replay. The caller closes the returned client.
+func (d *Daemon) dial(addr string) (*p4rt.Client, stackDevice, error) {
+	cli, err := p4rt.Reconnect(addr, d.cfg.Backoff)
+	if err != nil {
+		return nil, nil, err
+	}
+	if d.cfg.RPCTimeout > 0 {
+		cli.SetTimeout(d.cfg.RPCTimeout)
+	}
+	if !d.cfg.Harden {
+		return cli, cli, nil
+	}
+	cli.SetRedialAddr(addr)
+	cli.SetRetry(d.cfg.Backoff)
+	return cli, switchv.NewSelfHealing(cli), nil
+}
+
 // runDataPlane runs the round's symbolic data-plane campaign over one
 // exclusive connection. Dial failures retry with backoff; campaign
 // incidents (including a switch whose state cannot be read) are
@@ -358,7 +357,7 @@ func (d *Daemon) runDataPlane(t Target, round int, info *p4info.Info) (*DataPlan
 		if d.stopping() {
 			return nil, errStopped
 		}
-		cli, err := p4rt.Reconnect(t.Addrs[0], d.cfg.Backoff)
+		cli, dev, err := d.dial(t.Addrs[0])
 		if err != nil {
 			if attempt >= d.cfg.FlapRetries {
 				return nil, fmt.Errorf("daemon: target %s round %d: data plane: %w", t.Name, round, err)
@@ -367,18 +366,7 @@ func (d *Daemon) runDataPlane(t Target, round int, info *p4info.Info) (*DataPlan
 			d.sleep(d.cfg.Backoff.Delay(attempt + 1))
 			continue
 		}
-		if d.cfg.RPCTimeout > 0 {
-			cli.SetTimeout(d.cfg.RPCTimeout)
-		}
-		var dev p4rt.Device = cli
-		var dp switchv.DataPlane = cli
-		if d.cfg.Harden {
-			cli.SetRedialAddr(t.Addrs[0])
-			cli.SetRetry(d.cfg.Backoff)
-			shd := switchv.NewSelfHealing(cli)
-			dev, dp = shd, shd
-		}
-		h := switchv.New(info, dev, dp)
+		h := switchv.New(info, dev, dev)
 		h.Precheck = d.cfg.Precheck
 		if err := h.PushPipeline(); err != nil {
 			cli.Close()

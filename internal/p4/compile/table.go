@@ -2,7 +2,6 @@ package compile
 
 import (
 	"encoding/binary"
-	"sort"
 
 	"switchv/internal/bmv2"
 	"switchv/internal/p4/ir"
@@ -14,12 +13,9 @@ import (
 // closures: the table's keys and default action, and its entry rows
 // built once from the store.
 type compiledTable struct {
-	t    *ir.Table
-	name string
-
-	needsPriority bool
-	lpmKey        string // name of the last LPM key, "" if none
-	selector      bool
+	t        *ir.Table
+	name     string
+	selector bool
 
 	// The rows, in precedence order (first match wins), indexed by the
 	// scan dispatch (see buildDispatch): lookup probes one bucket per
@@ -58,16 +54,12 @@ type matchCond struct {
 // action closure resolved ahead of time.
 type compiledEntry struct {
 	conds []matchCond
-	// never marks entries whose matches reference unknown keys or want
-	// bits outside a ternary mask; the interpreter treats them as
-	// matching nothing, so lookup never scans them.
+	// never marks entries that match nothing (pdpi.Lower), so lookup
+	// never scans them.
 	never bool
 
-	// priority / prefixLen order the precedence sort (see buildTable);
-	// seq is the row's index in the sorted order, for dispatch merging.
-	priority  int32
-	prefixLen int
-	seq       int
+	// seq is the row's index in precedence order, for dispatch merging.
+	seq int
 
 	hitID uint32
 	body  []stmtFn
@@ -87,17 +79,7 @@ func (p *Pipeline) slotFor(t *ir.Table, slots map[*ir.Table]*compiledTable) *com
 	if ct, ok := slots[t]; ok {
 		return ct
 	}
-	ct := &compiledTable{
-		t:             t,
-		name:          t.Name,
-		selector:      t.IsSelector,
-		needsPriority: pdpi.NeedsPriority(t),
-	}
-	for _, k := range t.Keys {
-		if k.Match == ir.MatchLPM {
-			ct.lpmKey = k.Name
-		}
-	}
+	ct := &compiledTable{t: t, name: t.Name, selector: t.IsSelector}
 	ct.defaultHitID = p.regHit(bmv2.TableHit{Table: t.Name, Action: t.DefaultAction.Name})
 	ct.defaultBody = p.actionBody(t.DefaultAction)
 	ct.defaultArgs = make([]value.V, len(t.DefaultAction.Params))
@@ -113,9 +95,10 @@ func (p *Pipeline) slotFor(t *ir.Table, slots map[*ir.Table]*compiledTable) *com
 	return ct
 }
 
-// buildTable compiles a table's entry rows from the store.
+// buildTable compiles a table's entry rows from the store, in the
+// precedence order pdpi gives them, so the first matching row wins.
 func (p *Pipeline) buildTable(ct *compiledTable) {
-	entries := p.store.Entries(ct.name)
+	entries := p.store.Ordered(ct.t)
 	rows := make([]*compiledEntry, 0, len(entries))
 	for _, e := range entries {
 		rows = append(rows, p.compileEntry(ct, e))
@@ -133,19 +116,6 @@ func (p *Pipeline) buildTable(ct *compiledTable) {
 		packed = append(packed, r.conds...)
 		r.conds = packed[start:len(packed):len(packed)]
 	}
-	switch {
-	case ct.needsPriority:
-		// Highest priority first; the stable sort keeps installation
-		// order within a priority, so the first matching row is exactly
-		// the interpreter's strict-greater winner.
-		sort.SliceStable(rows, func(i, j int) bool { return rows[i].priority > rows[j].priority })
-	case ct.lpmKey != "":
-		// Longest prefix first; omitted keys (prefixLen -1) sort last.
-		sort.SliceStable(rows, func(i, j int) bool { return rows[i].prefixLen > rows[j].prefixLen })
-	}
-	// Exact tables keep insertion order, so the first row wins
-	// numeric-key collisions (two store keys can differ only in declared
-	// width), as in the interpreter's scan.
 	ct.buildDispatch(rows)
 }
 
@@ -247,50 +217,27 @@ func (ct *compiledTable) buildDispatch(rows []*compiledEntry) {
 
 // compileEntry lowers one store entry to a row.
 func (p *Pipeline) compileEntry(ct *compiledTable, e *pdpi.Entry) *compiledEntry {
-	t := ct.t
-	row := &compiledEntry{priority: e.Priority, prefixLen: -1}
+	row := &compiledEntry{}
 	entryKey := e.Key()
 
-	for _, m := range e.Matches {
-		k, ok := t.KeyByName(m.Key)
+	for i := range e.Matches {
+		lc, ok := pdpi.Lower(ct.t, &e.Matches[i])
 		if !ok {
 			row.never = true
 			continue
 		}
-		c := matchCond{field: k.Field.ID}
-		switch m.Kind {
-		case ir.MatchExact, ir.MatchOptional:
-			c.want = m.Value
-		case ir.MatchLPM:
-			c.masked = true
-			c.mask = value.PrefixMask(m.PrefixLen, k.Field.Width)
-			c.want = m.Value.And(c.mask)
-		case ir.MatchTernary:
-			c.masked = true
-			c.mask = m.Mask
-			c.want = m.Value
-			// fv&mask can never produce bits outside the mask, so a want
-			// with such bits never matches.
-			if !m.Value.And(m.Mask).Equal(m.Value) {
-				row.never = true
-			}
-		}
-		if c.masked {
-			// Field values are stored width-masked, so a full-width mask
-			// is an identity: compare directly. A zero mask (with an
-			// in-mask want, checked above) accepts everything.
-			if c.mask.Equal(value.Ones(k.Field.Width)) {
-				c.masked = false
-			} else if c.mask.IsZero() {
+		k := ct.t.Keys[lc.Key]
+		c := matchCond{field: k.Field.ID, want: lc.Want}
+		// Field values are stored width-masked, so a full-width mask is
+		// an identity: compare directly. A zero mask (whose want is then
+		// zero) accepts everything.
+		if !lc.Exact && !lc.Mask.Equal(value.Ones(k.Field.Width)) {
+			if lc.Mask.IsZero() {
 				continue
 			}
+			c.masked, c.mask = true, lc.Mask
 		}
 		row.conds = append(row.conds, c)
-	}
-	if ct.lpmKey != "" {
-		if m, ok := e.Match(ct.lpmKey); ok {
-			row.prefixLen = m.PrefixLen
-		}
 	}
 
 	if ct.selector {

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"slices"
 	"testing"
 
 	"switchv/internal/p4/ir"
@@ -139,15 +140,31 @@ func TestParserModel(t *testing.T) {
 		t.Error("inner_ipv4 not reachable")
 	}
 	spec, ok := ps.Spec("headers.icmp")
-	if !ok || spec.Proto != 1 || spec.V6Next != 58 {
+	if want := []Selector{{"ipv4.protocol", 1}, {"ipv6.next_header", 58}}; !ok || !slices.Equal(spec.Select, want) {
 		t.Errorf("icmp spec = %+v", spec)
 	}
-	if spec, _ := ps.Spec("headers.gre"); spec.V6Next != -1 {
+	if spec, _ := ps.Spec("headers.gre"); len(spec.Select) != 1 || spec.Select[0].Header() != "ipv4" {
 		t.Errorf("gre spec allows IPv6: %+v", spec)
 	}
-	disc := ps.Discriminators("headers.ipv4")
-	if len(disc) != 2 { // ethernet.ether_type + vlan.ether_type (wan has vlan)
-		t.Errorf("ipv4 discriminators = %v", disc)
+	if spec, _ := ps.Spec("headers.inner_ipv4"); !slices.Equal(spec.Select, []Selector{{"gre.protocol", 0x0800}}) {
+		t.Errorf("inner_ipv4 spec = %+v", spec)
+	}
+	names := func(fs []*ir.Field) (out []string) {
+		for _, f := range fs {
+			out = append(out, f.Name)
+		}
+		return out
+	}
+	for header, want := range map[string][]string{
+		"headers.vlan":       {"headers.ethernet.ether_type"},
+		"headers.ipv4":       {"headers.ethernet.ether_type", "headers.vlan.ether_type"},
+		"headers.tcp":        {"headers.ipv4.protocol", "headers.ipv6.next_header"},
+		"headers.gre":        {"headers.ipv4.protocol"},
+		"headers.inner_ipv4": {"headers.gre.protocol"},
+	} {
+		if got := names(ps.Discriminators(header)); !slices.Equal(got, want) {
+			t.Errorf("%s discriminators = %v, want %v", header, got, want)
+		}
 	}
 }
 

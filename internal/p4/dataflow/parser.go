@@ -1,6 +1,10 @@
 package dataflow
 
-import "switchv/internal/p4/ir"
+import (
+	"strings"
+
+	"switchv/internal/p4/ir"
+)
 
 // Validity is the header-validity lattice: Top (may or may not be valid)
 // above Valid and Invalid.
@@ -56,47 +60,74 @@ const (
 	RoleNone Role = iota
 	// RoleEthernet: the outermost header, always valid.
 	RoleEthernet
-	// RoleVlan: the optional 802.1Q tag (EtherType 0x8100).
+	// RoleVlan: the optional 802.1Q tag, selected by the EtherType.
 	RoleVlan
 	// RoleL3: selected by the effective EtherType after VLAN untagging.
 	RoleL3
-	// RoleL4: selected by ipv4.protocol / ipv6.next_header.
+	// RoleL4: selected by the IPv4 protocol or IPv6 next-header field.
 	RoleL4
-	// RoleInner: the GRE payload, selected by gre.protocol.
+	// RoleInner: the GRE payload, selected by the GRE protocol field.
 	RoleInner
 )
 
-// Spec describes one header the parser can reach, mirroring exactly the
-// couplings symbolic.assertParserAxioms encodes: the discriminator field
-// values that make the parser mark the header valid.
+// Selector is one parse transition into a header: the parser takes it
+// when the discriminator Field, a field of an earlier header named under
+// the headers struct, holds Value while that header is valid.
+type Selector struct {
+	Field string
+	Value uint64
+}
+
+// Header returns the instance name of the header Field belongs to.
+func (s Selector) Header() string {
+	h, _, _ := strings.Cut(s.Field, ".")
+	return h
+}
+
+// Restatement names a discriminator that a header repeats: while the
+// header is valid, selectors on Field compare By instead.
+type Restatement struct{ Field, By string }
+
+// Spec describes what makes the parser mark one header valid: it is the
+// one statement of the parser's selectors, which
+// symbolic.assertParserAxioms encodes and the witness engine repairs by.
 type Spec struct {
 	Name string // instance name under the headers struct, e.g. "ipv4"
 	Role Role
-	// EtherType selects RoleVlan/RoleL3 headers (effective EtherType).
-	EtherType uint64
-	// Proto / V6Next select RoleL4 headers over IPv4 / IPv6; a negative
-	// value means the header is unreachable over that IP version (GRE is
-	// IPv4-only).
-	Proto  int64
-	V6Next int64
+	// Select lists the transitions into the header; any one marks it
+	// valid. The first is the one an untagged IPv4 packet takes.
+	Select []Selector
+	// Forbid: a program without this header rules its selectors out, as
+	// the reference parser would meet a header the model has no fields
+	// for (without ARP or an L4 header it leaves the payload unparsed).
+	Forbid bool
+	// Restates is set on a header that repeats an outer discriminator:
+	// the VLAN tag carries the EtherType of the frame it tags.
+	Restates *Restatement
 }
 
-// parserChain is the fixed knowledge the reference parser (and the
-// symbolic executor's axioms) have about header instance names, in parse
-// order, outermost first: the deterministic iteration order for
-// consumers that patch or recompute validity along the chain.
+// parserChain is the fixed knowledge the reference parser has about
+// header instance names, in parse order, outermost first: the
+// deterministic iteration order for consumers that encode, patch or
+// recompute validity along the chain.
 var parserChain = []Spec{
 	{Name: "ethernet", Role: RoleEthernet},
-	{Name: "vlan", Role: RoleVlan, EtherType: 0x8100},
-	{Name: "ipv4", Role: RoleL3, EtherType: 0x0800},
-	{Name: "ipv6", Role: RoleL3, EtherType: 0x86DD},
-	{Name: "arp", Role: RoleL3, EtherType: 0x0806},
-	{Name: "tcp", Role: RoleL4, Proto: 6, V6Next: 6},
-	{Name: "udp", Role: RoleL4, Proto: 17, V6Next: 17},
-	{Name: "icmp", Role: RoleL4, Proto: 1, V6Next: 58},
-	{Name: "gre", Role: RoleL4, Proto: 47, V6Next: -1},
-	{Name: "inner_ipv4", Role: RoleInner},
+	{Name: "vlan", Role: RoleVlan, Select: []Selector{{"ethernet.ether_type", 0x8100}}, Forbid: true,
+		Restates: &Restatement{Field: "ethernet.ether_type", By: "vlan.ether_type"}},
+	{Name: "ipv4", Role: RoleL3, Select: []Selector{{"ethernet.ether_type", 0x0800}}, Forbid: true},
+	{Name: "ipv6", Role: RoleL3, Select: []Selector{{"ethernet.ether_type", 0x86DD}}, Forbid: true},
+	{Name: "arp", Role: RoleL3, Select: []Selector{{"ethernet.ether_type", 0x0806}}},
+	{Name: "tcp", Role: RoleL4, Select: []Selector{{"ipv4.protocol", 6}, {"ipv6.next_header", 6}}},
+	{Name: "udp", Role: RoleL4, Select: []Selector{{"ipv4.protocol", 17}, {"ipv6.next_header", 17}}},
+	{Name: "icmp", Role: RoleL4, Select: []Selector{{"ipv4.protocol", 1}, {"ipv6.next_header", 58}}},
+	{Name: "gre", Role: RoleL4, Select: []Selector{{"ipv4.protocol", 47}}, Forbid: true},
+	{Name: "inner_ipv4", Role: RoleInner, Select: []Selector{{"gre.protocol", 0x0800}}},
 }
+
+// Specs returns the parser's whole spec in parse order, including the
+// headers a given program lacks (whose Forbid rules still apply). The
+// caller must not modify it.
+func Specs() []Spec { return parserChain }
 
 // Parser is the static model of the parser for one program: which of its
 // header instances the parser can reach and through which discriminator
@@ -151,30 +182,30 @@ func (ps *Parser) Initial(header string) Validity {
 }
 
 // Discriminators returns the fields whose values determine whether the
-// parser marks the header valid: the EtherType chain for L2.5/L3
-// headers, the IP protocol / next-header fields for L4 headers, and
-// gre.protocol for the inner header. A table that matches on any of
-// these alongside a header field is considered validity-coupled.
+// parser marks the header valid: the fields its selectors read, and the
+// copies that earlier headers restate them in (vlan.ether_type for an
+// L3 header). A table that matches on any of these alongside a header
+// field is considered validity-coupled.
 func (ps *Parser) Discriminators(header string) []*ir.Field {
 	s, ok := ps.specs[header]
 	if !ok {
 		return nil
 	}
-	var names []string
-	switch s.Role {
-	case RoleVlan:
-		names = []string{"ethernet.ether_type"}
-	case RoleL3:
-		names = []string{"ethernet.ether_type", "vlan.ether_type"}
-	case RoleL4:
-		names = []string{"ipv4.protocol", "ipv6.next_header"}
-	case RoleInner:
-		names = []string{"gre.protocol"}
-	}
 	var out []*ir.Field
-	for _, n := range names {
-		if f, ok := ps.prog.HeaderField(n); ok {
+	add := func(name string) {
+		if f, ok := ps.prog.HeaderField(name); ok {
 			out = append(out, f)
+		}
+	}
+	for _, sel := range s.Select {
+		add(sel.Field)
+		for _, o := range parserChain {
+			if o.Name == s.Name {
+				break
+			}
+			if o.Restates != nil && o.Restates.Field == sel.Field {
+				add(o.Restates.By)
+			}
 		}
 	}
 	return out

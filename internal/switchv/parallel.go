@@ -350,7 +350,7 @@ func RunParallelCampaign(info *p4info.Info, opts ParallelOptions) (*ParallelRepo
 	rep.Coverage = rootCov.Snapshot()
 	rep.Elapsed = time.Since(start)
 	if stopErr != nil {
-		return rep, fmt.Errorf("%w: %v", ErrCampaignStopped, stopErr)
+		return rep, fmt.Errorf("%w: %w", ErrCampaignStopped, stopErr)
 	}
 	return rep, firstErr
 }

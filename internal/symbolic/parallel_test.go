@@ -47,8 +47,10 @@ func generationDigest(t *testing.T, pkts []TestPacket, rep Report) string {
 // report must be bit-identical whatever that count is. Both workloads
 // reach the sharded phase with at least two shards, so at GOMAXPROCS 2
 // and 4 shard solvers really do run concurrently. The GOMAXPROCS-1 run
-// must also match its pinned generationDigest, and each of its packets
-// must hit its goal in the reference simulator (checkHits).
+// must also match its pinned generationDigest, each of its packets must
+// hit its goal in the reference simulator (checkHits), and a concrete
+// search must reach none of its unreachable table goals
+// (searchUnreachable).
 func TestGeneratorWorkerCountInvariant(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	routing := models.Middleblock()
@@ -76,7 +78,11 @@ func TestGeneratorWorkerCountInvariant(t *testing.T) {
 			var r1 Report
 			for _, procs := range []int{1, 2, 4} {
 				runtime.GOMAXPROCS(procs)
-				pkts, rep, err := GeneratePacketsParallel(c.prog, c.store, Options{}, c.gopts)
+				gen, err := NewGenerator(c.prog, c.store, Options{}, c.gopts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pkts, rep, err := gen.Run()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -89,6 +95,7 @@ func TestGeneratorWorkerCountInvariant(t *testing.T) {
 						t.Errorf("generation digest %s, want %s", got, c.digest)
 					}
 					checkHits(t, c.prog, c.store, pkts)
+					searchUnreachable(t, c.prog, c.store, gen.GoalKeys(), pkts)
 					continue
 				}
 				if renderPackets(pkts) != p1 {
@@ -228,8 +235,9 @@ func TestGeneratorPerGoalCache(t *testing.T) {
 //   - slicing changes no verdict: the covered goal set is identical with
 //     DisableSlicing;
 //   - the sliced run's packets and report match a pinned
-//     generationDigest, and every packet hits its goal in the reference
-//     simulator (checkHits).
+//     generationDigest, every packet hits its goal in the reference
+//     simulator (checkHits), and a concrete search reaches none of the
+//     unreachable table goals (searchUnreachable).
 //
 // Both sets reach the sharded phase with one shard, so the worker-count
 // identity is held on other workloads by
@@ -252,16 +260,20 @@ func TestGenerationGates(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			run := func(gopts GenOptions) ([]TestPacket, Report) {
+			run := func(gopts GenOptions) ([]TestPacket, Report, []string) {
 				t.Helper()
 				gopts.Mode, gopts.Enriched = CoverBranches, true
-				pkts, rep, err := GeneratePacketsParallel(prog, store, Options{}, gopts)
+				gen, err := NewGenerator(prog, store, Options{}, gopts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return pkts, rep
+				pkts, rep, err := gen.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return pkts, rep, gen.GoalKeys()
 			}
-			p1, r1 := run(GenOptions{})
+			p1, r1, universe := run(GenOptions{})
 			if r1.SMTChecks != c.smtChecks || r1.Pruned != c.pruned ||
 				r1.Witnessed != c.witnessed || r1.WitnessUnsat != c.witnessUnsat {
 				t.Errorf("%d SMT checks, %d pruned, %d witnessed, %d witness-unsat; want %d, %d, %d, %d",
@@ -275,8 +287,9 @@ func TestGenerationGates(t *testing.T) {
 				t.Errorf("generation digest %s, want %s", got, c.digest)
 			}
 			checkHits(t, prog, store, p1)
+			searchUnreachable(t, prog, store, universe, p1)
 
-			pu, ru := run(GenOptions{DisableSlicing: true})
+			pu, ru, _ := run(GenOptions{DisableSlicing: true})
 			if ru.SlicedAsserts != 0 || ru.SlicedBits != 0 {
 				t.Errorf("unsliced run reported slice metrics: %+v", ru)
 			}

@@ -20,10 +20,10 @@ package symbolic
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"switchv/internal/bmv2"
+	"switchv/internal/p4/dataflow"
 	"switchv/internal/p4/ir"
 	"switchv/internal/p4/pdpi"
 	"switchv/internal/p4/value"
@@ -159,83 +159,80 @@ func (ex *Executor) recordTrace(key string, guard *smt.Term) {
 	ex.keys = append(ex.keys, key)
 }
 
-// assertParserAxioms couples header validity bits with the discriminator
-// fields the (semi-hardcoded) parser uses, so models of X always
-// correspond to parseable packets.
+// assertParserAxioms couples every header's validity bit with the
+// selectors the parser spec (dataflow.Specs) gives it, walking the spec
+// in parse order, so models of X always correspond to parseable
+// packets. Within a role, a missing header's Forbid rule follows the
+// couplings.
 func (ex *Executor) assertParserAxioms() error {
 	b := ex.b
+	// restated maps a discriminator a valid header restates (the VLAN
+	// tag's EtherType) to the term its selectors compare.
+	restated := map[string]*smt.Term{}
 	field := func(name string) *smt.Term {
+		if t, ok := restated[name]; ok {
+			return t
+		}
 		if f, ok := ex.prog.HeaderField(name); ok {
 			return ex.inputs[f.ID]
 		}
 		return nil
 	}
-	valid := func(name string) *smt.Term {
-		if t := field(name + ".$valid"); t != nil {
+	valid := func(header string) *smt.Term {
+		if t := field(header + ".$valid"); t != nil {
 			return b.Eq(t, b.ConstUint(1, 1))
 		}
 		return nil
 	}
-	has := func(name string) bool { return field(name+".$valid") != nil }
-
-	ethValid := valid("ethernet")
-	if ethValid == nil {
-		return fmt.Errorf("symbolic: model has no ethernet header")
+	root := ""
+	var forbid []*smt.Term
+	flush := func() {
+		for _, t := range forbid {
+			ex.solver.AssertLazy(t)
+		}
+		forbid = nil
 	}
-	ex.solver.AssertLazy(ethValid)
-
-	etherType := field("ethernet.ether_type")
-	eff := etherType // effective EtherType after optional VLAN tag
-	if has("vlan") {
-		vlanValid := valid("vlan")
-		ex.solver.AssertLazy(b.Iff(vlanValid, b.Eq(etherType, b.ConstUint(0x8100, 16))))
-		eff = b.Ite(vlanValid, field("vlan.ether_type"), etherType)
-	} else {
-		ex.solver.AssertLazy(b.Ne(etherType, b.ConstUint(0x8100, 16)))
-	}
-
-	assertIffValid := func(name string, cond *smt.Term) {
-		if v := valid(name); v != nil {
-			ex.solver.AssertLazy(b.Iff(v, cond))
+	role := dataflow.RoleEthernet
+	for _, spec := range dataflow.Specs() {
+		if spec.Role != role {
+			flush()
+			role = spec.Role
+		}
+		if spec.Role == dataflow.RoleEthernet {
+			v := valid(spec.Name)
+			if v == nil {
+				return fmt.Errorf("symbolic: model has no %s header", spec.Name)
+			}
+			ex.solver.AssertLazy(v)
+			root = spec.Name
+			continue
+		}
+		sel := b.False()
+		for _, s := range spec.Select {
+			f := field(s.Field)
+			if f == nil {
+				continue // the program lacks the selecting header
+			}
+			c := b.Eq(f, b.ConstUint(s.Value, f.Width()))
+			if h := s.Header(); h != root {
+				c = b.And(valid(h), c)
+			}
+			sel = b.Or(sel, c)
+		}
+		v := valid(spec.Name)
+		switch {
+		case v != nil:
+			ex.solver.AssertLazy(b.Iff(v, sel))
+			if r := spec.Restates; r != nil {
+				restated[r.Field] = b.Ite(v, field(r.By), field(r.Field))
+			}
+		case spec.Forbid && sel != b.False():
+			// Without the header the reference parser would read opaque
+			// payload where the packet's selector promised one.
+			forbid = append(forbid, b.Not(sel))
 		}
 	}
-	assertIffValid("ipv4", b.Eq(eff, b.ConstUint(0x0800, 16)))
-	assertIffValid("ipv6", b.Eq(eff, b.ConstUint(0x86DD, 16)))
-	assertIffValid("arp", b.Eq(eff, b.ConstUint(0x0806, 16)))
-	if !has("ipv4") {
-		ex.solver.AssertLazy(b.Ne(eff, b.ConstUint(0x0800, 16)))
-	}
-	if !has("ipv6") {
-		ex.solver.AssertLazy(b.Ne(eff, b.ConstUint(0x86DD, 16)))
-	}
-
-	ipProto := func(want uint64) *smt.Term {
-		var cond *smt.Term = b.False()
-		if has("ipv4") {
-			cond = b.Or(cond, b.And(valid("ipv4"), b.Eq(field("ipv4.protocol"), b.ConstUint(want, 8))))
-		}
-		return cond
-	}
-	ip6Next := func(want uint64) *smt.Term {
-		if has("ipv6") {
-			return b.And(valid("ipv6"), b.Eq(field("ipv6.next_header"), b.ConstUint(want, 8)))
-		}
-		return b.False()
-	}
-	assertIffValid("tcp", b.Or(ipProto(6), ip6Next(6)))
-	assertIffValid("udp", b.Or(ipProto(17), ip6Next(17)))
-	assertIffValid("icmp", b.Or(ipProto(1), ip6Next(58)))
-	assertIffValid("gre", ipProto(47))
-	if has("inner_ipv4") {
-		assertIffValid("inner_ipv4",
-			b.And(valid("gre"), b.Eq(field("gre.protocol"), b.ConstUint(0x0800, 16))))
-	}
-	// Forbid GRE when the model cannot parse it (no gre header): otherwise
-	// the simulator and switch would see opaque payload where the model
-	// assumed fields.
-	if !has("gre") && has("ipv4") {
-		ex.solver.AssertLazy(b.Not(ipProto(47)))
-	}
+	flush()
 
 	// Fields of invalid headers read as zero, exactly as the reference
 	// parser leaves them. Without this, the solver could synthesize
@@ -338,7 +335,7 @@ func (ex *Executor) applyTable(state []*smt.Term, t *ir.Table, g *smt.Term) {
 		ex.keyState[t.Name] = ks
 	}
 	ex.lastApply[t.Name] = ex.applySeq
-	entries := orderEntries(t, ex.store)
+	entries := ex.store.Ordered(t)
 	notHigher := b.True()
 	for entryIdx, e := range entries {
 		m := ex.matchCond(state, t, e)
@@ -383,58 +380,25 @@ func (ex *Executor) runAction(state []*smt.Term, inv *pdpi.ActionInvocation, g *
 }
 
 // matchCond builds the condition under which an entry matches the current
-// symbolic state.
+// symbolic state, from the entry's matches as pdpi lowers them: exact and
+// optional matches compare the field, LPM and ternary ones its masked
+// bits.
 func (ex *Executor) matchCond(state []*smt.Term, t *ir.Table, e *pdpi.Entry) *smt.Term {
 	b := ex.b
 	cond := b.True()
-	for _, m := range e.Matches {
-		k, ok := t.KeyByName(m.Key)
+	for i := range e.Matches {
+		c, ok := pdpi.Lower(t, &e.Matches[i])
 		if !ok {
 			return b.False()
 		}
-		fv := state[k.Field.ID]
-		switch m.Kind {
-		case ir.MatchExact, ir.MatchOptional:
-			cond = b.And(cond, b.Eq(fv, b.Const(m.Value)))
-		case ir.MatchLPM:
-			mask := value.PrefixMask(m.PrefixLen, k.Field.Width)
-			cond = b.And(cond, b.Eq(b.BVAnd(fv, b.Const(mask)), b.Const(m.Value.And(mask))))
-		case ir.MatchTernary:
-			cond = b.And(cond, b.Eq(b.BVAnd(fv, b.Const(m.Mask)), b.Const(m.Value)))
+		fv := state[t.Keys[c.Key].Field.ID]
+		if c.Exact {
+			cond = b.And(cond, b.Eq(fv, b.Const(c.Want)))
+		} else {
+			cond = b.And(cond, b.Eq(b.BVAnd(fv, b.Const(c.Mask)), b.Const(c.Want)))
 		}
 	}
 	return cond
-}
-
-// orderEntries returns a table's entries in descending match precedence,
-// mirroring the reference simulator's selection: priority tables by
-// (priority desc, insertion asc); LPM tables by prefix length desc.
-func orderEntries(t *ir.Table, store *pdpi.Store) []*pdpi.Entry {
-	// Copy before sorting: Entries returns the store's shared cache in
-	// insertion order, which the simulator's tie-breaking depends on.
-	entries := append([]*pdpi.Entry(nil), store.Entries(t.Name)...)
-	if pdpi.NeedsPriority(t) {
-		sort.SliceStable(entries, func(i, j int) bool {
-			return entries[i].Priority > entries[j].Priority
-		})
-		return entries
-	}
-	lpmKey := ""
-	for _, k := range t.Keys {
-		if k.Match == ir.MatchLPM {
-			lpmKey = k.Name
-		}
-	}
-	if lpmKey != "" {
-		plen := func(e *pdpi.Entry) int {
-			if m, ok := e.Match(lpmKey); ok {
-				return m.PrefixLen
-			}
-			return -1
-		}
-		sort.SliceStable(entries, func(i, j int) bool { return plen(entries[i]) > plen(entries[j]) })
-	}
-	return entries
 }
 
 // DepEntries returns the installed entries that can influence a goal's

@@ -124,23 +124,24 @@ func checkHits(t *testing.T, prog *ir.Program, store *pdpi.Store, pkts []TestPac
 // hitsGoal checks a bmv2 trace against a goal key of the form
 // "table:<t>:entry:<key>" or "table:<t>:default".
 func hitsGoal(out *bmv2.Outcome, key string) bool {
-	parts := strings.SplitN(key, ":", 4)
-	if len(parts) < 3 || parts[0] != "table" {
+	if !strings.HasPrefix(key, "table:") {
 		return true // branch goals are not directly observable in the trace
 	}
-	table := parts[1]
 	for _, h := range out.Trace {
-		if h.Table != table {
-			continue
-		}
-		if parts[2] == "default" && h.EntryKey == "" {
-			return true
-		}
-		if parts[2] == "entry" && h.EntryKey == parts[3] {
+		if hitKey(h) == key {
 			return true
 		}
 	}
 	return false
+}
+
+// hitKey names the table goal a trace hit covers: its entry's goal, or
+// the table's default goal when no entry matched.
+func hitKey(h bmv2.TableHit) string {
+	if h.EntryKey == "" {
+		return TraceKeyDefault(h.Table)
+	}
+	return "table:" + h.Table + ":entry:" + h.EntryKey
 }
 
 func TestEntryGoalCoverageIsHigh(t *testing.T) {

@@ -109,8 +109,8 @@ func newTableWitness(ex *Executor, t *ir.Table) *tableWitness {
 		ps: dataflow.ParserOf(ex.prog)}
 	tw.coupled = tw.couplingNode(ex)
 	notHigher := bdd.True
-	for _, e := range orderEntries(t, ex.store) {
-		m := tw.matchNode(e)
+	for _, e := range ex.store.Ordered(t) {
+		m := tw.matchNode(t, e)
 		tw.base[TraceKeyEntry(t.Name, e)] = bld.And(notHigher, m)
 		notHigher = bld.And(notHigher, bld.Not(m))
 	}
@@ -118,15 +118,13 @@ func newTableWitness(ex *Executor, t *ir.Table) *tableWitness {
 	return tw
 }
 
-// slotFor returns the slot matching on the given field (nil when the
-// field is not a key of this table or f is nil).
-func (tw *tableWitness) slotFor(f *ir.Field) *keySlot {
-	if f == nil {
-		return nil
-	}
+// rawSlot returns the raw slot matching on the named header field (nil
+// when the table has none).
+func (tw *tableWitness) rawSlot(ex *Executor, name string) *keySlot {
+	f, ok := ex.prog.HeaderField(name)
 	for i := range tw.slots {
-		if tw.slots[i].key.Field == f {
-			return &tw.slots[i]
+		if s := &tw.slots[i]; ok && s.raw && s.key.Field == f {
+			return s
 		}
 	}
 	return nil
@@ -146,7 +144,7 @@ func (tw *tableWitness) validitySlotFor(header string) *keySlot {
 // eqSlotConst constrains the slot's bits to a constant value.
 func (tw *tableWitness) eqSlotConst(s *keySlot, v uint64) bdd.Node {
 	w := s.key.Field.Width
-	return tw.eqBits(s.off, w, value.New(v, w), value.PrefixMask(w, w))
+	return tw.eqBits(s.off, w, value.New(v, w), value.Ones(w))
 }
 
 // nonZero is the condition that the slot's bits are not all zero.
@@ -167,15 +165,16 @@ func (tw *tableWitness) slotVal(s *keySlot, assign []bool) value.V {
 }
 
 // couplingNode builds the parser-consistency constraints over the
-// table's slots, mirroring assertParserAxioms at the BDD level:
+// table's slots, mirroring assertParserAxioms at the BDD level. A
+// candidate takes each header's first selector (dataflow.Spec.Select):
 //
-//   - candidates stay untagged (EtherType != 0x8100) when the program
-//     has a VLAN header, so the raw EtherType is the effective one;
+//   - candidates stay untagged when the program has a VLAN header: the
+//     EtherType slot never selects the tag, so it is the effective one;
 //   - a header's validity slot holds iff the EtherType slot selects it,
 //     and at most one L3 validity slot holds;
 //   - a nonzero header-field slot requires its header parsed: its
 //     validity slot (or EtherType selection) for L3 fields, the right
-//     ipv4.protocol slot value for L4 fields.
+//     IPv4 protocol slot value for L4 fields.
 //
 // The constraints only prune candidates MinSat would otherwise propose
 // and confirm() would reject; they are deliberately over-strict (e.g.
@@ -184,13 +183,14 @@ func (tw *tableWitness) slotVal(s *keySlot, assign []bool) value.V {
 func (tw *tableWitness) couplingNode(ex *Executor) bdd.Node {
 	ps, bld := tw.ps, tw.bld
 	cons := bdd.True
-	etherField, _ := ex.prog.HeaderField("ethernet.ether_type")
-	etherSlot := tw.slotFor(etherField)
-	if etherSlot != nil && !etherSlot.raw {
-		etherSlot = nil
-	}
-	if _, vlan := ex.prog.HeaderField("vlan.$valid"); etherSlot != nil && vlan {
-		cons = bld.And(cons, bld.Not(tw.eqSlotConst(etherSlot, 0x8100)))
+	for _, spec := range ps.Chain() {
+		if spec.Role != dataflow.RoleVlan {
+			continue
+		}
+		sel := spec.Select[0]
+		if es := tw.rawSlot(ex, sel.Field); es != nil {
+			cons = bld.And(cons, bld.Not(tw.eqSlotConst(es, sel.Value)))
+		}
 	}
 	var l3Validity []*keySlot
 	for i := range tw.slots {
@@ -207,14 +207,10 @@ func (tw *tableWitness) couplingNode(ex *Executor) bdd.Node {
 			cons = bld.And(cons, bld.Not(bld.And(bld.Var(s.off), bld.Var(prev.off))))
 		}
 		l3Validity = append(l3Validity, s)
-		if etherSlot != nil {
-			cons = bld.And(cons, bld.Iff(bld.Var(s.off), tw.eqSlotConst(etherSlot, spec.EtherType)))
+		sel := spec.Select[0]
+		if es := tw.rawSlot(ex, sel.Field); es != nil {
+			cons = bld.And(cons, bld.Iff(bld.Var(s.off), tw.eqSlotConst(es, sel.Value)))
 		}
-	}
-	protoField, _ := ex.prog.HeaderField("ipv4.protocol")
-	protoSlot := tw.slotFor(protoField)
-	if protoSlot != nil && !protoSlot.raw {
-		protoSlot = nil
 	}
 	for i := range tw.slots {
 		s := &tw.slots[i]
@@ -232,13 +228,14 @@ func (tw *tableWitness) couplingNode(ex *Executor) bdd.Node {
 		case dataflow.RoleL3:
 			if vs := tw.validitySlotFor(f.Header); vs != nil {
 				need, have = bld.Var(vs.off), true
-			} else if etherSlot != nil {
-				need, have = tw.eqSlotConst(etherSlot, spec.EtherType), true
+			} else if es := tw.rawSlot(ex, spec.Select[0].Field); es != nil {
+				need, have = tw.eqSlotConst(es, spec.Select[0].Value), true
 			}
 		case dataflow.RoleL4:
-			if protoSlot != nil && protoSlot != s && spec.Proto >= 0 {
-				// proto != 0 implies ipv4 parsed via proto's own L3 rule.
-				need, have = tw.eqSlotConst(protoSlot, uint64(spec.Proto)), true
+			// A nonzero protocol value implies its IP header parsed via
+			// that header's own L3 rule.
+			if proto := tw.rawSlot(ex, spec.Select[0].Field); proto != nil && proto != s {
+				need, have = tw.eqSlotConst(proto, spec.Select[0].Value), true
 			}
 		}
 		if have {
@@ -248,34 +245,19 @@ func (tw *tableWitness) couplingNode(ex *Executor) bdd.Node {
 	return cons
 }
 
-// matchNode lowers an entry's match to the key-bit BDD, mirroring
-// Executor.matchCond: exact/optional pin every bit, LPM pins the top
-// PrefixLen bits, ternary pins the mask's bits, absent matches are
-// unconstrained, and an unknown key never matches.
-func (tw *tableWitness) matchNode(e *pdpi.Entry) bdd.Node {
+// matchNode lowers an entry's match to the key-bit BDD through
+// pdpi.Lower, as Executor.matchCond does: each lowered condition pins the
+// masked bits of its key, absent matches are unconstrained, and an entry
+// that matches nothing is false.
+func (tw *tableWitness) matchNode(t *ir.Table, e *pdpi.Entry) bdd.Node {
 	cond := bdd.True
 	for i := range e.Matches {
-		m := &e.Matches[i]
-		var slot *keySlot
-		for j := range tw.slots {
-			if tw.slots[j].key.Name == m.Key {
-				slot = &tw.slots[j]
-				break
-			}
-		}
-		if slot == nil {
+		c, ok := pdpi.Lower(t, &e.Matches[i])
+		if !ok {
 			return bdd.False
 		}
-		w := slot.key.Field.Width
-		switch m.Kind {
-		case ir.MatchExact, ir.MatchOptional:
-			cond = tw.bld.And(cond, tw.eqBits(slot.off, w, m.Value, value.PrefixMask(w, w)))
-		case ir.MatchLPM:
-			mask := value.PrefixMask(m.PrefixLen, w)
-			cond = tw.bld.And(cond, tw.eqBits(slot.off, w, m.Value.And(mask), mask))
-		case ir.MatchTernary:
-			cond = tw.bld.And(cond, tw.eqBits(slot.off, w, m.Value.And(m.Mask), m.Mask))
-		}
+		slot := &tw.slots[c.Key]
+		cond = tw.bld.And(cond, tw.eqBits(slot.off, slot.key.Field.Width, c.Want, c.Mask))
 	}
 	return cond
 }
@@ -351,9 +333,10 @@ func (tw *tableWitness) synthFree(ex *Executor, seed *smt.Model, node bdd.Node) 
 // field slots), sets the EtherType and the chain's validity bits for
 // it, recomputes the L4/inner validities from the final discriminator
 // values, and zeroes every field of every header that ends up invalid
-// (the axioms force invalid headers to read as zero). Returns false
-// when the assignment is irreparable — a nonzero value pinned inside an
-// invalid header.
+// (the axioms force invalid headers to read as zero). Every selector it
+// sets or reads comes from the parser spec. Returns false when the
+// assignment is irreparable — a nonzero value pinned inside an invalid
+// header.
 func (tw *tableWitness) repair(ex *Executor, seed *smt.Model, patch map[*smt.Term]value.V, assign []bool) bool {
 	ps := tw.ps
 	input := func(name string) *smt.Term {
@@ -368,12 +351,15 @@ func (tw *tableWitness) repair(ex *Executor, seed *smt.Model, patch map[*smt.Ter
 		}
 		return smt.Eval(seed, t)
 	}
-	ether := input("ethernet.ether_type")
-	etherField, _ := ex.prog.HeaderField("ethernet.ether_type")
-	etherSlot := tw.slotFor(etherField)
-	if etherSlot != nil && !etherSlot.raw {
-		etherSlot = nil
+	// The untagged EtherType: every L3 header's first selector reads it.
+	etherName := ""
+	for _, spec := range dataflow.Specs() {
+		if spec.Role == dataflow.RoleL3 {
+			etherName = spec.Select[0].Field
+		}
 	}
+	ether := input(etherName)
+	etherSlot := tw.rawSlot(ex, etherName)
 
 	// Decide the L3 context implied by the assignment.
 	want := ""          // L3 header (short name) to parse; "" = plain L2
@@ -388,7 +374,7 @@ func (tw *tableWitness) repair(ex *Executor, seed *smt.Model, patch map[*smt.Ter
 		if spec, ok := ps.Spec(f.Header); ok && spec.Role == dataflow.RoleL3 {
 			determined = true
 			if want == "" && !tw.slotVal(s, assign).Equal(value.Zero(1)) {
-				want, etherVal = spec.Name, spec.EtherType
+				want, etherVal = spec.Name, spec.Select[0].Value
 			}
 		}
 	}
@@ -397,7 +383,7 @@ func (tw *tableWitness) repair(ex *Executor, seed *smt.Model, patch map[*smt.Ter
 		determined = true
 		etherVal = tw.slotVal(etherSlot, assign).Uint64()
 		for _, spec := range ps.Chain() {
-			if spec.Role == dataflow.RoleL3 && spec.EtherType == etherVal {
+			if spec.Role == dataflow.RoleL3 && spec.Select[0].Value == etherVal {
 				want = spec.Name
 			}
 		}
@@ -420,7 +406,7 @@ func (tw *tableWitness) repair(ex *Executor, seed *smt.Model, patch map[*smt.Ter
 			}
 			if !tw.slotVal(s, assign).Equal(value.Zero(f.Width)) {
 				want, determined = spec.Name, true
-				etherVal = spec.EtherType
+				etherVal = spec.Select[0].Value
 				break
 			}
 		}
@@ -429,71 +415,54 @@ func (tw *tableWitness) repair(ex *Executor, seed *smt.Model, patch map[*smt.Ter
 		}
 	}
 
+	setValid := func(header string, v bool) {
+		if vt := input(header + ".$valid"); vt != nil {
+			b := value.Zero(1)
+			if v {
+				b = value.New(1, 1)
+			}
+			patch[vt] = b
+		}
+	}
 	if determined {
 		for _, spec := range ps.Chain() {
-			var v bool
 			switch spec.Role {
 			case dataflow.RoleEthernet:
-				v = true
+				setValid(spec.Name, true)
 			case dataflow.RoleVlan:
-				v = etherVal == spec.EtherType
+				setValid(spec.Name, etherVal == spec.Select[0].Value)
 			case dataflow.RoleL3:
-				v = spec.Name == want
-			default:
-				continue // L4/inner recomputed below
-			}
-			if vt := input(spec.Name + ".$valid"); vt != nil {
-				b := value.Zero(1)
-				if v {
-					b = value.New(1, 1)
-				}
-				patch[vt] = b
+				setValid(spec.Name, spec.Name == want)
 			}
 		}
 	}
 
-	// Recompute the L4 and inner validities whenever the context or a
-	// protocol discriminator changed under our feet.
-	protoT := input("ipv4.protocol")
-	v6T := input("ipv6.next_header")
-	_, protoPatched := patch[protoT]
-	_, v6Patched := patch[v6T]
-	if determined || protoPatched || v6Patched {
-		headerValid := func(name string) bool {
-			vt := input(name + ".$valid")
-			return vt != nil && !cur(vt).Equal(value.Zero(1))
+	// Recompute the L4 and inner validities, in parse order, whenever the
+	// context or an L4 discriminator changed under our feet.
+	recompute := determined
+	for _, spec := range ps.Chain() {
+		if spec.Role != dataflow.RoleL4 {
+			continue
 		}
-		v4, v6 := headerValid("ipv4"), headerValid("ipv6")
-		var proto, v6n uint64
-		if v4 && protoT != nil {
-			proto = cur(protoT).Uint64()
+		for _, sel := range spec.Select {
+			if _, ok := patch[input(sel.Field)]; ok {
+				recompute = true
+			}
 		}
-		if v6 && v6T != nil {
-			v6n = cur(v6T).Uint64()
-		}
-		greValid := false
+	}
+	if recompute {
 		for _, spec := range ps.Chain() {
-			var v bool
-			switch spec.Role {
-			case dataflow.RoleL4:
-				v = (v4 && spec.Proto >= 0 && proto == uint64(spec.Proto)) ||
-					(v6 && spec.V6Next >= 0 && v6n == uint64(spec.V6Next))
-				if spec.Name == "gre" {
-					greValid = v
-				}
-			case dataflow.RoleInner:
-				gp := input("gre.protocol")
-				v = greValid && gp != nil && cur(gp).Uint64() == 0x0800
-			default:
+			if spec.Role != dataflow.RoleL4 && spec.Role != dataflow.RoleInner {
 				continue
 			}
-			if vt := input(spec.Name + ".$valid"); vt != nil {
-				b := value.Zero(1)
-				if v {
-					b = value.New(1, 1)
+			v := false
+			for _, sel := range spec.Select {
+				hv, ft := input(sel.Header()+".$valid"), input(sel.Field)
+				if hv != nil && ft != nil && !cur(hv).Equal(value.Zero(1)) && cur(ft).Uint64() == sel.Value {
+					v = true
 				}
-				patch[vt] = b
 			}
+			setValid(spec.Name, v)
 		}
 	}
 
