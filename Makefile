@@ -68,13 +68,17 @@ daemon-smoke:
 # (fuzzed workloads must reach identical per-goal verdicts with and
 # without the solver-free pre-pass), the sliced-vs-full-blast fuzzer
 # (cone-of-influence slice restriction must never flip a verdict), and
-# the p4rt WriteRequest decoder fuzzer (arbitrary bytes must not panic
-# it, and a decoded request must survive a re-encode unchanged).
+# the p4rt WriteRequest and ReadResponse decoder fuzzers (arbitrary
+# bytes must not panic them, and a decoded message must survive a
+# re-encode unchanged), and the P4 front-end fuzzer (arbitrary source
+# through the parser and ir.Compile must not panic or hang).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDifferentialEngines' -fuzztime 10s ./internal/p4/compile
 	$(GO) test -run '^$$' -fuzz 'FuzzWitnessVsSolver' -fuzztime 10s ./internal/symbolic
 	$(GO) test -run '^$$' -fuzz 'FuzzSlicedVsFullBlast' -fuzztime 10s ./internal/symbolic
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeWriteRequest' -fuzztime 10s ./internal/p4rt
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeReadResponse' -fuzztime 10s ./internal/p4rt
+	$(GO) test -run '^$$' -fuzz 'FuzzFrontEnd' -fuzztime 10s ./internal/p4/ir
 
 # perfbench vets and tests the benchmark program. It is its own module
 # (perfbench/go.mod), so the root build and test targets never compile

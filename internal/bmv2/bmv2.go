@@ -99,45 +99,17 @@ type Interp struct {
 	// configured stand-in for hashing, §5 "Hashing").
 	rr map[string]int
 
-	fDrop, fPunt, fCopy, fMirror, fMirrorSession *ir.Field
-	fIngress, fEgress                            *ir.Field
+	layout *Layout
 }
 
 // New builds a simulator over a program and an entry store. The store is
 // used by reference: callers may mutate it between runs.
 func New(prog *ir.Program, store *pdpi.Store) (*Interp, error) {
-	sim := &Interp{prog: prog, store: store, rr: map[string]int{}}
-	var ok bool
-	get := func(name string) (*ir.Field, error) {
-		f, found := prog.FieldByName(name)
-		if !found {
-			return nil, fmt.Errorf("bmv2: program lacks field %s", name)
-		}
-		return f, nil
+	l := LayoutOf(prog)
+	if err := l.Runnable(); err != nil {
+		return nil, fmt.Errorf("bmv2: %w", err)
 	}
-	var err error
-	if sim.fDrop, err = get(ir.FieldDrop); err != nil {
-		return nil, err
-	}
-	if sim.fPunt, err = get(ir.FieldPunt); err != nil {
-		return nil, err
-	}
-	if sim.fCopy, err = get(ir.FieldCopy); err != nil {
-		return nil, err
-	}
-	if sim.fMirror, err = get(ir.FieldMirror); err != nil {
-		return nil, err
-	}
-	if sim.fMirrorSession, err = get(ir.FieldMirrorSession); err != nil {
-		return nil, err
-	}
-	if sim.fIngress, ok = prog.FieldByName(ir.FieldIngressPort); !ok {
-		return nil, fmt.Errorf("bmv2: program lacks standard metadata")
-	}
-	if sim.fEgress, ok = prog.FieldByName(ir.FieldEgressSpec); !ok {
-		return nil, fmt.Errorf("bmv2: program lacks standard metadata")
-	}
-	return sim, nil
+	return &Interp{prog: prog, store: store, rr: map[string]int{}, layout: l}, nil
 }
 
 // Program returns the model being simulated.
@@ -160,43 +132,20 @@ type returnControl struct{}
 
 // Run traverses one packet through the pipeline.
 func (sim *Interp) Run(in Input) (*Outcome, error) {
-	fs := newFieldSpace(sim.prog)
-	payload, err := sim.parse(fs, in.Packet)
+	fs := make(fieldSpace, len(sim.prog.Fields))
+	payload, err := sim.layout.Parse(fs, in)
 	if err != nil {
 		return nil, fmt.Errorf("bmv2: parse: %w", err)
 	}
-	fs[sim.fIngress.ID] = value.New(uint64(in.Port), sim.fIngress.Width)
-
 	out := &Outcome{}
 	if err := sim.runPipeline(fs, out); err != nil {
 		return nil, err
 	}
-
-	// Resolve the final disposition from the synthetic fields.
-	punt := !fs[sim.fPunt.ID].IsZero()
-	drop := !fs[sim.fDrop.ID].IsZero()
-	out.CopyToCPU = !fs[sim.fCopy.ID].IsZero()
 	data, err := sim.deparse(fs, payload)
 	if err != nil {
 		return nil, fmt.Errorf("bmv2: deparse: %w", err)
 	}
-	switch {
-	case punt:
-		out.Disposition = Punted
-		out.Packet = data
-	case drop:
-		out.Disposition = Dropped
-	default:
-		out.Disposition = Forwarded
-		out.EgressPort = uint16(fs[sim.fEgress.ID].Uint64())
-		out.Packet = data
-	}
-	if !fs[sim.fMirror.ID].IsZero() && out.Disposition != Dropped {
-		out.Mirrors = append(out.Mirrors, MirrorCopy{
-			Session: uint16(fs[sim.fMirrorSession.ID].Uint64()),
-			Packet:  data,
-		})
-	}
+	sim.layout.Settle(fs, out, data)
 	return out, nil
 }
 
@@ -211,11 +160,7 @@ func (sim *Interp) runPipeline(fs fieldSpace, out *Outcome) (err error) {
 	}()
 	for i, ctrl := range sim.prog.Controls {
 		if i > 0 {
-			// Between pipeline stages the chosen egress becomes visible as
-			// egress_port (simple_switch semantics).
-			if f, ok := sim.prog.FieldByName("standard_metadata.egress_port"); ok {
-				fs[f.ID] = fs[sim.fEgress.ID].WithWidth(f.Width)
-			}
+			sim.layout.NextStage(fs)
 		}
 		sim.runControl(fs, ctrl, out)
 	}
@@ -340,15 +285,7 @@ func (sim *Interp) applyTable(fs fieldSpace, t *ir.Table, out *Outcome) {
 	entry := sim.selectEntry(fs, t)
 	if entry == nil {
 		out.Trace = append(out.Trace, TableHit{Table: t.Name, Action: t.DefaultAction.Name})
-		args := make([]value.V, len(t.DefaultAction.Params))
-		for i, p := range t.DefaultAction.Params {
-			var arg uint64
-			if i < len(t.DefaultActionArgs) {
-				arg = t.DefaultActionArgs[i]
-			}
-			args[i] = value.New(arg, p.Width)
-		}
-		sim.runStmts(fs, t.DefaultAction.Body, args, out)
+		sim.runStmts(fs, t.DefaultAction.Body, t.DefaultActionArgs, out)
 		return
 	}
 	inv := entry.Action

@@ -12,7 +12,9 @@
 package bmv2
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"switchv/internal/p4/ir"
 	"switchv/internal/p4/value"
@@ -22,38 +24,13 @@ import (
 // fieldSpace is the concrete state of one packet traversal.
 type fieldSpace []value.V
 
-func newFieldSpace(prog *ir.Program) fieldSpace {
-	fs := make(fieldSpace, len(prog.Fields))
-	for i, f := range prog.Fields {
-		fs[i] = value.Zero(f.Width)
-	}
-	return fs
-}
-
-// setF assigns a field, by its name under the headers struct
-// ("ipv4.ttl"), if the model declares it.
-func (sim *Interp) setF(fs fieldSpace, name string, v uint64) {
-	if f, ok := sim.prog.HeaderField(name); ok {
-		fs[f.ID] = value.New(v, f.Width)
-	}
-}
-
-func (sim *Interp) setF128(fs fieldSpace, name string, hi, lo uint64) {
-	if f, ok := sim.prog.HeaderField(name); ok {
-		fs[f.ID] = value.New128(hi, lo, f.Width)
-	}
-}
+func newFieldSpace(prog *ir.Program) fieldSpace { return slices.Clone(LayoutOf(prog).zero) }
 
 func (sim *Interp) getF(fs fieldSpace, name string) (value.V, bool) {
 	if f, ok := sim.prog.HeaderField(name); ok {
 		return fs[f.ID], true
 	}
 	return value.V{}, false
-}
-
-func (sim *Interp) hasInstance(name string) bool {
-	_, ok := sim.prog.HeaderField(name + ".$valid")
-	return ok
 }
 
 func be48(b []byte) uint64 {
@@ -64,47 +41,46 @@ func be48(b []byte) uint64 {
 	return v
 }
 
-// parse decodes raw packet bytes onto the field space. Layers without a
-// corresponding header instance in the model end the parse; the remaining
-// bytes (opaque to the model) are returned as payload.
-func (sim *Interp) parse(fs fieldSpace, data []byte) (payload []byte, err error) {
-	rest := data
-
-	var eth packet.Ethernet
-	if !sim.hasInstance("ethernet") {
-		return rest, fmt.Errorf("bmv2: model has no ethernet header instance")
+// parse decodes raw packet bytes onto the field space: the one parse of
+// both engines and of ParseFields. Layers without a corresponding header
+// instance in the model end the parse; the remaining bytes (opaque to
+// the model) are returned as payload.
+func (l *Layout) parse(fs fieldSpace, data []byte) (payload []byte, err error) {
+	if !l.Eth.Valid.Declared() {
+		return data, fmt.Errorf("bmv2: model has no ethernet header instance")
 	}
-	rest, err = eth.DecodeFromBytes(rest)
+	var eth packet.Ethernet
+	rest, err := eth.DecodeFromBytes(data)
 	if err != nil {
 		return nil, err
 	}
-	sim.setF(fs, "ethernet.$valid", 1)
-	sim.setF(fs, "ethernet.dst_addr", be48(eth.DstMAC[:]))
-	sim.setF(fs, "ethernet.src_addr", be48(eth.SrcMAC[:]))
-	sim.setF(fs, "ethernet.ether_type", uint64(eth.EtherType))
+	l.Eth.Valid.set(fs, 1)
+	l.Eth.Dst.set(fs, be48(eth.DstMAC[:]))
+	l.Eth.Src.set(fs, be48(eth.SrcMAC[:]))
+	l.Eth.Type.set(fs, uint64(eth.EtherType))
 
 	etherType := eth.EtherType
-	if etherType == packet.EtherTypeVLAN && sim.hasInstance("vlan") {
+	if etherType == packet.EtherTypeVLAN && l.VLAN.Valid.Declared() {
 		var vlan packet.VLAN
 		rest, err = vlan.DecodeFromBytes(rest)
 		if err != nil {
 			return nil, err
 		}
-		sim.setF(fs, "vlan.$valid", 1)
-		sim.setF(fs, "vlan.priority", uint64(vlan.Priority))
+		l.VLAN.Valid.set(fs, 1)
+		l.VLAN.Prio.set(fs, uint64(vlan.Priority))
 		de := uint64(0)
 		if vlan.DropElig {
 			de = 1
 		}
-		sim.setF(fs, "vlan.drop_eligible", de)
-		sim.setF(fs, "vlan.vlan_id", uint64(vlan.VLANID))
-		sim.setF(fs, "vlan.ether_type", uint64(vlan.EtherType))
+		l.VLAN.DropElig.set(fs, de)
+		l.VLAN.ID.set(fs, uint64(vlan.VLANID))
+		l.VLAN.Type.set(fs, uint64(vlan.EtherType))
 		etherType = vlan.EtherType
 	}
 
 	switch etherType {
 	case packet.EtherTypeARP:
-		if !sim.hasInstance("arp") {
+		if !l.ARP.Valid.Declared() {
 			return rest, nil
 		}
 		var arp packet.ARP
@@ -112,22 +88,22 @@ func (sim *Interp) parse(fs fieldSpace, data []byte) (payload []byte, err error)
 		if err != nil {
 			return nil, err
 		}
-		sim.setF(fs, "arp.$valid", 1)
-		sim.setF(fs, "arp.operation", uint64(arp.Operation))
-		sim.setF(fs, "arp.sender_ip", uint64(arp.SenderIP.Uint32()))
-		sim.setF(fs, "arp.target_ip", uint64(arp.TargetIP.Uint32()))
+		l.ARP.Valid.set(fs, 1)
+		l.ARP.Op.set(fs, uint64(arp.Operation))
+		l.ARP.Sender.set(fs, uint64(arp.SenderIP.Uint32()))
+		l.ARP.Target.set(fs, uint64(arp.TargetIP.Uint32()))
 		return rest, nil
 	case packet.EtherTypeIPv4:
-		return sim.parseIPv4(fs, rest, "ipv4")
+		return l.parseIPv4(fs, rest, &l.IPv4)
 	case packet.EtherTypeIPv6:
-		return sim.parseIPv6(fs, rest)
+		return l.parseIPv6(fs, rest)
 	default:
 		return rest, nil
 	}
 }
 
-func (sim *Interp) parseIPv4(fs fieldSpace, data []byte, instance string) ([]byte, error) {
-	if !sim.hasInstance(instance) {
+func (l *Layout) parseIPv4(fs fieldSpace, data []byte, r *IPv4Refs) ([]byte, error) {
+	if !r.Valid.Declared() {
 		return data, nil
 	}
 	var ip packet.IPv4
@@ -135,29 +111,28 @@ func (sim *Interp) parseIPv4(fs fieldSpace, data []byte, instance string) ([]byt
 	if err != nil {
 		return nil, err
 	}
-	base := instance
-	sim.setF(fs, base+".$valid", 1)
-	sim.setF(fs, base+".dscp", uint64(ip.DSCP()))
-	sim.setF(fs, base+".ecn", uint64(ip.TOS&0x3))
-	sim.setF(fs, base+".identification", uint64(ip.ID))
-	sim.setF(fs, base+".ttl", uint64(ip.TTL))
-	sim.setF(fs, base+".protocol", uint64(ip.Protocol))
-	sim.setF(fs, base+".src_addr", uint64(ip.SrcIP.Uint32()))
-	sim.setF(fs, base+".dst_addr", uint64(ip.DstIP.Uint32()))
-	if instance != "ipv4" {
+	r.Valid.set(fs, 1)
+	r.DSCP.set(fs, uint64(ip.DSCP()))
+	r.ECN.set(fs, uint64(ip.TOS&0x3))
+	r.ID.set(fs, uint64(ip.ID))
+	r.TTL.set(fs, uint64(ip.TTL))
+	r.Proto.set(fs, uint64(ip.Protocol))
+	r.Src.set(fs, uint64(ip.SrcIP.Uint32()))
+	r.Dst.set(fs, uint64(ip.DstIP.Uint32()))
+	if r == &l.Inner {
 		// Inner headers end the parse; anything below is payload.
 		return rest, nil
 	}
 	switch ip.Protocol {
 	case packet.IPProtocolGRE:
-		return sim.parseGRE(fs, rest)
+		return l.parseGRE(fs, rest)
 	default:
-		return sim.parseL4(fs, rest, ip.Protocol)
+		return l.parseL4(fs, rest, ip.Protocol)
 	}
 }
 
-func (sim *Interp) parseIPv6(fs fieldSpace, data []byte) ([]byte, error) {
-	if !sim.hasInstance("ipv6") {
+func (l *Layout) parseIPv6(fs fieldSpace, data []byte) ([]byte, error) {
+	if !l.IPv6.Valid.Declared() {
 		return data, nil
 	}
 	var ip packet.IPv6
@@ -165,30 +140,19 @@ func (sim *Interp) parseIPv6(fs fieldSpace, data []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := "ipv6"
-	sim.setF(fs, base+".$valid", 1)
-	sim.setF(fs, base+".dscp", uint64(ip.DSCP()))
-	sim.setF(fs, base+".ecn", uint64(ip.TrafficClass&0x3))
-	sim.setF(fs, base+".flow_label", uint64(ip.FlowLabel))
-	sim.setF(fs, base+".next_header", uint64(ip.NextHeader))
-	sim.setF(fs, base+".hop_limit", uint64(ip.HopLimit))
-	var hi, lo uint64
-	for i := 0; i < 8; i++ {
-		hi = hi<<8 | uint64(ip.SrcIP[i])
-		lo = lo<<8 | uint64(ip.SrcIP[i+8])
-	}
-	sim.setF128(fs, base+".src_addr", hi, lo)
-	hi, lo = 0, 0
-	for i := 0; i < 8; i++ {
-		hi = hi<<8 | uint64(ip.DstIP[i])
-		lo = lo<<8 | uint64(ip.DstIP[i+8])
-	}
-	sim.setF128(fs, base+".dst_addr", hi, lo)
-	return sim.parseL4(fs, rest, ip.NextHeader)
+	l.IPv6.Valid.set(fs, 1)
+	l.IPv6.DSCP.set(fs, uint64(ip.DSCP()))
+	l.IPv6.ECN.set(fs, uint64(ip.TrafficClass&0x3))
+	l.IPv6.Flow.set(fs, uint64(ip.FlowLabel))
+	l.IPv6.Next.set(fs, uint64(ip.NextHeader))
+	l.IPv6.Hop.set(fs, uint64(ip.HopLimit))
+	l.IPv6.Src.set128(fs, binary.BigEndian.Uint64(ip.SrcIP[:8]), binary.BigEndian.Uint64(ip.SrcIP[8:]))
+	l.IPv6.Dst.set128(fs, binary.BigEndian.Uint64(ip.DstIP[:8]), binary.BigEndian.Uint64(ip.DstIP[8:]))
+	return l.parseL4(fs, rest, ip.NextHeader)
 }
 
-func (sim *Interp) parseGRE(fs fieldSpace, data []byte) ([]byte, error) {
-	if !sim.hasInstance("gre") {
+func (l *Layout) parseGRE(fs fieldSpace, data []byte) ([]byte, error) {
+	if !l.GRE.Valid.Declared() {
 		return data, nil
 	}
 	var gre packet.GRE
@@ -196,10 +160,10 @@ func (sim *Interp) parseGRE(fs fieldSpace, data []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim.setF(fs, "gre.$valid", 1)
-	sim.setF(fs, "gre.protocol", uint64(gre.Protocol))
+	l.GRE.Valid.set(fs, 1)
+	l.GRE.Proto.set(fs, uint64(gre.Protocol))
 	if gre.Protocol == packet.EtherTypeIPv4 {
-		return sim.parseIPv4(fs, rest, "inner_ipv4")
+		return l.parseIPv4(fs, rest, &l.Inner)
 	}
 	return rest, nil
 }
@@ -207,10 +171,10 @@ func (sim *Interp) parseGRE(fs fieldSpace, data []byte) ([]byte, error) {
 // parseL4 decodes the transport layer. A truncated transport header does
 // not fail the parse: the remaining bytes stay opaque payload and the L4
 // header simply stays invalid, as in a real parser's accept-on-short path.
-func (sim *Interp) parseL4(fs fieldSpace, data []byte, proto uint8) ([]byte, error) {
+func (l *Layout) parseL4(fs fieldSpace, data []byte, proto uint8) ([]byte, error) {
 	switch proto {
 	case packet.IPProtocolTCP:
-		if !sim.hasInstance("tcp") {
+		if !l.TCP.Valid.Declared() {
 			return data, nil
 		}
 		var tcp packet.TCP
@@ -218,13 +182,13 @@ func (sim *Interp) parseL4(fs fieldSpace, data []byte, proto uint8) ([]byte, err
 		if err != nil {
 			return data, nil
 		}
-		sim.setF(fs, "tcp.$valid", 1)
-		sim.setF(fs, "tcp.src_port", uint64(tcp.SrcPort))
-		sim.setF(fs, "tcp.dst_port", uint64(tcp.DstPort))
-		sim.setF(fs, "tcp.flags", uint64(tcp.Flags))
+		l.TCP.Valid.set(fs, 1)
+		l.TCP.Src.set(fs, uint64(tcp.SrcPort))
+		l.TCP.Dst.set(fs, uint64(tcp.DstPort))
+		l.TCP.Flags.set(fs, uint64(tcp.Flags))
 		return rest, nil
 	case packet.IPProtocolUDP:
-		if !sim.hasInstance("udp") {
+		if !l.UDP.Valid.Declared() {
 			return data, nil
 		}
 		var udp packet.UDP
@@ -232,12 +196,12 @@ func (sim *Interp) parseL4(fs fieldSpace, data []byte, proto uint8) ([]byte, err
 		if err != nil {
 			return data, nil
 		}
-		sim.setF(fs, "udp.$valid", 1)
-		sim.setF(fs, "udp.src_port", uint64(udp.SrcPort))
-		sim.setF(fs, "udp.dst_port", uint64(udp.DstPort))
+		l.UDP.Valid.set(fs, 1)
+		l.UDP.Src.set(fs, uint64(udp.SrcPort))
+		l.UDP.Dst.set(fs, uint64(udp.DstPort))
 		return rest, nil
 	case packet.IPProtocolICMPv4, packet.IPProtocolICMPv6:
-		if !sim.hasInstance("icmp") {
+		if !l.ICMP.Valid.Declared() {
 			return data, nil
 		}
 		var ic packet.ICMPv4 // same leading layout as ICMPv6
@@ -245,9 +209,9 @@ func (sim *Interp) parseL4(fs fieldSpace, data []byte, proto uint8) ([]byte, err
 		if err != nil {
 			return data, nil
 		}
-		sim.setF(fs, "icmp.$valid", 1)
-		sim.setF(fs, "icmp.type", uint64(ic.Type))
-		sim.setF(fs, "icmp.code", uint64(ic.Code))
+		l.ICMP.Valid.set(fs, 1)
+		l.ICMP.Type.set(fs, uint64(ic.Type))
+		l.ICMP.Code.set(fs, uint64(ic.Code))
 		return rest, nil
 	default:
 		return data, nil
@@ -381,8 +345,7 @@ func DeparseFields(prog *ir.Program, fields []value.V, payload []byte) ([]byte, 
 // The SwitchV harness uses this to compare switch and simulator outputs
 // on model-visible fields only.
 func ParseFields(prog *ir.Program, data []byte) ([]value.V, []byte, error) {
-	sim := &Interp{prog: prog}
 	fs := newFieldSpace(prog)
-	payload, err := sim.parse(fs, data)
+	payload, err := LayoutOf(prog).parse(fs, data)
 	return fs, payload, err
 }

@@ -1,11 +1,12 @@
 // Package compile lowers the P4 IR to closure trees at program-load
 // time, replacing per-packet IR walking with direct calls: every
 // statement and expression becomes a Go closure over pre-resolved field
-// IDs, every table entry a pre-masked match row in precedence order, and
-// the parser/deparser a plan of pre-looked-up field references over
-// reusable buffers. The result implements the same bmv2.Simulator
-// contract as the interpreter and is differentially tested to be
-// outcome-identical, traces included.
+// IDs, and every table entry a pre-masked match row in precedence order.
+// A packet is parsed with the interpreter's walk over the program's
+// bmv2.Layout and deparsed with a flat writer over a reusable buffer.
+// The result implements the same bmv2.Simulator contract as the
+// interpreter and is differentially tested to be outcome-identical,
+// traces included.
 //
 // A Pipeline compiles a frozen store: New builds every table's rows
 // once, so the store must not be mutated after New (build a new
@@ -103,7 +104,7 @@ type Pipeline struct {
 
 	controls [][]stmtFn
 
-	codec *codec
+	layout *bmv2.Layout
 
 	// rr holds the selector round-robin counters, keyed like the
 	// interpreter's (per entry key) so behavior-set enumeration matches.
@@ -125,16 +126,11 @@ type Pipeline struct {
 	// actionBodies shares compiled action bodies across entries.
 	actionBodies map[*ir.Action][]stmtFn
 
-	// Pre-resolved synthetic fields (IDs into the field space).
-	drop, punt, copyCPU, mirror, mirrorSession int
-	ingress, egress                            int
-	ingressW                                   int
-	egPort, egPortW                            int // -1 when the model lacks egress_port
-
-	// Reusable per-run scratch: the field space and its zero template.
-	fs, zero []value.V
-	m        exec
-	ar       arenas
+	// Reusable per-run scratch: the field space and the deparse buffer.
+	fs   []value.V
+	flat []byte
+	m    exec
+	ar   arenas
 }
 
 // Pipeline implements the engine contract.
@@ -143,52 +139,18 @@ var _ bmv2.Simulator = (*Pipeline)(nil)
 // New compiles the program's controls to closure trees and the store's
 // entries to match rows. The store must not be mutated afterwards.
 func New(prog *ir.Program, store *pdpi.Store) (*Pipeline, error) {
+	layout := bmv2.LayoutOf(prog)
+	if err := layout.Runnable(); err != nil {
+		return nil, fmt.Errorf("compile: %w", err)
+	}
 	p := &Pipeline{
 		prog:         prog,
 		store:        store,
+		layout:       layout,
 		rr:           map[string]int{},
 		actionBodies: map[*ir.Action][]stmtFn{},
-		egPort:       -1,
 		traceCache:   map[string][]bmv2.TableHit{},
 	}
-	get := func(name string) (int, error) {
-		f, ok := prog.FieldByName(name)
-		if !ok {
-			return 0, fmt.Errorf("compile: program lacks field %s", name)
-		}
-		return f.ID, nil
-	}
-	var err error
-	if p.drop, err = get(ir.FieldDrop); err != nil {
-		return nil, err
-	}
-	if p.punt, err = get(ir.FieldPunt); err != nil {
-		return nil, err
-	}
-	if p.copyCPU, err = get(ir.FieldCopy); err != nil {
-		return nil, err
-	}
-	if p.mirror, err = get(ir.FieldMirror); err != nil {
-		return nil, err
-	}
-	if p.mirrorSession, err = get(ir.FieldMirrorSession); err != nil {
-		return nil, err
-	}
-	fIn, ok := prog.FieldByName(ir.FieldIngressPort)
-	if !ok {
-		return nil, fmt.Errorf("compile: program lacks standard metadata")
-	}
-	p.ingress, p.ingressW = fIn.ID, fIn.Width
-	fEg, ok := prog.FieldByName(ir.FieldEgressSpec)
-	if !ok {
-		return nil, fmt.Errorf("compile: program lacks standard metadata")
-	}
-	p.egress = fEg.ID
-	if f, ok := prog.FieldByName("standard_metadata.egress_port"); ok {
-		p.egPort, p.egPortW = f.ID, f.Width
-	}
-
-	p.codec = newCodec(prog)
 
 	// Compile the controls. Table slots are created and filled from the
 	// store on first reference.
@@ -197,13 +159,7 @@ func New(prog *ir.Program, store *pdpi.Store) (*Pipeline, error) {
 		p.controls = append(p.controls, p.compileStmts(ctrl.Body, slots))
 	}
 
-	// The zero template mirrors bmv2.newFieldSpace: a zero value at each
-	// field's declared width. Runs copy it instead of re-deriving widths.
-	p.zero = make([]value.V, len(prog.Fields))
-	for i, f := range prog.Fields {
-		p.zero[i] = value.Zero(f.Width)
-	}
-	p.fs = make([]value.V, len(p.zero))
+	p.fs = make([]value.V, len(prog.Fields))
 	p.m.fs = p.fs
 	return p, nil
 }
@@ -225,22 +181,18 @@ func (p *Pipeline) Reset() {
 // bit-identical to bmv2.Interp.Run on the same program, store and input.
 func (p *Pipeline) Run(in bmv2.Input) (*bmv2.Outcome, error) {
 	fs := p.fs
-	copy(fs, p.zero)
-	payload, err := p.codec.parse(fs, in.Packet)
+	payload, err := p.layout.Parse(fs, in)
 	if err != nil {
 		return nil, fmt.Errorf("compile: parse: %w", err)
 	}
-	fs[p.ingress] = value.New(uint64(in.Port), p.ingressW)
 
 	out := p.ar.outcome()
 	m := &p.m
 	m.args, m.out = nil, out
 	m.trace = m.trace[:0]
 	for i, body := range p.controls {
-		if i > 0 && p.egPort >= 0 {
-			// Between pipeline stages the chosen egress becomes visible as
-			// egress_port (simple_switch semantics).
-			fs[p.egPort] = fs[p.egress].WithWidth(p.egPortW)
+		if i > 0 {
+			p.layout.NextStage(fs)
 		}
 		if runSeq(m, body) == sigExit {
 			break
@@ -251,40 +203,21 @@ func (p *Pipeline) Run(in bmv2.Input) (*bmv2.Outcome, error) {
 		out.Trace = p.internTrace(m.trace)
 	}
 
-	punt := !fs[p.punt].IsZero()
-	drop := !fs[p.drop].IsZero()
-	out.CopyToCPU = !fs[p.copyCPU].IsZero()
 	// Pure drops carry no packet, so skip the deparse outright. Safe
 	// because deparse only fails on out-of-range VLAN fields, which
 	// width-masked field values cannot produce — so the interpreter,
 	// which always deparses, cannot error where we succeed.
 	var data []byte
-	if punt || !drop {
-		raw, err := p.codec.deparse(fs, payload)
+	if p.layout.Carries(fs) {
+		raw, err := p.deparse(fs, payload)
 		if err != nil {
 			return nil, fmt.Errorf("compile: deparse: %w", err)
 		}
-		// raw aliases the codec's reusable buffer; copy it out since the
+		// raw aliases the reusable deparse buffer; copy it out since the
 		// outcome retains it.
 		data = p.ar.byteSlice(raw)
 	}
-	switch {
-	case punt:
-		out.Disposition = bmv2.Punted
-		out.Packet = data
-	case drop:
-		out.Disposition = bmv2.Dropped
-	default:
-		out.Disposition = bmv2.Forwarded
-		out.EgressPort = uint16(fs[p.egress].Uint64())
-		out.Packet = data
-	}
-	if !fs[p.mirror].IsZero() && out.Disposition != bmv2.Dropped {
-		out.Mirrors = append(out.Mirrors, bmv2.MirrorCopy{
-			Session: uint16(fs[p.mirrorSession].Uint64()),
-			Packet:  data,
-		})
-	}
+	p.layout.Settle(fs, out, data)
 	return out, nil
 }
 

@@ -29,7 +29,6 @@ type compiledTable struct {
 
 	defaultHitID uint32
 	defaultBody  []stmtFn
-	defaultArgs  []value.V
 }
 
 // dispLevel is one hash-grouping level of the scan dispatch.
@@ -82,14 +81,6 @@ func (p *Pipeline) slotFor(t *ir.Table, slots map[*ir.Table]*compiledTable) *com
 	ct := &compiledTable{t: t, name: t.Name, selector: t.IsSelector}
 	ct.defaultHitID = p.regHit(bmv2.TableHit{Table: t.Name, Action: t.DefaultAction.Name})
 	ct.defaultBody = p.actionBody(t.DefaultAction)
-	ct.defaultArgs = make([]value.V, len(t.DefaultAction.Params))
-	for i, prm := range t.DefaultAction.Params {
-		var arg uint64
-		if i < len(t.DefaultActionArgs) {
-			arg = t.DefaultActionArgs[i]
-		}
-		ct.defaultArgs[i] = value.New(arg, prm.Width)
-	}
 	slots[t] = ct
 	p.buildTable(ct)
 	return ct
@@ -323,7 +314,7 @@ func (p *Pipeline) applyTable(m *exec, ct *compiledTable) signal {
 	r := ct.lookup(m.fs)
 	if r == nil {
 		m.trace = append(m.trace, ct.defaultHitID)
-		return p.invoke(m, ct.defaultBody, ct.defaultArgs)
+		return p.invoke(m, ct.defaultBody, ct.t.DefaultActionArgs)
 	}
 	if ct.selector {
 		idx := p.rr[r.rrKey] % len(r.memberBody)

@@ -7,6 +7,7 @@ import (
 
 	"switchv/internal/p4/ast"
 	"switchv/internal/p4/token"
+	"switchv/internal/p4/value"
 )
 
 // Compile lowers a parsed P4 model into IR, resolving types, flattening the
@@ -396,12 +397,12 @@ func (c *compiler) compileTable(t *ast.Table) error {
 		if len(t.DefaultArgs) != len(a.Params) {
 			return c.errf(t.Pos, "table %s: default action %s takes %d args, got %d", t.Name, a.Name, len(a.Params), len(t.DefaultArgs))
 		}
-		for _, arg := range t.DefaultArgs {
+		for i, arg := range t.DefaultArgs {
 			v, err := c.constEval(arg)
 			if err != nil {
 				return err
 			}
-			ir.DefaultActionArgs = append(ir.DefaultActionArgs, v)
+			ir.DefaultActionArgs = append(ir.DefaultActionArgs, value.New(v, a.Params[i].Width))
 		}
 	}
 	if t.Size != nil {

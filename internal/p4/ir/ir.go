@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"switchv/internal/p4/ast"
+	"switchv/internal/p4/value"
 )
 
 // MatchKind is a table key's match kind.
@@ -160,8 +161,10 @@ type Table struct {
 	Keys    []KeyField
 	Actions []*Action
 	// DefaultAction is never nil after compilation (NoAction if elided).
-	DefaultAction     *Action
-	DefaultActionArgs []uint64
+	DefaultAction *Action
+	// DefaultActionArgs holds one value per parameter of DefaultAction,
+	// at the parameter's width.
+	DefaultActionArgs []value.V
 	ConstDefault      bool
 	Size              int
 	// IsSelector marks tables with implementation = action_selector,
@@ -250,11 +253,12 @@ const (
 	// FieldMirror and FieldMirrorSession are set by mirror(session).
 	FieldMirror        = "$mirror"
 	FieldMirrorSession = "$mirror_session"
-	// FieldIngressPort and FieldEgressSpec are the standard metadata
-	// ports; they also exist under the program's declared standard
-	// metadata parameter name as aliases.
+	// FieldIngressPort, FieldEgressSpec and FieldEgressPort are the
+	// standard metadata ports; they also exist under the program's
+	// declared standard metadata parameter name as aliases.
 	FieldIngressPort = "standard_metadata.ingress_port"
 	FieldEgressSpec  = "standard_metadata.egress_spec"
+	FieldEgressPort  = "standard_metadata.egress_port"
 )
 
 // PortWidth is the bit width of port number fields.

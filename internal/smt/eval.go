@@ -121,15 +121,12 @@ func (s *Solver) Model() *Model {
 			}
 		}
 	}
-	for t, bits := range s.bvBits {
-		if t.op != OpBVVar {
-			continue
-		}
+	for _, t := range s.vars {
 		if s.sliced && !s.slice.has(t) {
 			continue
 		}
 		v := value.Zero(t.width)
-		for i, l := range bits {
+		for i, l := range s.bvBits[t] {
 			if s.sat.LitValue(l) {
 				v = v.SetBit(i, true)
 			}

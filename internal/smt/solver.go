@@ -19,6 +19,7 @@ type Solver struct {
 	bvBits   map[*Term][]sat.Lit
 	boolLits map[*Term]sat.Lit
 	asserted []*Term
+	vars     []*Term // the blasted variables, in the order first blasted
 
 	// Slice-restricted solving state (see slice.go).
 	lazy         []lazyAssert
@@ -232,6 +233,7 @@ func (s *Solver) blastBV(t *Term) []sat.Lit {
 		for i := range bits {
 			bits[i] = s.freshLit()
 		}
+		s.vars = append(s.vars, t)
 	case OpBVAnd:
 		a, b := s.blastBV(t.kids[0]), s.blastBV(t.kids[1])
 		for i := range bits {

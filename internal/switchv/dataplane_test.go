@@ -11,6 +11,7 @@ import (
 	"switchv/internal/p4/pdpi"
 	"switchv/internal/p4rt"
 	"switchv/internal/switchsim"
+	"switchv/internal/symbolic"
 	"switchv/internal/workload"
 	"switchv/models"
 )
@@ -301,5 +302,91 @@ func TestWipeUnknownTable(t *testing.T) {
 				t.Errorf("%s incidents = %v, want one naming table ID 57005", tc.kind, found)
 			}
 		})
+	}
+}
+
+// droppingPlane reports every injected packet dropped, without
+// reaching a switch.
+type droppingPlane struct{}
+
+func (droppingPlane) InjectFrame(p4rt.InjectRequest) (p4rt.InjectResult, error) {
+	return p4rt.InjectResult{Dropped: true}, nil
+}
+
+// TestGoalMissed: a table goal's packet that hits its goal in none of
+// its valid behaviors is a defect of the validator's own generation,
+// reported as goal-missed beside the packet's behavior verdict, never
+// instead of it. Two route goals swap packets in the goal cache, so a
+// round sends each goal the other's packet.
+func TestGoalMissed(t *testing.T) {
+	h, sw := newHarness(t, "middleblock")
+	entries := fixtureEntries("middleblock")
+	cache := symbolic.NewCache()
+	rep, err := h.RunDataPlane(entries, DataPlaneOptions{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Incidents) != 0 {
+		t.Fatalf("clean round reported %v", rep.Incidents)
+	}
+
+	prog := h.Info.Program()
+	store := pdpi.NewStore()
+	for _, e := range entries {
+		if err := store.Insert(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ex, err := symbolic.New(prog, store, symbolic.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var routes []string
+	for _, g := range ex.Goals(symbolic.CoverEntries) {
+		if strings.HasPrefix(g.Key, "table:ipv4_table:entry:") {
+			routes = append(routes, g.Key)
+		}
+	}
+	if len(routes) < 2 {
+		t.Fatalf("fixture has %d route goals, want at least 2", len(routes))
+	}
+	a, b := routes[0], routes[1]
+	fp := func(key string) string {
+		return symbolic.GoalFingerprint(prog, symbolic.Options{}, key, ex.DepEntries(key))
+	}
+	pa, okA := cache.GetGoal(fp(a))
+	pb, okB := cache.GetGoal(fp(b))
+	if !okA || !okB || pa == nil || pb == nil {
+		t.Fatalf("no cached packets for %s and %s", a, b)
+	}
+	cache.PutGoal(fp(a), &symbolic.TestPacket{GoalKey: a, Port: pb.Port, Data: pb.Data})
+	cache.PutGoal(fp(b), &symbolic.TestPacket{GoalKey: b, Port: pa.Port, Data: pa.Data})
+
+	// verdicts lists a round's incidents as "kind goal", in order.
+	verdicts := func(dp DataPlane) []string {
+		t.Helper()
+		rep, err := New(h.Info, sw, dp).RunDataPlane(entries, DataPlaneOptions{Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, inc := range rep.Incidents {
+			if inc.Tool != "p4-symbolic" {
+				t.Errorf("unexpected incident %s", inc)
+			}
+			out = append(out, inc.Kind+" "+strings.TrimSuffix(strings.Fields(inc.Detail)[1], ":"))
+		}
+		return out
+	}
+	// The clean switch agrees with the model on both packets.
+	if got, want := verdicts(sw), []string{"goal-missed " + a, "goal-missed " + b}; !reflect.DeepEqual(got, want) {
+		t.Errorf("clean switch: incidents %q, want %q", got, want)
+	}
+	// A switch that drops the routed packets gets both verdicts on each.
+	got := strings.Join(verdicts(droppingPlane{}), "\n")
+	for _, g := range []string{a, b} {
+		if want := "behavior-mismatch " + g + "\ngoal-missed " + g; !strings.Contains(got, want) {
+			t.Errorf("dropping switch: incidents\n%s\nlack\n%s", got, want)
+		}
 	}
 }

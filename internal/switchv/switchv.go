@@ -582,14 +582,14 @@ func (h *Harness) RunDataPlane(entries []*pdpi.Entry, opts DataPlaneOptions) (*D
 	// frames an injection reports also arrive on the packet-in stream; the
 	// round consumes them all, so none is left for a later packet-IO probe.
 	injected := make([]p4rt.InjectResult, len(all))
-	incidents := make([]*Incident, len(all))
+	injectFailed := make([]*Incident, len(all))
 	pending := 0 // packet-ins announced and not yet read off the stream
 	for i := range all {
 		pkt := &all[i]
 		if opts.CoverageMap != nil && i < len(packets) {
 			opts.CoverageMap.NoteGoal(pkt.GoalKey)
 		}
-		injected[i], incidents[i] = h.injectPacket(pkt)
+		injected[i], injectFailed[i] = h.injectPacket(pkt)
 		pending += announcedPacketIns(injected[i])
 		pending -= h.drainPacketIns(pending)
 	}
@@ -602,17 +602,15 @@ func (h *Harness) RunDataPlane(entries []*pdpi.Entry, opts DataPlaneOptions) (*D
 	// it. Incidents of both phases merge in packet order.
 	sim, simErr := newEngine(prog, store)
 	for i := range all {
-		if incidents[i] == nil {
-			if simErr != nil {
-				incidents[i] = &Incident{Tool: "p4-symbolic", Kind: "simulator-error",
-					Detail: fmt.Sprintf("goal %s: building simulator: %v", all[i].GoalKey, simErr)}
-			} else {
-				sim.Reset()
-				incidents[i] = h.comparePacket(sim, &all[i], injected[i], opts.CoverageMap)
-			}
-		}
-		if incidents[i] != nil {
-			rep.Incidents = append(rep.Incidents, *incidents[i])
+		switch {
+		case injectFailed[i] != nil:
+			rep.Incidents = append(rep.Incidents, *injectFailed[i])
+		case simErr != nil:
+			rep.Incidents = append(rep.Incidents, Incident{Tool: "p4-symbolic", Kind: "simulator-error",
+				Detail: fmt.Sprintf("goal %s: building simulator: %v", all[i].GoalKey, simErr)})
+		default:
+			sim.Reset()
+			rep.Incidents = append(rep.Incidents, h.comparePacket(sim, &all[i], injected[i], opts.CoverageMap)...)
 		}
 	}
 	rep.TestElapsed = time.Since(testStart)
@@ -698,31 +696,51 @@ func (h *Harness) injectPacket(pkt *symbolic.TestPacket) (p4rt.InjectResult, *In
 
 // comparePacket checks one observed switch behavior against the
 // simulator's valid behavior set (phase 2 of the differential
-// execution; sim is the round's engine, reset for this packet). When
-// cov is non-nil, the simulator's execution traces (which tables
-// matched which entries, which actions ran) are harvested into it —
-// the data-plane half of the coverage map.
-func (h *Harness) comparePacket(sim bmv2.Simulator, pkt *symbolic.TestPacket, swRes p4rt.InjectResult, cov *coverage.Map) *Incident {
+// execution; sim is the round's engine, reset for this packet). It also
+// checks the packet itself: a table goal's packet that none of its
+// valid behaviors hits (symbolic.HitsGoal) is a goal-missed incident, a
+// defect of the validator's own generation, reported beside the
+// behavior verdict. When cov is non-nil, the simulator's execution
+// traces (which tables matched which entries, which actions ran) are
+// harvested into it — the data-plane half of the coverage map.
+func (h *Harness) comparePacket(sim bmv2.Simulator, pkt *symbolic.TestPacket, swRes p4rt.InjectResult, cov *coverage.Map) []Incident {
 	behaviors, err := sim.BehaviorSet(bmv2.Input{Port: pkt.Port, Packet: pkt.Data}, maxBehaviors)
 	if err != nil {
-		return &Incident{Tool: "p4-symbolic", Kind: "simulator-error",
-			Detail: fmt.Sprintf("goal %s: simulator failed: %v", pkt.GoalKey, err)}
+		return []Incident{{Tool: "p4-symbolic", Kind: "simulator-error",
+			Detail: fmt.Sprintf("goal %s: simulator failed: %v", pkt.GoalKey, err)}}
 	}
-	if cov != nil {
-		for _, b := range behaviors {
+	hit := false
+	for _, b := range behaviors {
+		if cov != nil {
 			for _, th := range b.Trace {
 				cov.NoteDataPlaneHit(th.Table, th.EntryKey, th.Action)
 			}
 		}
+		hit = hit || symbolic.HitsGoal(b, pkt.GoalKey)
 	}
-	swSig, err := h.switchSignature(swRes)
+	var incidents []Incident
+	if inc := h.judge(behaviors, pkt, swRes); inc != nil {
+		incidents = append(incidents, *inc)
+	}
+	if !hit {
+		incidents = append(incidents, Incident{Tool: "p4-symbolic", Kind: "goal-missed",
+			Detail: fmt.Sprintf("goal %s: none of the model's %d valid behaviors of its packet hits the goal (packet %x)",
+				pkt.GoalKey, len(behaviors), pkt.Data)})
+	}
+	return incidents
+}
+
+// judge returns the incident for a switch behavior outside the valid
+// behavior set, or nil when the set holds it.
+func (h *Harness) judge(behaviors []*bmv2.Outcome, pkt *symbolic.TestPacket, swRes p4rt.InjectResult) *Incident {
+	swSig, err := h.signature(switchOutcome(swRes))
 	if err != nil {
 		return &Incident{Tool: "p4-symbolic", Kind: "switch-output-malformed",
 			Detail: fmt.Sprintf("goal %s: %v", pkt.GoalKey, err)}
 	}
 	var simSigs []string
 	for _, b := range behaviors {
-		sig, err := h.simSignature(b)
+		sig, err := h.signature(b)
 		if err != nil {
 			return &Incident{Tool: "p4-symbolic", Kind: "simulator-output-malformed",
 				Detail: fmt.Sprintf("goal %s: %v", pkt.GoalKey, err)}
@@ -759,50 +777,47 @@ func (h *Harness) fieldSignature(frame []byte) (string, error) {
 	return sig + fmt.Sprintf("payload=%x", payload), nil
 }
 
-func (h *Harness) switchSignature(r p4rt.InjectResult) (string, error) {
+// switchOutcome is the switch's result for an injected packet as the
+// simulator outcome it reports, so signature renders both alike.
+func switchOutcome(r p4rt.InjectResult) *bmv2.Outcome {
+	o := &bmv2.Outcome{Disposition: bmv2.Forwarded, EgressPort: r.EgressPort, Packet: r.Frame, CopyToCPU: r.CopyToCPU}
 	switch {
 	case r.Punted:
-		sig, err := h.fieldSignature(r.Frame)
-		return "punt{" + sig + "}" + h.mirrorSig(r.Mirrors, r.CopyToCPU), err
+		o.Disposition = bmv2.Punted
 	case r.Dropped:
-		return "drop{}" + h.mirrorSigSwitch(r), nil
-	default:
-		sig, err := h.fieldSignature(r.Frame)
-		return fmt.Sprintf("fwd[%d]{%s}", r.EgressPort, sig) + h.mirrorSig(r.Mirrors, r.CopyToCPU), err
+		o.Disposition = bmv2.Dropped
 	}
+	for _, m := range r.Mirrors {
+		o.Mirrors = append(o.Mirrors, bmv2.MirrorCopy{Session: m.Session, Packet: m.Frame})
+	}
+	return o
 }
 
-func (h *Harness) mirrorSigSwitch(r p4rt.InjectResult) string {
-	return h.mirrorSig(r.Mirrors, r.CopyToCPU)
-}
-
-func (h *Harness) mirrorSig(mirrors []p4rt.MirrorFrame, copyToCPU bool) string {
-	sig := ""
-	if copyToCPU {
-		sig += "+copy"
-	}
-	for _, m := range mirrors {
-		fs, _ := h.fieldSignature(m.Frame)
-		sig += fmt.Sprintf("+mirror[%d]{%s}", m.Session, fs)
-	}
-	return sig
-}
-
-func (h *Harness) simSignature(o *bmv2.Outcome) (string, error) {
-	var mirrors []p4rt.MirrorFrame
-	for _, m := range o.Mirrors {
-		mirrors = append(mirrors, p4rt.MirrorFrame{Session: m.Session, Frame: m.Packet})
-	}
+// signature renders a behavior, the switch's (switchOutcome) or the
+// simulator's, for comparison: its disposition with the model-visible
+// content of the packet it carries, then any copy to the CPU and the
+// mirror copies. A dropped packet's content is not rendered.
+func (h *Harness) signature(o *bmv2.Outcome) (string, error) {
+	var sig string
+	var err error
 	switch o.Disposition {
 	case bmv2.Punted:
-		sig, err := h.fieldSignature(o.Packet)
-		return "punt{" + sig + "}" + h.mirrorSig(mirrors, o.CopyToCPU), err
+		sig, err = h.fieldSignature(o.Packet)
+		sig = "punt{" + sig + "}"
 	case bmv2.Dropped:
-		return "drop{}" + h.mirrorSig(mirrors, o.CopyToCPU), nil
+		sig = "drop{}"
 	default:
-		sig, err := h.fieldSignature(o.Packet)
-		return fmt.Sprintf("fwd[%d]{%s}", o.EgressPort, sig) + h.mirrorSig(mirrors, o.CopyToCPU), err
+		sig, err = h.fieldSignature(o.Packet)
+		sig = fmt.Sprintf("fwd[%d]{%s}", o.EgressPort, sig)
 	}
+	if o.CopyToCPU {
+		sig += "+copy"
+	}
+	for _, m := range o.Mirrors {
+		fs, _ := h.fieldSignature(m.Packet)
+		sig += fmt.Sprintf("+mirror[%d]{%s}", m.Session, fs)
+	}
+	return sig, err
 }
 
 // entryUpdates wraps each entry in an update of type typ.

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 
+	"switchv/internal/bmv2"
 	"switchv/internal/p4/dataflow"
 	"switchv/internal/p4/ir"
 	"switchv/internal/p4/pdpi"
@@ -136,7 +137,7 @@ func (ex *Executor) packetFrom(val func(*smt.Term) value.V, goalKey string) (*Te
 	for i, f := range ex.prog.Fields {
 		fields[i] = val(ex.inputs[i]).WithWidth(f.Width)
 	}
-	data, err := bmv2DeparseFields(ex.prog, fields, []byte("switchv-test"))
+	data, err := bmv2.DeparseFields(ex.prog, fields, []byte("switchv-test"))
 	if err != nil {
 		return nil, fmt.Errorf("symbolic: deparsing model for %s: %w", goalKey, err)
 	}

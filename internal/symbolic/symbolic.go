@@ -78,12 +78,38 @@ type Executor struct {
 }
 
 // TraceKeyEntry names the trace guard for a concrete entry of a table.
-func TraceKeyEntry(table string, e *pdpi.Entry) string {
-	return "table:" + table + ":entry:" + e.Key()
-}
+func TraceKeyEntry(table string, e *pdpi.Entry) string { return traceKeyEntry(table, e.Key()) }
+
+func traceKeyEntry(table, entryKey string) string { return "table:" + table + ":entry:" + entryKey }
 
 // TraceKeyDefault names the trace guard for a table's default action.
 func TraceKeyDefault(table string) string { return "table:" + table + ":default" }
+
+// hitKey names the table goal a simulator trace hit covers: its entry's
+// goal, or the table's default goal when no entry matched.
+func hitKey(h bmv2.TableHit) string {
+	if h.EntryKey == "" {
+		return TraceKeyDefault(h.Table)
+	}
+	return traceKeyEntry(h.Table, h.EntryKey)
+}
+
+// HitsGoal reports whether a simulator outcome hits a goal: for a table
+// goal, whether some hit of the outcome's trace covers it (hitKey).
+// Branch, enriched and other goals are not observable in the trace, and
+// every outcome hits them.
+func HitsGoal(out *bmv2.Outcome, goalKey string) bool {
+	table := goalTable(goalKey)
+	if table == "" {
+		return true
+	}
+	for _, h := range out.Trace {
+		if h.Table == table && hitKey(h) == goalKey {
+			return true
+		}
+	}
+	return false
+}
 
 // New symbolically executes the model against the store's entries. The
 // store must not be mutated afterwards (re-run New instead; see Cache).
@@ -272,7 +298,7 @@ func (ex *Executor) assertParserAxioms() error {
 		if prefix != "" && strings.HasPrefix(f.Name, prefix+".") {
 			continue
 		}
-		if f.Name == ir.FieldIngressPort || f.Name == "standard_metadata.egress_port" ||
+		if f.Name == ir.FieldIngressPort || f.Name == ir.FieldEgressPort ||
 			f.Name == ir.FieldEgressSpec {
 			if f.Name != ir.FieldIngressPort {
 				ex.solver.AssertLazy(b.Eq(ex.inputs[f.ID], b.Const(value.Zero(f.Width))))
@@ -360,13 +386,9 @@ func (ex *Executor) applyTable(state []*smt.Term, t *ir.Table, g *smt.Term) {
 	}
 	defFire := b.And(g, notHigher)
 	ex.recordTrace(TraceKeyDefault(t.Name), defFire)
-	defArgs := make([]*smt.Term, len(t.DefaultAction.Params))
-	for i, p := range t.DefaultAction.Params {
-		var arg uint64
-		if i < len(t.DefaultActionArgs) {
-			arg = t.DefaultActionArgs[i]
-		}
-		defArgs[i] = b.ConstUint(arg, p.Width)
+	defArgs := make([]*smt.Term, len(t.DefaultActionArgs))
+	for i, a := range t.DefaultActionArgs {
+		defArgs[i] = b.Const(a)
 	}
 	ex.runStmts(state, t.DefaultAction.Body, defFire, defArgs)
 }
@@ -476,6 +498,3 @@ func (ex *Executor) DropCond() *smt.Term {
 func (ex *Executor) ForwardCond() *smt.Term {
 	return ex.b.Not(ex.b.Or(ex.PuntCond(), ex.DropCond()))
 }
-
-// bmv2DeparseFields is indirected for testing.
-var bmv2DeparseFields = bmv2.DeparseFields

@@ -110,7 +110,7 @@ func checkHits(t *testing.T, prog *ir.Program, store *pdpi.Store, pkts []TestPac
 		}
 		hit := false
 		for _, out := range behaviors {
-			if hitsGoal(out, pkt.GoalKey) {
+			if HitsGoal(out, pkt.GoalKey) {
 				hit = true
 				break
 			}
@@ -119,29 +119,6 @@ func checkHits(t *testing.T, prog *ir.Program, store *pdpi.Store, pkts []TestPac
 			t.Errorf("goal %s hit by no valid behavior (%d behaviors)", pkt.GoalKey, len(behaviors))
 		}
 	}
-}
-
-// hitsGoal checks a bmv2 trace against a goal key of the form
-// "table:<t>:entry:<key>" or "table:<t>:default".
-func hitsGoal(out *bmv2.Outcome, key string) bool {
-	if !strings.HasPrefix(key, "table:") {
-		return true // branch goals are not directly observable in the trace
-	}
-	for _, h := range out.Trace {
-		if hitKey(h) == key {
-			return true
-		}
-	}
-	return false
-}
-
-// hitKey names the table goal a trace hit covers: its entry's goal, or
-// the table's default goal when no entry matched.
-func hitKey(h bmv2.TableHit) string {
-	if h.EntryKey == "" {
-		return TraceKeyDefault(h.Table)
-	}
-	return "table:" + h.Table + ":entry:" + h.EntryKey
 }
 
 func TestEntryGoalCoverageIsHigh(t *testing.T) {
