@@ -70,7 +70,9 @@ daemon-smoke:
 # (cone-of-influence slice restriction must never flip a verdict), and
 # the p4rt WriteRequest and ReadResponse decoder fuzzers (arbitrary
 # bytes must not panic them, and a decoded message must survive a
-# re-encode unchanged), and the P4 front-end fuzzer (arbitrary source
+# re-encode unchanged), the p4rt frame-reader fuzzer (arbitrary bytes
+# must not panic it, and a frame it reads must re-encode to exactly the
+# bytes it consumed), and the P4 front-end fuzzer (arbitrary source
 # through the parser and ir.Compile must not panic or hang).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDifferentialEngines' -fuzztime 10s ./internal/p4/compile
@@ -78,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzSlicedVsFullBlast' -fuzztime 10s ./internal/symbolic
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeWriteRequest' -fuzztime 10s ./internal/p4rt
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeReadResponse' -fuzztime 10s ./internal/p4rt
+	$(GO) test -run '^$$' -fuzz 'FuzzReadRawFrame' -fuzztime 10s ./internal/p4rt
 	$(GO) test -run '^$$' -fuzz 'FuzzFrontEnd' -fuzztime 10s ./internal/p4/ir
 
 # perfbench vets and tests the benchmark program. It is its own module

@@ -5,6 +5,7 @@
 package switchv
 
 import (
+	"bytes"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -18,14 +19,14 @@ import (
 	"switchv/internal/oracle"
 	"switchv/internal/p4/check"
 	"switchv/internal/p4/compile"
-	"switchv/internal/p4/constraints"
+	"switchv/internal/p4/ir"
 	"switchv/internal/p4/p4info"
 	"switchv/internal/p4/pdpi"
 	"switchv/internal/p4rt"
+	"switchv/internal/packet"
 	"switchv/internal/switchsim"
 	"switchv/internal/switchv"
 	"switchv/internal/symbolic"
-	"switchv/internal/testutil"
 	"switchv/internal/trivial"
 	"switchv/internal/workload"
 	"switchv/models"
@@ -491,9 +492,6 @@ func BenchmarkAblationOracle(b *testing.B) {
 	}
 }
 
-// constraintsCheck avoids an import-name clash in the benchmark file.
-func constraintsCheck(e *pdpi.Entry) (bool, error) { return constraints.CheckEntry(e) }
-
 func byK(k int) string {
 	switch k {
 	case 4:
@@ -649,45 +647,6 @@ func TestCoverageGuidedVsBlind(t *testing.T) {
 	}
 }
 
-// BenchmarkAblationConstraintAware contrasts default generation ("we
-// currently do not enforce constraint compliance", §4.1) with the
-// BDD-based constraint-aware mode (§7): the fraction of intended-valid
-// entries for constrained tables that actually satisfy the
-// @entry_restriction.
-func BenchmarkAblationConstraintAware(b *testing.B) {
-	prog := models.Middleblock()
-	info := p4info.New(prog)
-	run := func(b *testing.B, aware bool) {
-		for i := 0; i < b.N; i++ {
-			f := fuzzer.New(info, fuzzer.Options{Seed: 7, ConstraintAware: aware, MutateFraction: 0.0001})
-			compliant, constrained := 0, 0
-			for j := 0; j < 3000; j++ {
-				gu, err := f.GenerateUpdate()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if gu.Mutation != "" || gu.Update.Type != p4rt.Insert {
-					continue
-				}
-				e, err := p4rt.FromWire(info, &gu.Update.Entry)
-				if err != nil || e.Table.EntryRestriction == "" {
-					continue
-				}
-				constrained++
-				if ok, err := constraintsCheck(e); err == nil && ok {
-					compliant++
-				}
-				f.NoteAccepted(gu.Update)
-			}
-			if constrained > 0 {
-				b.ReportMetric(100*float64(compliant)/float64(constrained), "pct-compliant")
-			}
-		}
-	}
-	b.Run("default", func(b *testing.B) { run(b, false) })
-	b.Run("bdd-aware", func(b *testing.B) { run(b, true) })
-}
-
 // BenchmarkCompiledVsInterp measures reference-simulator throughput in
 // packets per second, single-threaded, over the Table 3 Inst1 workload
 // (798 middleblock entries): the IR interpreter constructed once per
@@ -705,19 +664,7 @@ func BenchmarkCompiledVsInterp(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	// A mix of parser paths and table outcomes: routed, longest-prefix,
-	// WCMP-shaped, unrouted, TTL edge, BGP-like TCP, and IPv6.
-	frames := [][]byte{
-		testutil.IPv4UDP("10.0.0.1", 64, 53),
-		testutil.IPv4UDP("10.99.1.2", 64, 53),
-		testutil.IPv4UDP("10.200.3.4", 64, 443),
-		testutil.IPv4UDP("192.0.2.1", 64, 53),
-		testutil.IPv4UDP("10.0.0.1", 1, 179),
-	}
-	inputs := make([]bmv2.Input, len(frames))
-	for i, f := range frames {
-		inputs[i] = bmv2.Input{Port: uint16(i%4 + 1), Packet: f}
-	}
+	inputs := compiledVsInterpInputs(b, prog, store)
 	// Batch sizes are chosen so a batch takes a comparable wall-clock
 	// slice (~10ms) for every engine: with equal-duration batches,
 	// scheduler preemption and GC pauses on a shared machine dent each
@@ -805,6 +752,85 @@ func BenchmarkCompiledVsInterp(b *testing.B) {
 	if speedup < 10 {
 		b.Fatalf("compiled engine %.0f pps is %.1fx the interpreter's %.0f pps, want >= 10x", compiledPPS, speedup, interpPPS)
 	}
+}
+
+// compiledVsInterpInputs builds BenchmarkCompiledVsInterp's frames from
+// the generator's packets for the store: an IPv4 route, an IPv6 route
+// and a WCMP group (each forwarded through the nexthop lookups and the
+// deparser), an ACL trap of a TCP frame, the IPv4 route's frame at TTL 1
+// (punted before routing) and an unrouted frame (the IPv4 table's
+// default goal). It fails unless the reference simulator forwards at
+// least three of them, one frame is IPv6, one is TCP, and the traces hit
+// an ipv4_table and a wcmp_group_table entry.
+func compiledVsInterpInputs(b *testing.B, prog *ir.Program, store *pdpi.Store) []bmv2.Input {
+	b.Helper()
+	pkts, _, err := symbolic.GeneratePacketsParallel(prog, store, symbolic.Options{}, symbolic.GenOptions{Mode: symbolic.CoverEntries})
+	if err != nil {
+		b.Fatal(err)
+	}
+	hasTCP := func(data []byte) bool {
+		return packet.NewPacket(data, packet.LayerTypeEthernet).Layer(packet.LayerTypeTCP) != nil
+	}
+	first := func(what string, ok func(p symbolic.TestPacket) bool) bmv2.Input {
+		for _, p := range pkts {
+			if ok(p) {
+				return bmv2.Input{Port: p.Port, Packet: p.Data}
+			}
+		}
+		b.Fatalf("no generated packet for %s", what)
+		return bmv2.Input{}
+	}
+	entryGoal := func(table string) (string, func(p symbolic.TestPacket) bool) {
+		return table + " entry", func(p symbolic.TestPacket) bool {
+			return symbolic.GoalTable(p.GoalKey) == table && p.GoalKey != symbolic.TraceKeyDefault(table)
+		}
+	}
+	route := first(entryGoal("ipv4_table"))
+	if len(route.Packet) < 23 || route.Packet[12] != 0x08 || route.Packet[13] != 0x00 {
+		b.Fatalf("ipv4_table packet is not untagged IPv4: %x", route.Packet)
+	}
+	ttl1 := bmv2.Input{Port: route.Port, Packet: bytes.Clone(route.Packet)}
+	ttl1.Packet[14+8] = 1 // the TTL byte of the IPv4 header
+	inputs := []bmv2.Input{
+		route,
+		first(entryGoal("ipv6_table")),
+		first(entryGoal("wcmp_group_table")),
+		first("a TCP acl_ingress_table goal", func(p symbolic.TestPacket) bool {
+			return symbolic.GoalTable(p.GoalKey) == "acl_ingress_table" && hasTCP(p.Data)
+		}),
+		ttl1,
+		first("the ipv4_table default goal", func(p symbolic.TestPacket) bool {
+			return p.GoalKey == symbolic.TraceKeyDefault("ipv4_table")
+		}),
+	}
+	sim, err := bmv2.New(prog, store)
+	if err != nil {
+		b.Fatal(err)
+	}
+	forwarded, ipv6, tcp := 0, false, false
+	hit := map[string]bool{}
+	for _, in := range inputs {
+		sim.Reset()
+		out, err := sim.Run(in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if out.Disposition == bmv2.Forwarded {
+			forwarded++
+		}
+		ipv6 = ipv6 || packet.NewPacket(in.Packet, packet.LayerTypeEthernet).IPv6() != nil
+		tcp = tcp || hasTCP(in.Packet)
+		for _, h := range out.Trace {
+			if h.EntryKey != "" {
+				hit[h.Table] = true
+			}
+		}
+	}
+	if forwarded < 3 || !ipv6 || !tcp || !hit["ipv4_table"] || !hit["wcmp_group_table"] {
+		b.Fatalf("frame mix: %d forwarded (want >= 3), IPv6 %v, TCP %v, ipv4_table hit %v, wcmp_group_table hit %v",
+			forwarded, ipv6, tcp, hit["ipv4_table"], hit["wcmp_group_table"])
+	}
+	return inputs
 }
 
 // BenchmarkParallelCampaign measures the sharded engine's scaling and,

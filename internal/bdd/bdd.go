@@ -1,17 +1,12 @@
-// Package bdd implements reduced ordered binary decision diagrams with
-// model counting and uniform solution sampling. The fuzzer uses BDDs to
-// reason about P4-constraints (§7 "Fuzzing"): entry restrictions are
-// compiled to a BDD over the referenced key bits, solutions are sampled to
-// make generated entries constraint-compliant, and the negation is sampled
-// to produce entries that violate exactly the constraint while remaining
-// otherwise valid.
+// Package bdd implements reduced ordered binary decision diagrams. The
+// data-plane generator's witness pre-pass (internal/symbolic/witness.go)
+// is its one user: it builds, per table, the predicate "the key bits hit
+// entry E and escape every higher-precedence entry" from the connectives,
+// bounds the ingress port with LtConst, and reads a candidate packet key
+// off MinSat.
 package bdd
 
-import (
-	"fmt"
-	"math/big"
-	"math/rand"
-)
+import "fmt"
 
 // Node references a BDD node; 0 is the false terminal, 1 the true one.
 type Node int32
@@ -34,7 +29,6 @@ type Builder struct {
 	unique  map[node]Node
 	apply   map[applyKey]Node
 	notMemo map[Node]Node
-	counts  map[Node]*big.Int
 }
 
 type applyKey struct {
@@ -51,7 +45,6 @@ func New(numVars int) *Builder {
 		unique:  map[node]Node{},
 		apply:   map[applyKey]Node{},
 		notMemo: map[Node]Node{},
-		counts:  map[Node]*big.Int{},
 	}
 	b.nodes = []node{
 		{level: terminalLevel}, // False
@@ -94,14 +87,6 @@ func (b *Builder) NVar(i int) Node {
 		panic(fmt.Sprintf("bdd: variable %d out of range [0,%d)", i, b.numVars))
 	}
 	return b.mk(int32(i), True, False)
-}
-
-// Const returns a terminal.
-func (b *Builder) Const(v bool) Node {
-	if v {
-		return True
-	}
-	return False
 }
 
 // Not returns the complement.
@@ -220,87 +205,6 @@ func (b *Builder) Eval(n Node, assignment []bool) bool {
 	return n == True
 }
 
-var two = big.NewInt(2)
-
-// Count returns the number of satisfying assignments over all NumVars
-// variables.
-func (b *Builder) Count(n Node) *big.Int {
-	return new(big.Int).Mul(b.countFrom(n), pow2(b.skipped(0, n)))
-}
-
-// countFrom counts models of the sub-BDD, normalized to the node's level.
-func (b *Builder) countFrom(n Node) *big.Int {
-	if n == False {
-		return big.NewInt(0)
-	}
-	if n == True {
-		return big.NewInt(1)
-	}
-	if c, ok := b.counts[n]; ok {
-		return c
-	}
-	nd := b.nodes[n]
-	lo := new(big.Int).Mul(b.countFrom(nd.lo), pow2(b.skipped(int(nd.level)+1, nd.lo)))
-	hi := new(big.Int).Mul(b.countFrom(nd.hi), pow2(b.skipped(int(nd.level)+1, nd.hi)))
-	c := new(big.Int).Add(lo, hi)
-	b.counts[n] = c
-	return c
-}
-
-// skipped returns how many variable levels lie strictly between from and
-// the node's level (terminals count to NumVars).
-func (b *Builder) skipped(from int, n Node) int {
-	level := b.numVars
-	if n != False && n != True {
-		level = int(b.nodes[n].level)
-	}
-	if level < from {
-		return 0
-	}
-	return level - from
-}
-
-func pow2(k int) *big.Int {
-	return new(big.Int).Lsh(big.NewInt(1), uint(k))
-}
-
-// Sample draws a uniformly random satisfying assignment; ok is false when
-// the BDD is unsatisfiable.
-func (b *Builder) Sample(n Node, rng *rand.Rand) (assignment []bool, ok bool) {
-	if n == False {
-		return nil, false
-	}
-	assignment = make([]bool, b.numVars)
-	level := 0
-	for {
-		if n == True {
-			// Remaining variables are free.
-			for ; level < b.numVars; level++ {
-				assignment[level] = rng.Intn(2) == 1
-			}
-			return assignment, true
-		}
-		nd := b.nodes[n]
-		// Variables between level and nd.level are free.
-		for ; level < int(nd.level); level++ {
-			assignment[level] = rng.Intn(2) == 1
-		}
-		// Choose the branch proportionally to its model count.
-		loCount := new(big.Int).Mul(b.countFrom(nd.lo), pow2(b.skipped(level+1, nd.lo)))
-		hiCount := new(big.Int).Mul(b.countFrom(nd.hi), pow2(b.skipped(level+1, nd.hi)))
-		total := new(big.Int).Add(loCount, hiCount)
-		pick := new(big.Int).Rand(rng, total)
-		if pick.Cmp(loCount) < 0 {
-			assignment[level] = false
-			n = nd.lo
-		} else {
-			assignment[level] = true
-			n = nd.hi
-		}
-		level++
-	}
-}
-
 // MinSat returns the deterministic minimum satisfying assignment of n:
 // the walk prefers the lo (false) branch whenever it stays satisfiable,
 // and every variable the walk never constrains reads false. In a reduced
@@ -323,21 +227,6 @@ func (b *Builder) MinSat(n Node) (assignment []bool, ok bool) {
 	return assignment, true
 }
 
-// EqConst returns the BDD for "the integer formed by bits == value", where
-// bits lists variable indices most-significant first.
-func (b *Builder) EqConst(bits []int, value uint64) Node {
-	r := True
-	for i, v := range bits {
-		bit := value>>(uint(len(bits)-1-i))&1 == 1
-		if bit {
-			r = b.And(r, b.Var(v))
-		} else {
-			r = b.And(r, b.NVar(v))
-		}
-	}
-	return r
-}
-
 // LtConst returns the BDD for "bits < value" (unsigned, MSB-first).
 func (b *Builder) LtConst(bits []int, value uint64) Node {
 	// Walk MSB to LSB: strictly-less happens at the first position where
@@ -354,9 +243,4 @@ func (b *Builder) LtConst(bits []int, value uint64) Node {
 		}
 	}
 	return r
-}
-
-// GtConst returns the BDD for "bits > value".
-func (b *Builder) GtConst(bits []int, value uint64) Node {
-	return b.Not(b.Or(b.LtConst(bits, value), b.EqConst(bits, value)))
 }

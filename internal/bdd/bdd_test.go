@@ -1,10 +1,6 @@
 package bdd
 
-import (
-	"math/big"
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func TestBasics(t *testing.T) {
 	b := New(3)
@@ -38,101 +34,6 @@ func TestBasics(t *testing.T) {
 	}
 }
 
-func TestCount(t *testing.T) {
-	b := New(4)
-	x, y := b.Var(0), b.Var(1)
-	cases := []struct {
-		n    Node
-		want int64
-	}{
-		{True, 16},
-		{False, 0},
-		{x, 8},
-		{b.And(x, y), 4},
-		{b.Or(x, y), 12},
-		{b.Xor(x, y), 8},
-		{b.Var(3), 8}, // a low-order variable
-	}
-	for _, c := range cases {
-		if got := b.Count(c.n); got.Cmp(big.NewInt(c.want)) != 0 {
-			t.Errorf("Count = %v, want %d", got, c.want)
-		}
-	}
-}
-
-func TestCountAgainstEnumeration(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 50; trial++ {
-		const n = 8
-		b := New(n)
-		f := randomFormula(b, rng, 4)
-		want := 0
-		assignment := make([]bool, n)
-		for m := 0; m < 1<<n; m++ {
-			for i := 0; i < n; i++ {
-				assignment[i] = m>>i&1 == 1
-			}
-			if b.Eval(f, assignment) {
-				want++
-			}
-		}
-		if got := b.Count(f); got.Cmp(big.NewInt(int64(want))) != 0 {
-			t.Fatalf("trial %d: Count = %v, enumeration %d", trial, got, want)
-		}
-	}
-}
-
-func randomFormula(b *Builder, rng *rand.Rand, depth int) Node {
-	if depth == 0 {
-		if rng.Intn(2) == 0 {
-			return b.Var(rng.Intn(b.NumVars()))
-		}
-		return b.NVar(rng.Intn(b.NumVars()))
-	}
-	x := randomFormula(b, rng, depth-1)
-	y := randomFormula(b, rng, depth-1)
-	switch rng.Intn(4) {
-	case 0:
-		return b.And(x, y)
-	case 1:
-		return b.Or(x, y)
-	case 2:
-		return b.Xor(x, y)
-	default:
-		return b.Not(x)
-	}
-}
-
-func TestSample(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	b := New(10)
-	// (v0 xor v1) and v9
-	f := b.And(b.Xor(b.Var(0), b.Var(1)), b.Var(9))
-	for i := 0; i < 200; i++ {
-		a, ok := b.Sample(f, rng)
-		if !ok {
-			t.Fatal("unsat?")
-		}
-		if !b.Eval(f, a) {
-			t.Fatalf("sample %v does not satisfy", a)
-		}
-	}
-	if _, ok := b.Sample(False, rng); ok {
-		t.Error("sampled from false")
-	}
-	// Uniformity smoke test: v0 should be true about half the time.
-	trues := 0
-	for i := 0; i < 2000; i++ {
-		a, _ := b.Sample(f, rng)
-		if a[0] {
-			trues++
-		}
-	}
-	if trues < 800 || trues > 1200 {
-		t.Errorf("v0 true in %d/2000 samples; sampling is biased", trues)
-	}
-}
-
 func TestIntComparators(t *testing.T) {
 	b := New(8)
 	bits := []int{0, 1, 2, 3, 4, 5, 6, 7} // MSB first
@@ -143,25 +44,11 @@ func TestIntComparators(t *testing.T) {
 		}
 		return b.Eval(n, a)
 	}
-	eq42 := b.EqConst(bits, 42)
 	lt42 := b.LtConst(bits, 42)
-	gt42 := b.GtConst(bits, 42)
 	for v := uint64(0); v < 256; v++ {
-		if eval(eq42, v) != (v == 42) {
-			t.Fatalf("eq: v=%d", v)
-		}
 		if eval(lt42, v) != (v < 42) {
 			t.Fatalf("lt: v=%d", v)
 		}
-		if eval(gt42, v) != (v > 42) {
-			t.Fatalf("gt: v=%d", v)
-		}
-	}
-	if got := b.Count(eq42); got.Cmp(big.NewInt(1)) != 0 {
-		t.Errorf("Count(eq) = %v", got)
-	}
-	if got := b.Count(lt42); got.Cmp(big.NewInt(42)) != 0 {
-		t.Errorf("Count(lt) = %v", got)
 	}
 }
 
@@ -180,9 +67,6 @@ func TestVarBounds(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-	if b.Const(true) != True || b.Const(false) != False {
-		t.Error("Const")
 	}
 	if b.Size() < 2 {
 		t.Error("Size")

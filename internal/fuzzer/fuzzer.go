@@ -22,7 +22,10 @@ import (
 // whereas a literal 0 means "unset, use the default".
 const Disabled = -1.0
 
-// Options configures a fuzzing campaign.
+// Options configures a fuzzing campaign. Like the paper's deployed
+// p4-fuzzer (§4.1), generation does not enforce @entry_restriction
+// compliance: the oracle judges a non-compliant entry must-reject.
+// CoverageGuided is the one option that steers what is generated.
 type Options struct {
 	// Seed makes runs reproducible.
 	Seed int64
@@ -43,12 +46,6 @@ type Options struct {
 	// have been found (0 = run the full campaign). Bug-hunting sweeps use
 	// it; nightly validation runs do not.
 	StopAfterIncidents int
-	// ConstraintAware enables BDD-based generation (§7): intended-valid
-	// entries are made @entry_restriction-compliant by sampling the
-	// constraint's BDD, and a ConstraintViolation mutation samples its
-	// complement. Off by default, matching the paper's deployed system
-	// ("we currently do not enforce constraint compliance").
-	ConstraintAware bool
 	// CoverageGuided replaces uniform table/action/mutation picks with
 	// energy-weighted draws from the coverage map (greybox feedback):
 	// regions the campaign has not exercised yet are scheduled first.
@@ -110,8 +107,7 @@ type Fuzzer struct {
 	// p4info.Ranks).
 	ranks map[string]int
 
-	deferred []GeneratedUpdate    // updates deferred to later batches
-	bdds     map[string]*tableBDD // compiled @entry_restriction BDDs
+	deferred []GeneratedUpdate // updates deferred to later batches
 
 	// cov is always non-nil (campaigns account coverage even when blind);
 	// guide is non-nil only under Options.CoverageGuided.
@@ -303,9 +299,6 @@ func (f *Fuzzer) GenerateUpdate() (GeneratedUpdate, error) {
 	e, err := f.GenerateEntry(t)
 	if err != nil {
 		return GeneratedUpdate{}, err
-	}
-	if f.opts.ConstraintAware {
-		e = f.generateCompliant(t, e)
 	}
 	f.cov.NoteWrite(t.Name)
 	gu := GeneratedUpdate{Update: p4rt.Update{Type: p4rt.Insert, Entry: p4rt.ToWire(e)}}

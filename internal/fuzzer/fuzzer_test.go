@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"switchv/internal/p4/constraints"
 	"switchv/internal/p4/p4info"
 	"switchv/internal/p4rt"
 	"switchv/models"
@@ -103,80 +102,6 @@ func TestTableRanks(t *testing.T) {
 	if f.TableRank("ipv4_table") <= f.TableRank("nexthop_table") {
 		t.Errorf("ipv4 (%d) should rank above nexthop (%d)",
 			f.TableRank("ipv4_table"), f.TableRank("nexthop_table"))
-	}
-}
-
-func TestConstraintAwareCompliance(t *testing.T) {
-	prog := models.Middleblock()
-	countCompliant := func(aware bool) (compliant, constrained int) {
-		f := New(p4info.New(prog), Options{Seed: 7, ConstraintAware: aware, MutateFraction: 0.0001})
-		for i := 0; i < 2000; i++ {
-			gu, err := f.GenerateUpdate()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gu.Mutation != "" || gu.Update.Type != p4rt.Insert {
-				continue
-			}
-			e, err := p4rt.FromWire(p4info.New(prog), &gu.Update.Entry)
-			if err != nil {
-				continue
-			}
-			if e.Table.EntryRestriction == "" {
-				continue
-			}
-			constrained++
-			if ok, err := constraints.CheckEntry(e); err == nil && ok {
-				compliant++
-			}
-			f.NoteAccepted(gu.Update)
-		}
-		return
-	}
-	nAware, totAware := countCompliant(true)
-	nPlain, totPlain := countCompliant(false)
-	awareRate := float64(nAware) / float64(totAware)
-	plainRate := float64(nPlain) / float64(totPlain)
-	t.Logf("compliance: aware %.0f%% (%d/%d), plain %.0f%% (%d/%d)",
-		100*awareRate, nAware, totAware, 100*plainRate, nPlain, totPlain)
-	if awareRate < 0.95 {
-		t.Errorf("constraint-aware compliance = %.2f, want >= 0.95", awareRate)
-	}
-	if awareRate <= plainRate {
-		t.Errorf("constraint-aware (%f) not better than plain (%f)", awareRate, plainRate)
-	}
-}
-
-func TestConstraintViolationMutation(t *testing.T) {
-	info := p4info.New(models.Middleblock())
-	f := New(info, Options{Seed: 9, ConstraintAware: true, MutateFraction: 1.0})
-	hits := 0
-	for i := 0; i < 3000 && hits < 20; i++ {
-		gu, err := f.GenerateUpdate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gu.Mutation != "ConstraintViolation" {
-			if gu.Update.Type == p4rt.Insert && gu.Mutation == "" {
-				f.NoteAccepted(gu.Update)
-			}
-			continue
-		}
-		hits++
-		e, err := p4rt.FromWire(info, &gu.Update.Entry)
-		if err != nil {
-			t.Fatalf("ConstraintViolation produced a syntactically invalid entry: %v", err)
-		}
-		ok, err := constraints.CheckEntry(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			t.Fatalf("ConstraintViolation entry is compliant: %s", e)
-		}
-	}
-	if hits < 5 {
-		t.Errorf("ConstraintViolation fired only %d times", hits)
 	}
 }
 

@@ -260,18 +260,6 @@ func (f *Fuzzer) unusedRefValue(ref *ir.Reference, width int) []byte {
 
 // mutate applies a random applicable mutation from the catalog.
 func (f *Fuzzer) mutate(gu GeneratedUpdate) GeneratedUpdate {
-	// In constraint-aware mode the ConstraintViolation mutation joins the
-	// catalog with priority (it needs the BDD machinery, so it lives
-	// outside the static table).
-	if f.opts.ConstraintAware && f.rng.Intn(4) == 0 {
-		u := gu.Update
-		if f.mutateConstraintViolation(&u) {
-			f.MutatedCount++
-			f.PerMutation["ConstraintViolation"]++
-			f.cov.NoteMutation("ConstraintViolation")
-			return GeneratedUpdate{Update: u, Mutation: "ConstraintViolation"}
-		}
-	}
 	// Blind campaigns try the catalog in a uniform random order; guided
 	// ones order it by mutation-class energy, so classes the campaign has
 	// applied least come up first (their verdict-outcome cells are the

@@ -139,29 +139,6 @@ func (i *Info) Fingerprint() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// ReferencedBy returns, for each table, the tables and actions whose
-// @refers_to annotations point at it. The fuzzer uses this to order
-// dependent updates into separate batches (§4.4).
-func (i *Info) ReferencedBy(target *ir.Table) []string {
-	var out []string
-	for _, t := range i.program.Tables {
-		for _, k := range t.Keys {
-			if k.RefersTo != nil && k.RefersTo.Table == target.Name {
-				out = append(out, "table:"+t.Name)
-			}
-		}
-	}
-	for _, a := range i.program.Actions {
-		for _, p := range a.Params {
-			if p.RefersTo != nil && p.RefersTo.Table == target.Name {
-				out = append(out, "action:"+a.Name)
-			}
-		}
-	}
-	sort.Strings(out)
-	return dedup(out)
-}
-
 // Dependencies returns the sorted names of tables that the given table's
 // entries may reference (via key or action-parameter @refers_to). A
 // table of the Info's program gets the list New computed, with its

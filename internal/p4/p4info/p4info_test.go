@@ -98,24 +98,6 @@ func TestDependencies(t *testing.T) {
 		}
 	}
 
-	vrf, _ := info.TableByName("vrf_table")
-	refs := info.ReferencedBy(vrf)
-	if len(refs) == 0 {
-		t.Fatal("vrf_table has no referrers")
-	}
-	foundTable, foundAction := false, false
-	for _, r := range refs {
-		if strings.HasPrefix(r, "table:") {
-			foundTable = true
-		}
-		if strings.HasPrefix(r, "action:") {
-			foundAction = true
-		}
-	}
-	if !foundTable || !foundAction {
-		t.Errorf("refs = %v, want both table: and action: entries", refs)
-	}
-
 	mirror, _ := info.TableByName("mirror_session_table")
 	if deps := info.Dependencies(mirror); len(deps) != 0 {
 		t.Errorf("mirror deps = %v", deps)

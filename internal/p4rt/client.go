@@ -18,7 +18,7 @@ var sessionCounter atomic.Uint64
 // connection generation it was issued on so a dying transport loop only
 // fails the calls that were actually riding on its connection.
 type pendingCall struct {
-	ch  chan frame
+	ch  chan RawFrame
 	gen int
 }
 
@@ -152,24 +152,24 @@ func (c *Client) readLoop(conn net.Conn, gen int) {
 		}
 	}()
 	for {
-		f, err := readFrame(conn)
+		f, err := ReadRawFrame(conn)
 		if err != nil {
 			return
 		}
-		switch f.kind {
-		case kindResponse:
+		switch f.Kind {
+		case FrameResponse:
 			c.mu.Lock()
-			p, ok := c.pending[f.id]
+			p, ok := c.pending[f.ID]
 			if ok {
-				delete(c.pending, f.id)
+				delete(c.pending, f.ID)
 			}
 			closed := c.closed
 			c.mu.Unlock()
 			if ok && !closed {
 				p.ch <- f
 			}
-		case kindPacketIn:
-			pin, err := decodePacketIn(f.payload)
+		case FramePacketIn:
+			pin, err := decodePacketIn(f.Payload)
 			if err != nil {
 				continue
 			}
@@ -222,7 +222,7 @@ func (c *Client) reconnect(fromGen int) error {
 
 // call sends a request and waits for its response payload, retrying
 // transient transport failures when SetRetry configured a schedule.
-func (c *Client) call(kind msgKind, payload []byte) (Status, []byte, error) {
+func (c *Client) call(kind uint8, payload []byte) (Status, []byte, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -267,32 +267,32 @@ func (c *Client) call(kind msgKind, payload []byte) (Status, []byte, error) {
 
 // attempt performs one send-and-wait round for an RPC. It returns the
 // connection generation it used, so the caller can target its redial.
-func (c *Client) attempt(kind msgKind, id uint64, payload []byte, isRetry, retryOn bool) (Status, []byte, int, error) {
+func (c *Client) attempt(kind uint8, id uint64, payload []byte, isRetry, retryOn bool) (Status, []byte, int, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return Status{}, nil, 0, errClosed
 	}
 	conn, gen := c.conn, c.gen
-	ch := make(chan frame, 1)
+	ch := make(chan RawFrame, 1)
 	c.pending[id] = pendingCall{ch: ch, gen: gen}
 	c.mu.Unlock()
 
 	k := kind
 	if isRetry {
-		k |= kindFlagRetry
+		k |= FrameRetryFlag
 	}
 	c.writeMu.Lock()
 	var werr error
 	if retryOn && c.helloGen != gen {
 		// First frame on a new connection: announce the session so the
 		// server's replay cache spans reconnects.
-		if werr = writeFrame(conn, frame{kind: kindHello, id: c.session}); werr == nil {
+		if werr = WriteRawFrame(conn, RawFrame{Kind: FrameHello, ID: c.session}); werr == nil {
 			c.helloGen = gen
 		}
 	}
 	if werr == nil {
-		werr = writeFrame(conn, frame{kind: k, id: id, payload: payload})
+		werr = WriteRawFrame(conn, RawFrame{Kind: k, ID: id, Payload: payload})
 	}
 	c.writeMu.Unlock()
 	if werr != nil {
@@ -307,7 +307,7 @@ func (c *Client) attempt(kind msgKind, id uint64, payload []byte, isRetry, retry
 		if !ok {
 			return Status{}, nil, gen, errConnClosed
 		}
-		st, body, err := decodeStatus(f.payload)
+		st, body, err := decodeStatus(f.Payload)
 		if err != nil {
 			return Status{}, nil, gen, err
 		}
@@ -339,7 +339,7 @@ func isTransient(err error) bool {
 
 // SetForwardingPipelineConfig implements Device.
 func (c *Client) SetForwardingPipelineConfig(cfg ForwardingPipelineConfig) error {
-	st, _, err := c.call(kindSetPipeline, encodePipelineConfig(&cfg))
+	st, _, err := c.call(FrameSetPipeline, encodePipelineConfig(&cfg))
 	if err != nil {
 		return err
 	}
@@ -349,7 +349,7 @@ func (c *Client) SetForwardingPipelineConfig(cfg ForwardingPipelineConfig) error
 // Write implements Device. Transport errors surface as a single INTERNAL
 // status covering the whole batch.
 func (c *Client) Write(req WriteRequest) WriteResponse {
-	st, body, err := c.call(kindWrite, encodeWriteRequest(&req))
+	st, body, err := c.call(FrameWrite, encodeWriteRequest(&req))
 	if err != nil {
 		return WriteResponse{Statuses: []Status{Statusf(Internal, "transport: %v", err)}}
 	}
@@ -365,7 +365,7 @@ func (c *Client) Write(req WriteRequest) WriteResponse {
 
 // Read implements Device.
 func (c *Client) Read(req ReadRequest) (ReadResponse, error) {
-	st, body, err := c.call(kindRead, encodeReadRequest(&req))
+	st, body, err := c.call(FrameRead, encodeReadRequest(&req))
 	if err != nil {
 		return ReadResponse{}, err
 	}
@@ -377,7 +377,7 @@ func (c *Client) Read(req ReadRequest) (ReadResponse, error) {
 
 // PacketOut implements Device.
 func (c *Client) PacketOut(p PacketOut) error {
-	st, _, err := c.call(kindPacketOut, encodePacketOut(&p))
+	st, _, err := c.call(FramePacketOut, encodePacketOut(&p))
 	if err != nil {
 		return err
 	}

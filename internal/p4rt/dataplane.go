@@ -35,8 +35,6 @@ type DataPlaneDevice interface {
 	InjectFrame(req InjectRequest) (InjectResult, error)
 }
 
-const kindInject msgKind = 7
-
 func encodeInjectRequest(r *InjectRequest) []byte {
 	e := &enc{}
 	e.u16(r.Port)
@@ -91,7 +89,7 @@ func decodeInjectResult(b []byte) (InjectResult, error) {
 
 // InjectFrame implements DataPlaneDevice on the client.
 func (c *Client) InjectFrame(req InjectRequest) (InjectResult, error) {
-	st, body, err := c.call(kindInject, encodeInjectRequest(&req))
+	st, body, err := c.call(FrameInject, encodeInjectRequest(&req))
 	if err != nil {
 		return InjectResult{}, err
 	}

@@ -1,6 +1,7 @@
 package p4rt
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 )
@@ -64,6 +65,43 @@ func FuzzDecodeReadResponse(f *testing.F) {
 		}
 		if !reflect.DeepEqual(resp, again) {
 			t.Fatalf("round trip changed the response:\n got %+v\nwant %+v", again, resp)
+		}
+	})
+}
+
+// FuzzReadRawFrame feeds arbitrary bytes to the frame reader that the
+// client, the server and the chaos wire share: it must never panic, and
+// a frame it returns must re-encode through WriteRawFrame to exactly the
+// bytes it consumed. The seeds are a request, a retried request, a
+// header alone that declares a large payload, and truncations.
+func FuzzReadRawFrame(f *testing.F) {
+	var buf bytes.Buffer
+	wr := sampleWriteRequest()
+	if err := WriteRawFrame(&buf, RawFrame{Kind: FrameWrite, ID: 7, Payload: encodeWriteRequest(&wr)}); err != nil {
+		f.Fatal(err)
+	}
+	full := buf.Bytes()
+	f.Add(full)
+	for _, n := range []int{0, 4, frameHeaderSize, len(full) - 1} {
+		f.Add(full[:n])
+	}
+	retry := append([]byte(nil), full...)
+	retry[4] = FrameWrite | FrameRetryFlag
+	f.Add(retry)
+	f.Add([]byte{0x03, 0xc0, 0, 0, FrameRead, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r := bytes.NewReader(b)
+		fr, err := ReadRawFrame(r)
+		if err != nil {
+			return
+		}
+		consumed := b[:len(b)-r.Len()]
+		var out bytes.Buffer
+		if err := WriteRawFrame(&out, fr); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), consumed) {
+			t.Fatalf("re-encoded frame differs from the %d bytes read:\n got %x\nwant %x", len(consumed), out.Bytes(), consumed)
 		}
 	})
 }

@@ -92,10 +92,10 @@ type connWriter struct {
 	conn net.Conn
 }
 
-func (cw *connWriter) send(f frame) error {
+func (cw *connWriter) send(f RawFrame) error {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
-	return writeFrame(cw.conn, f)
+	return WriteRawFrame(cw.conn, f)
 }
 
 // NewServer wraps a device. The optional logf receives connection errors;
@@ -196,7 +196,7 @@ func (s *Server) packetInLoop() {
 		}
 		s.mu.Unlock()
 		for _, cw := range writers {
-			if err := cw.send(frame{kind: kindPacketIn, payload: payload}); err != nil {
+			if err := cw.send(RawFrame{Kind: FramePacketIn, Payload: payload}); err != nil {
 				s.logf("p4rt: packet-in send: %v", err)
 			}
 		}
@@ -213,14 +213,14 @@ func (s *Server) serveConn(conn net.Conn, cw *connWriter) {
 	}()
 	var session uint64
 	for {
-		f, err := readFrame(conn)
+		f, err := ReadRawFrame(conn)
 		if err != nil {
 			return
 		}
-		retry := f.kind&kindFlagRetry != 0
-		f.kind &^= kindFlagRetry
-		if f.kind == kindHello {
-			session = f.id // adopt the client's session; no response
+		retry := f.Kind&FrameRetryFlag != 0
+		f.Kind &^= FrameRetryFlag
+		if f.Kind == FrameHello {
+			session = f.ID // adopt the client's session; no response
 			continue
 		}
 		// A flagged retry of a request this session already executed is
@@ -228,8 +228,8 @@ func (s *Server) serveConn(conn net.Conn, cw *connWriter) {
 		// stand and its original response is re-sent, making retries
 		// idempotent even when the first ACK was lost in flight.
 		if retry && session != 0 {
-			if payload, ok := s.sessions.lookup(session, f.id); ok {
-				if err := cw.send(frame{kind: kindResponse, id: f.id, payload: payload}); err != nil {
+			if payload, ok := s.sessions.lookup(session, f.ID); ok {
+				if err := cw.send(RawFrame{Kind: FrameResponse, ID: f.ID, Payload: payload}); err != nil {
 					s.logf("p4rt: response send: %v", err)
 					return
 				}
@@ -238,7 +238,7 @@ func (s *Server) serveConn(conn net.Conn, cw *connWriter) {
 		}
 		resp := s.dispatch(f)
 		if session != 0 {
-			s.sessions.store(session, f.id, resp.payload)
+			s.sessions.store(session, f.ID, resp.Payload)
 		}
 		if err := cw.send(resp); err != nil {
 			s.logf("p4rt: response send: %v", err)
@@ -248,28 +248,28 @@ func (s *Server) serveConn(conn net.Conn, cw *connWriter) {
 }
 
 // dispatch handles one request frame and builds the response frame.
-func (s *Server) dispatch(f frame) frame {
-	respond := func(st Status, body []byte) frame {
+func (s *Server) dispatch(f RawFrame) RawFrame {
+	respond := func(st Status, body []byte) RawFrame {
 		payload := encodeStatus(st)
 		payload = append(payload, body...)
-		return frame{kind: kindResponse, id: f.id, payload: payload}
+		return RawFrame{Kind: FrameResponse, ID: f.ID, Payload: payload}
 	}
-	switch f.kind {
-	case kindSetPipeline:
-		cfg, err := decodePipelineConfig(f.payload)
+	switch f.Kind {
+	case FrameSetPipeline:
+		cfg, err := decodePipelineConfig(f.Payload)
 		if err != nil {
 			return respond(Statusf(InvalidArgument, "%v", err), nil)
 		}
 		return respond(StatusFromError(s.device.SetForwardingPipelineConfig(cfg)), nil)
-	case kindWrite:
-		req, err := decodeWriteRequest(f.payload)
+	case FrameWrite:
+		req, err := decodeWriteRequest(f.Payload)
 		if err != nil {
 			return respond(Statusf(InvalidArgument, "%v", err), nil)
 		}
 		resp := s.device.Write(req)
 		return respond(OKStatus, encodeWriteResponse(&resp))
-	case kindRead:
-		req, err := decodeReadRequest(f.payload)
+	case FrameRead:
+		req, err := decodeReadRequest(f.Payload)
 		if err != nil {
 			return respond(Statusf(InvalidArgument, "%v", err), nil)
 		}
@@ -279,19 +279,19 @@ func (s *Server) dispatch(f frame) frame {
 		}
 		// The read-back is the largest response: encode it once, after
 		// the status, into one buffer of its exact size.
-		return frame{kind: kindResponse, id: f.id, payload: encodeReadResponse(encodeStatus(OKStatus), &resp)}
-	case kindPacketOut:
-		p, err := decodePacketOut(f.payload)
+		return RawFrame{Kind: FrameResponse, ID: f.ID, Payload: encodeReadResponse(encodeStatus(OKStatus), &resp)}
+	case FramePacketOut:
+		p, err := decodePacketOut(f.Payload)
 		if err != nil {
 			return respond(Statusf(InvalidArgument, "%v", err), nil)
 		}
 		return respond(StatusFromError(s.device.PacketOut(p)), nil)
-	case kindInject:
+	case FrameInject:
 		dp, ok := s.device.(DataPlaneDevice)
 		if !ok {
 			return respond(Statusf(Unimplemented, "device has no data-plane injection"), nil)
 		}
-		req, err := decodeInjectRequest(f.payload)
+		req, err := decodeInjectRequest(f.Payload)
 		if err != nil {
 			return respond(Statusf(InvalidArgument, "%v", err), nil)
 		}
@@ -301,7 +301,7 @@ func (s *Server) dispatch(f frame) frame {
 		}
 		return respond(OKStatus, encodeInjectResult(&res))
 	default:
-		return respond(Statusf(Unimplemented, "unknown message kind %d", f.kind), nil)
+		return respond(Statusf(Unimplemented, "unknown message kind %d", f.Kind), nil)
 	}
 }
 

@@ -9,64 +9,85 @@ import (
 // Frame layout: u32 payload length | u8 kind | u64 request id | payload.
 // Request ids pair responses with requests; pushes (packet-in) use id 0.
 
-type msgKind uint8
+// RawFrame is one wire frame. The client and the server exchange them,
+// and transport middleboxes (internal/chaos's fault-injection proxy)
+// relay or reorder them without interpreting their payloads. The Kind
+// byte may carry FrameRetryFlag; mask it off before comparing against
+// the other Frame* constants.
+type RawFrame struct {
+	Kind    uint8
+	ID      uint64
+	Payload []byte
+}
 
+// Frame kinds.
 const (
-	kindSetPipeline msgKind = 1
-	kindWrite       msgKind = 2
-	kindRead        msgKind = 3
-	kindPacketOut   msgKind = 4
-	kindPacketIn    msgKind = 5
-	kindResponse    msgKind = 6
-	// kindInject (7) lives in dataplane.go.
+	FrameSetPipeline uint8 = 1
+	FrameWrite       uint8 = 2
+	FrameRead        uint8 = 3
+	FramePacketOut   uint8 = 4
+	FramePacketIn    uint8 = 5
+	FrameResponse    uint8 = 6
+	FrameInject      uint8 = 7
 
-	// kindHello announces a client transport session: the id field
+	// FrameHello announces a client transport session: the id field
 	// carries the client's session id and there is no response. The
 	// server keys its response replay cache on (session, request id) so
 	// an in-RPC retry after a reconnect deduplicates against work the
 	// previous connection already applied.
-	kindHello msgKind = 8
+	FrameHello uint8 = 8
+
+	// FrameRetryFlag marks a request frame as a re-send of an earlier
+	// frame with the same id: the server may serve it from its replay
+	// cache instead of executing the request a second time. It is a flag
+	// bit on the kind byte, not a kind of its own.
+	FrameRetryFlag uint8 = 0x80
 )
 
-// kindFlagRetry marks a request frame as a re-send of an earlier frame
-// with the same id: the server may serve it from its replay cache
-// instead of executing the request a second time. It is a flag bit on
-// the kind byte, not a kind of its own.
-const kindFlagRetry msgKind = 0x80
+const (
+	frameHeaderSize = 4 + 1 + 8
+	maxFrameSize    = 64 << 20 // 64 MiB guards against corrupt length prefixes
+	// frameChunk bounds what ReadRawFrame allocates before the payload's
+	// bytes arrive: a frame up to this size gets one buffer of its exact
+	// size, and a larger one grows its buffer only as the peer sends.
+	frameChunk = 1 << 20
+)
 
-const maxFrameSize = 64 << 20 // 64 MiB guards against corrupt length prefixes
-
-type frame struct {
-	kind    msgKind
-	id      uint64
-	payload []byte
-}
-
-func writeFrame(w io.Writer, f frame) error {
-	hdr := make([]byte, 4+1+8)
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(f.payload)))
-	hdr[4] = byte(f.kind)
-	binary.BigEndian.PutUint64(hdr[5:13], f.id)
+// WriteRawFrame writes one frame to w.
+func WriteRawFrame(w io.Writer, f RawFrame) error {
+	hdr := make([]byte, frameHeaderSize)
+	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(f.Payload)))
+	hdr[4] = f.Kind
+	binary.BigEndian.PutUint64(hdr[5:13], f.ID)
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
-	_, err := w.Write(f.payload)
+	_, err := w.Write(f.Payload)
 	return err
 }
 
-func readFrame(r io.Reader) (frame, error) {
-	hdr := make([]byte, 4+1+8)
+// ReadRawFrame reads one frame from r. A header that declares more than
+// maxFrameSize bytes is an error. Past the first frameChunk bytes the
+// payload buffer at most doubles what has arrived, so a peer cannot make
+// the reader allocate what it only declares.
+func ReadRawFrame(r io.Reader) (RawFrame, error) {
+	hdr := make([]byte, frameHeaderSize)
 	if _, err := io.ReadFull(r, hdr); err != nil {
-		return frame{}, err
+		return RawFrame{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[0:4])
+	n := int(binary.BigEndian.Uint32(hdr[0:4]))
 	if n > maxFrameSize {
-		return frame{}, fmt.Errorf("p4rt: frame of %d bytes exceeds limit", n)
+		return RawFrame{}, fmt.Errorf("p4rt: frame of %d bytes exceeds limit", n)
 	}
-	f := frame{kind: msgKind(hdr[4]), id: binary.BigEndian.Uint64(hdr[5:13])}
-	f.payload = make([]byte, n)
-	if _, err := io.ReadFull(r, f.payload); err != nil {
-		return frame{}, err
+	p := make([]byte, min(n, frameChunk))
+	for got := 0; ; {
+		if _, err := io.ReadFull(r, p[got:]); err != nil {
+			return RawFrame{}, err
+		}
+		if got = len(p); got == n {
+			break
+		}
+		p = append(p, make([]byte, min(n-got, got))...)
 	}
-	return f, nil
+	return RawFrame{Kind: hdr[4], ID: binary.BigEndian.Uint64(hdr[5:13]), Payload: p}, nil
 }

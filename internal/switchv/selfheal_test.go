@@ -239,7 +239,7 @@ func TestHardenedJudgesSwitchUnavailable(t *testing.T) {
 	}
 	rep, err := h.RunControlPlane(fuzzer.Options{
 		Seed: 1, NumRequests: 1, UpdatesPerRequest: 1,
-		MutateFraction: fuzzer.Disabled, ConstraintAware: true,
+		MutateFraction: fuzzer.Disabled,
 	})
 	if err != nil {
 		t.Fatal(err)

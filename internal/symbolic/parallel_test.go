@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"switchv/internal/p4/check"
 	"switchv/internal/p4/ir"
 	"switchv/internal/p4/pdpi"
 	"switchv/internal/testutil"
@@ -303,6 +304,47 @@ func TestGenerationGates(t *testing.T) {
 			if got, want := covered(pu), covered(p1); !maps.Equal(got, want) {
 				t.Errorf("covered goals differ without slicing: %d unsliced vs %d sliced", len(got), len(want))
 			}
+		})
+	}
+}
+
+// TestGenerationChecksOtherModes runs checkHits and searchUnreachable on
+// the two seed-42 generations at scale that the gates above leave out:
+// middleblock-798 in entries mode, as a dp-cold-inst1 round generates it,
+// and wan-700 in branches mode. Both generate as a round does, with
+// enriched goals and the preflight's unreachable tables. It pins no count
+// or digest. The two run in parallel, which keeps the test's wall time
+// near the slower generation's.
+func TestGenerationChecksOtherModes(t *testing.T) {
+	for _, c := range []struct {
+		model   string
+		entries int
+		mode    CoverageMode
+	}{
+		{"middleblock", 798, CoverEntries},
+		{"wan", 700, CoverBranches},
+	} {
+		t.Run(fmt.Sprintf("%s-%d", c.model, c.entries), func(t *testing.T) {
+			t.Parallel()
+			prog := models.MustLoad(c.model)
+			store := pdpi.NewStore()
+			for _, e := range workload.MustEntries(prog, c.entries, 42) {
+				if err := store.Insert(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			gen, err := NewGenerator(prog, store, Options{}, GenOptions{
+				Mode: c.mode, Enriched: true, UnreachableTables: check.Cached(prog).UnreachableSet(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkts, _, err := gen.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkHits(t, prog, store, pkts)
+			searchUnreachable(t, prog, store, gen.GoalKeys(), pkts)
 		})
 	}
 }
