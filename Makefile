@@ -73,15 +73,18 @@ daemon-smoke:
 # re-encode unchanged), the p4rt frame-reader fuzzer (arbitrary bytes
 # must not panic it, and a frame it reads must re-encode to exactly the
 # bytes it consumed), and the P4 front-end fuzzer (arbitrary source
-# through the parser and ir.Compile must not panic or hang).
+# through the parser and ir.Compile must not panic or hang). Each target
+# minimizes a new input for at most 1 s (-fuzzminimizetime; Go's default
+# is 60 s, during which nothing is fuzzed), so the 10-s budget is spent
+# fuzzing.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz 'FuzzDifferentialEngines' -fuzztime 10s ./internal/p4/compile
-	$(GO) test -run '^$$' -fuzz 'FuzzWitnessVsSolver' -fuzztime 10s ./internal/symbolic
-	$(GO) test -run '^$$' -fuzz 'FuzzSlicedVsFullBlast' -fuzztime 10s ./internal/symbolic
-	$(GO) test -run '^$$' -fuzz 'FuzzDecodeWriteRequest' -fuzztime 10s ./internal/p4rt
-	$(GO) test -run '^$$' -fuzz 'FuzzDecodeReadResponse' -fuzztime 10s ./internal/p4rt
-	$(GO) test -run '^$$' -fuzz 'FuzzReadRawFrame' -fuzztime 10s ./internal/p4rt
-	$(GO) test -run '^$$' -fuzz 'FuzzFrontEnd' -fuzztime 10s ./internal/p4/ir
+	$(GO) test -run '^$$' -fuzz 'FuzzDifferentialEngines' -fuzztime 10s -fuzzminimizetime 1s ./internal/p4/compile
+	$(GO) test -run '^$$' -fuzz 'FuzzWitnessVsSolver' -fuzztime 10s -fuzzminimizetime 1s ./internal/symbolic
+	$(GO) test -run '^$$' -fuzz 'FuzzSlicedVsFullBlast' -fuzztime 10s -fuzzminimizetime 1s ./internal/symbolic
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeWriteRequest' -fuzztime 10s -fuzzminimizetime 1s ./internal/p4rt
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeReadResponse' -fuzztime 10s -fuzzminimizetime 1s ./internal/p4rt
+	$(GO) test -run '^$$' -fuzz 'FuzzReadRawFrame' -fuzztime 10s -fuzzminimizetime 1s ./internal/p4rt
+	$(GO) test -run '^$$' -fuzz 'FuzzFrontEnd' -fuzztime 10s -fuzzminimizetime 1s ./internal/p4/ir
 
 # perfbench vets and tests the benchmark program. It is its own module
 # (perfbench/go.mod), so the root build and test targets never compile

@@ -198,15 +198,18 @@ func PrefixMask(plen, width int) V {
 // reference-count indexes.
 func (v V) String() string {
 	var buf [44]byte
-	n := appendUint(buf[:0], uint64(v.Width))
-	n = append(n, 'w', '0', 'x')
+	return string(v.Append(buf[:0]))
+}
+
+// Append appends the String form of the value to dst.
+func (v V) Append(dst []byte) []byte {
+	dst = appendUint(dst, uint64(v.Width))
+	dst = append(dst, 'w', '0', 'x')
 	if v.Hi != 0 {
-		n = appendHex(n, v.Hi, false)
-		n = appendHex(n, v.Lo, true)
-	} else {
-		n = appendHex(n, v.Lo, false)
+		dst = appendHex(dst, v.Hi, false)
+		return appendHex(dst, v.Lo, true)
 	}
-	return string(n)
+	return appendHex(dst, v.Lo, false)
 }
 
 const hexDigits = "0123456789abcdef"

@@ -221,6 +221,9 @@ func TestString(t *testing.T) {
 	if s := New128(1, 0, 128).String(); s != "128w0x10000000000000000" {
 		t.Errorf("String = %q", s)
 	}
+	if s := string(New(255, 8).Append([]byte("f="))); s != "f=8w0xff" {
+		t.Errorf("Append = %q", s)
+	}
 }
 
 func TestStringHiLoPadding(t *testing.T) {

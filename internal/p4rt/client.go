@@ -1,6 +1,7 @@
 package p4rt
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -151,8 +152,9 @@ func (c *Client) readLoop(conn net.Conn, gen int) {
 			c.closePacketIns()
 		}
 	}()
+	br := bufio.NewReader(conn)
 	for {
-		f, err := ReadRawFrame(conn)
+		f, err := ReadRawFrame(br)
 		if err != nil {
 			return
 		}

@@ -1,6 +1,7 @@
 package p4rt
 
 import (
+	"bufio"
 	"bytes"
 	"reflect"
 	"testing"
@@ -70,10 +71,12 @@ func FuzzDecodeReadResponse(f *testing.F) {
 }
 
 // FuzzReadRawFrame feeds arbitrary bytes to the frame reader that the
-// client, the server and the chaos wire share: it must never panic, and
-// a frame it returns must re-encode through WriteRawFrame to exactly the
-// bytes it consumed. The seeds are a request, a retried request, a
-// header alone that declares a large payload, and truncations.
+// client, the server and the chaos wire share: it must never panic, a
+// frame it returns must re-encode through WriteRawFrame to exactly the
+// bytes it consumed, and that frame followed by the input must read back
+// as two frames through one bufio.Reader. The seeds are a request, a
+// retried request, a header alone that declares a large payload, and
+// truncations.
 func FuzzReadRawFrame(f *testing.F) {
 	var buf bytes.Buffer
 	wr := sampleWriteRequest()
@@ -102,6 +105,16 @@ func FuzzReadRawFrame(f *testing.F) {
 		}
 		if !bytes.Equal(out.Bytes(), consumed) {
 			t.Fatalf("re-encoded frame differs from the %d bytes read:\n got %x\nwant %x", len(consumed), out.Bytes(), consumed)
+		}
+		// The frame and then the whole input, read through one
+		// bufio.Reader as the client and the server read a connection:
+		// the frame comes back twice.
+		br := bufio.NewReader(bytes.NewReader(append(out.Bytes(), b...)))
+		for i := range 2 {
+			got, err := ReadRawFrame(br)
+			if err != nil || got.Kind != fr.Kind || got.ID != fr.ID || !bytes.Equal(got.Payload, fr.Payload) {
+				t.Fatalf("buffered read %d of two frames: got %+v, %v; want %+v", i, got, err, fr)
+			}
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package p4rt
 
 import (
+	"bufio"
 	"errors"
 	"net"
 	"sync"
@@ -212,8 +213,9 @@ func (s *Server) serveConn(conn net.Conn, cw *connWriter) {
 		conn.Close()
 	}()
 	var session uint64
+	br := bufio.NewReader(conn)
 	for {
-		f, err := ReadRawFrame(conn)
+		f, err := ReadRawFrame(br)
 		if err != nil {
 			return
 		}

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 )
 
 // Frame layout: u32 payload length | u8 kind | u64 request id | payload.
@@ -53,23 +55,35 @@ const (
 	frameChunk = 1 << 20
 )
 
-// WriteRawFrame writes one frame to w.
+// frameBufs holds the buffers WriteRawFrame assembles frames in. A
+// buffer that outgrew a header and frameChunk bytes of payload is left
+// to the garbage collector, so the pool keeps none larger.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// WriteRawFrame writes one frame to w in a single Write, header and
+// payload together, assembled in a buffer reused across frames.
 func WriteRawFrame(w io.Writer, f RawFrame) error {
-	hdr := make([]byte, frameHeaderSize)
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(f.Payload)))
-	hdr[4] = f.Kind
-	binary.BigEndian.PutUint64(hdr[5:13], f.ID)
-	if _, err := w.Write(hdr); err != nil {
-		return err
+	bp := frameBufs.Get().(*[]byte)
+	buf := slices.Grow((*bp)[:0], frameHeaderSize+len(f.Payload))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(f.Payload)))
+	buf = append(buf, f.Kind)
+	buf = binary.BigEndian.AppendUint64(buf, f.ID)
+	buf = append(buf, f.Payload...)
+	_, err := w.Write(buf)
+	if cap(buf) <= frameHeaderSize+frameChunk {
+		*bp = buf
+		frameBufs.Put(bp)
 	}
-	_, err := w.Write(f.Payload)
 	return err
 }
 
 // ReadRawFrame reads one frame from r. A header that declares more than
 // maxFrameSize bytes is an error. Past the first frameChunk bytes the
 // payload buffer at most doubles what has arrived, so a peer cannot make
-// the reader allocate what it only declares.
+// the reader allocate what it only declares. The client and the server
+// read each connection through one bufio.Reader, so the header and a
+// small payload cost one read between them, or none when an earlier
+// read brought them in.
 func ReadRawFrame(r io.Reader) (RawFrame, error) {
 	hdr := make([]byte, frameHeaderSize)
 	if _, err := io.ReadFull(r, hdr); err != nil {

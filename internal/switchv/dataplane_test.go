@@ -1,12 +1,14 @@
 package switchv
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"switchv/internal/p4/compile"
 	"switchv/internal/p4/p4info"
 	"switchv/internal/p4/pdpi"
 	"switchv/internal/p4rt"
@@ -388,5 +390,155 @@ func TestGoalMissed(t *testing.T) {
 		if want := "behavior-mismatch " + g + "\ngoal-missed " + g; !strings.Contains(got, want) {
 			t.Errorf("dropping switch: incidents\n%s\nlack\n%s", got, want)
 		}
+	}
+}
+
+// faultyPlane is a switch whose data plane misbehaves by injection
+// index: it fails some injections with an error, reports spontaneous
+// packet-ins on others (and delivers them on its packet-in stream, as a
+// switch would), and answers others with a behavior the model does not
+// allow. It records every request and what it answered.
+type faultyPlane struct {
+	*switchsim.Switch
+	pins  chan p4rt.PacketIn
+	reqs  []p4rt.InjectRequest
+	calls []injectCall
+}
+
+// injectCall is one answer of a DataPlane.
+type injectCall struct {
+	res p4rt.InjectResult
+	err error
+}
+
+func newFaultyPlane(t *testing.T, sw *switchsim.Switch) *faultyPlane {
+	t.Helper()
+	t.Cleanup(sw.Close)
+	// As deep as the switch's own stream, so the relay never holds the
+	// switch back.
+	d := &faultyPlane{Switch: sw, pins: make(chan p4rt.PacketIn, 1024)}
+	go func() {
+		for pin := range sw.PacketIns() {
+			d.pins <- pin
+		}
+	}()
+	return d
+}
+
+func (d *faultyPlane) PacketIns() <-chan p4rt.PacketIn { return d.pins }
+
+func (d *faultyPlane) InjectFrame(req p4rt.InjectRequest) (p4rt.InjectResult, error) {
+	var c injectCall
+	switch n := len(d.calls); {
+	case n%7 == 2:
+		c.err = fmt.Errorf("port %d is down", req.Port)
+	case n%7 == 4:
+		c.res, c.err = d.Switch.InjectFrame(req)
+		c.res.Spontaneous = [][]byte{[]byte("lldp"), []byte("arp")}
+		for _, f := range c.res.Spontaneous {
+			d.pins <- p4rt.PacketIn{Payload: f}
+		}
+	case n%5 == 3:
+		c.res, c.err = d.Switch.InjectFrame(req)
+		if c.res.Dropped {
+			c.res = p4rt.InjectResult{EgressPort: 13, Frame: req.Frame}
+		} else {
+			c.res = p4rt.InjectResult{Dropped: true}
+		}
+	default:
+		c.res, c.err = d.Switch.InjectFrame(req)
+	}
+	d.reqs = append(d.reqs, req)
+	d.calls = append(d.calls, c)
+	return c.res, c.err
+}
+
+// replayPlane answers injections with recorded answers, in order.
+type replayPlane struct{ calls []injectCall }
+
+func (d *replayPlane) InjectFrame(p4rt.InjectRequest) (p4rt.InjectResult, error) {
+	c := d.calls[0]
+	d.calls = d.calls[1:]
+	return c.res, c.err
+}
+
+// TestCompareOverlapKeepsPacketOrder: RunDataPlane compares each packet
+// while the next is injected, and its incidents equal, in order, those of
+// a sequential reference that injects every packet first and then
+// compares them in packet order on one engine reset per packet, over a
+// switch that fails some injections, reports spontaneous packet-ins on
+// others and misbehaves on others.
+func TestCompareOverlapKeepsPacketOrder(t *testing.T) {
+	prog := models.MustLoad("middleblock")
+	info := p4info.New(prog)
+	dp := newFaultyPlane(t, switchsim.New("middleblock"))
+	h := New(info, dp, dp)
+	if err := h.PushPipeline(); err != nil {
+		t.Fatal(err)
+	}
+	entries := fixtureEntries("middleblock")
+	cache := symbolic.NewCache()
+	rep, err := h.RunDataPlane(entries, DataPlaneOptions{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The reference: the round's packets (from its primed cache, plus the
+	// background frames), every recorded answer replayed in packet order,
+	// then every comparison in packet order.
+	store := pdpi.NewStore()
+	for _, e := range entries {
+		if err := store.Insert(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gen, err := symbolic.NewGenerator(prog, store, symbolic.Options{},
+		DataPlaneOptions{Cache: cache}.GenOptions(h.PrecheckReport().UnreachableSet()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, _, err := gen.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bg := range backgroundFrames() {
+		all = append(all, symbolic.TestPacket{GoalKey: "background:" + bg.name, Port: 1, Data: bg.frame})
+	}
+	if len(all) != len(dp.reqs) {
+		t.Fatalf("reference has %d packets, the round injected %d", len(all), len(dp.reqs))
+	}
+	for i, req := range dp.reqs {
+		if req.Port != all[i].Port || !bytes.Equal(req.Frame, all[i].Data) {
+			t.Fatalf("packet %d (%s) differs from the round's injection", i, all[i].GoalKey)
+		}
+	}
+	ref := New(info, dp, &replayPlane{calls: dp.calls})
+	injected := make([]p4rt.InjectResult, len(all))
+	failed := make([]*Incident, len(all))
+	for i := range all {
+		injected[i], failed[i] = ref.injectPacket(&all[i])
+	}
+	sim, err := compile.New(prog, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Incident
+	for i := range all {
+		if failed[i] != nil {
+			want = append(want, *failed[i])
+			continue
+		}
+		sim.Reset()
+		want = append(want, ref.comparePacket(sim, &all[i], injected[i], nil)...)
+	}
+
+	n := kindCounts(rep.Incidents)
+	if n["switch-error"] == 0 || n["unexpected-packet-in"] == 0 || n["behavior-mismatch"] == 0 {
+		t.Fatalf("round lacks a failed, a noisy or a wrong injection: %v", n)
+	}
+	t.Logf("%d packets, incidents %v", len(all), n)
+	if !reflect.DeepEqual(rep.Incidents, want) {
+		t.Errorf("round incidents differ from the sequential reference:\n got %d: %v\nwant %d: %v",
+			len(rep.Incidents), rep.Incidents, len(want), want)
 	}
 }

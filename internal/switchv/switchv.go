@@ -7,9 +7,11 @@ package switchv
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"slices"
+	"strconv"
 	"time"
 
 	"switchv/internal/bmv2"
@@ -576,43 +578,29 @@ func (h *Harness) RunDataPlane(entries []*pdpi.Entry, opts DataPlaneOptions) (*D
 	}
 	rep.Packets = len(all)
 
-	// Phase 1 (serial): inject every packet into the switch in packet
-	// order — the switch is one stateful device and injection order is
-	// part of the campaign's definition. The punts, copies and spontaneous
-	// frames an injection reports also arrive on the packet-in stream; the
-	// round consumes them all, so none is left for a later packet-IO probe.
-	injected := make([]p4rt.InjectResult, len(all))
-	injectFailed := make([]*Incident, len(all))
+	// Inject every packet into the switch in packet order — the switch
+	// is one stateful device and injection order is part of the
+	// campaign's definition — and compare each injected packet while the
+	// next is on the wire. The punts, copies and spontaneous frames an
+	// injection reports also arrive on the packet-in stream; the round
+	// consumes them all, so none is left for a later packet-IO probe.
+	injections := make(chan injection, len(all)) // never blocks the inject loop
+	compared := make(chan []Incident, 1)
+	go func() { compared <- h.compareRound(store, injections, opts.CoverageMap) }()
 	pending := 0 // packet-ins announced and not yet read off the stream
 	for i := range all {
 		pkt := &all[i]
 		if opts.CoverageMap != nil && i < len(packets) {
 			opts.CoverageMap.NoteGoal(pkt.GoalKey)
 		}
-		injected[i], injectFailed[i] = h.injectPacket(pkt)
-		pending += announcedPacketIns(injected[i])
+		res, failed := h.injectPacket(pkt)
+		injections <- injection{pkt, res, failed}
+		pending += announcedPacketIns(res)
 		pending -= h.drainPacketIns(pending)
 	}
+	close(injections)
 	h.awaitPacketIns(pending)
-
-	// Phase 2: simulate each injected packet's behavior set and compare
-	// it against the observed switch behavior, in packet order, on one
-	// engine per round. Reset restores the freshly built state before
-	// each packet, so each verdict is independent of the packets before
-	// it. Incidents of both phases merge in packet order.
-	sim, simErr := newEngine(prog, store)
-	for i := range all {
-		switch {
-		case injectFailed[i] != nil:
-			rep.Incidents = append(rep.Incidents, *injectFailed[i])
-		case simErr != nil:
-			rep.Incidents = append(rep.Incidents, Incident{Tool: "p4-symbolic", Kind: "simulator-error",
-				Detail: fmt.Sprintf("goal %s: building simulator: %v", all[i].GoalKey, simErr)})
-		default:
-			sim.Reset()
-			rep.Incidents = append(rep.Incidents, h.comparePacket(sim, &all[i], injected[i], opts.CoverageMap)...)
-		}
-	}
+	rep.Incidents = append(rep.Incidents, <-compared...)
 	rep.TestElapsed = time.Since(testStart)
 
 	// Teardown: remove everything we installed, as the nightly run's
@@ -678,9 +666,42 @@ func announcedPacketIns(r p4rt.InjectResult) int {
 	return n
 }
 
-// injectPacket runs one test packet through the switch (phase 1 of the
-// differential execution). It returns the observed result, or an
-// incident when injection itself fails — such packets skip simulation.
+// injection is one packet's injection: the switch's result, or the
+// incident of an injection that failed.
+type injection struct {
+	pkt    *symbolic.TestPacket
+	res    p4rt.InjectResult
+	failed *Incident
+}
+
+// compareRound is the compare half of the differential execution. It
+// runs on its own goroutine beside RunDataPlane's inject loop and takes
+// each injection, in packet order, as soon as it has returned. A failed
+// injection reports its incident; any other packet is simulated and
+// compared (comparePacket) on one engine per round, reset before each
+// packet, so each verdict is independent of the packets before it. The
+// incidents come back in packet order.
+func (h *Harness) compareRound(store *pdpi.Store, injections <-chan injection, cov *coverage.Map) []Incident {
+	var incidents []Incident
+	sim, simErr := newEngine(h.Info.Program(), store)
+	for in := range injections {
+		switch {
+		case in.failed != nil:
+			incidents = append(incidents, *in.failed)
+		case simErr != nil:
+			incidents = append(incidents, Incident{Tool: "p4-symbolic", Kind: "simulator-error",
+				Detail: fmt.Sprintf("goal %s: building simulator: %v", in.pkt.GoalKey, simErr)})
+		default:
+			sim.Reset()
+			incidents = append(incidents, h.comparePacket(sim, in.pkt, in.res, cov)...)
+		}
+	}
+	return incidents
+}
+
+// injectPacket runs one test packet through the switch. It returns the
+// observed result, or an incident when injection itself fails — such
+// packets skip simulation.
 func (h *Harness) injectPacket(pkt *symbolic.TestPacket) (p4rt.InjectResult, *Incident) {
 	swRes, err := h.DP.InjectFrame(p4rt.InjectRequest{Port: pkt.Port, Frame: pkt.Data})
 	if err != nil {
@@ -695,14 +716,14 @@ func (h *Harness) injectPacket(pkt *symbolic.TestPacket) (p4rt.InjectResult, *In
 }
 
 // comparePacket checks one observed switch behavior against the
-// simulator's valid behavior set (phase 2 of the differential
-// execution; sim is the round's engine, reset for this packet). It also
-// checks the packet itself: a table goal's packet that none of its
-// valid behaviors hits (symbolic.HitsGoal) is a goal-missed incident, a
-// defect of the validator's own generation, reported beside the
-// behavior verdict. When cov is non-nil, the simulator's execution
-// traces (which tables matched which entries, which actions ran) are
-// harvested into it — the data-plane half of the coverage map.
+// simulator's valid behavior set (sim is the round's engine, reset for
+// this packet). It also checks the packet itself: a table goal's packet
+// that none of its valid behaviors hits (symbolic.HitsGoal) is a
+// goal-missed incident, a defect of the validator's own generation,
+// reported beside the behavior verdict. When cov is non-nil, the
+// simulator's execution traces (which tables matched which entries,
+// which actions ran) are harvested into it — the data-plane half of the
+// coverage map.
 func (h *Harness) comparePacket(sim bmv2.Simulator, pkt *symbolic.TestPacket, swRes p4rt.InjectResult, cov *coverage.Map) []Incident {
 	behaviors, err := sim.BehaviorSet(bmv2.Input{Port: pkt.Port, Packet: pkt.Data}, maxBehaviors)
 	if err != nil {
@@ -733,48 +754,52 @@ func (h *Harness) comparePacket(sim bmv2.Simulator, pkt *symbolic.TestPacket, sw
 // judge returns the incident for a switch behavior outside the valid
 // behavior set, or nil when the set holds it.
 func (h *Harness) judge(behaviors []*bmv2.Outcome, pkt *symbolic.TestPacket, swRes p4rt.InjectResult) *Incident {
-	swSig, err := h.signature(switchOutcome(swRes))
+	swSig, err := h.signature(nil, switchOutcome(swRes))
 	if err != nil {
 		return &Incident{Tool: "p4-symbolic", Kind: "switch-output-malformed",
 			Detail: fmt.Sprintf("goal %s: %v", pkt.GoalKey, err)}
 	}
+	var sig []byte
 	var simSigs []string
 	for _, b := range behaviors {
-		sig, err := h.signature(b)
-		if err != nil {
+		if sig, err = h.signature(sig[:0], b); err != nil {
 			return &Incident{Tool: "p4-symbolic", Kind: "simulator-output-malformed",
 				Detail: fmt.Sprintf("goal %s: %v", pkt.GoalKey, err)}
 		}
-		if sig == swSig {
+		if bytes.Equal(sig, swSig) {
 			return nil // observed behavior is in the valid set
 		}
-		simSigs = append(simSigs, sig)
+		simSigs = append(simSigs, string(sig))
 	}
 	return &Incident{Tool: "p4-symbolic", Kind: "behavior-mismatch",
 		Detail: fmt.Sprintf("goal %s: switch behavior %q not in model's valid set %q (packet %x)",
 			pkt.GoalKey, swSig, simSigs, pkt.Data)}
 }
 
-// fieldSignature renders the model-visible content of a frame: header
-// fields plus opaque payload. Unmodeled wire bytes (e.g. TCP sequence
-// numbers) are deliberately excluded, since the model cannot constrain
-// them.
-func (h *Harness) fieldSignature(frame []byte) (string, error) {
-	fields, payload, err := bmv2.ParseFields(h.Info.Program(), frame)
+// fieldSignature appends the model-visible content of a frame to dst:
+// header fields plus opaque payload. Unmodeled wire bytes (e.g. TCP
+// sequence numbers) are deliberately excluded, since the model cannot
+// constrain them. A frame that does not parse appends nothing.
+func (h *Harness) fieldSignature(dst, frame []byte) ([]byte, error) {
+	prog := h.Info.Program()
+	fields, payload, err := bmv2.ParseFields(prog, frame)
 	if err != nil {
-		return "", err
+		return dst, err
 	}
-	sig := ""
-	for i, f := range h.Info.Program().Fields {
+	for i, f := range prog.Fields {
 		if f.Header == "" {
 			continue // metadata is not part of the wire image
 		}
 		if fields[i].IsZero() {
 			continue
 		}
-		sig += fmt.Sprintf("%s=%s;", f.Name, fields[i])
+		dst = append(dst, f.Name...)
+		dst = append(dst, '=')
+		dst = fields[i].Append(dst)
+		dst = append(dst, ';')
 	}
-	return sig + fmt.Sprintf("payload=%x", payload), nil
+	dst = append(dst, "payload="...)
+	return hex.AppendEncode(dst, payload), nil
 }
 
 // switchOutcome is the switch's result for an injected packet as the
@@ -793,31 +818,39 @@ func switchOutcome(r p4rt.InjectResult) *bmv2.Outcome {
 	return o
 }
 
-// signature renders a behavior, the switch's (switchOutcome) or the
-// simulator's, for comparison: its disposition with the model-visible
-// content of the packet it carries, then any copy to the CPU and the
-// mirror copies. A dropped packet's content is not rendered.
-func (h *Harness) signature(o *bmv2.Outcome) (string, error) {
-	var sig string
+// signature appends the rendering of a behavior, the switch's
+// (switchOutcome) or the simulator's, to dst for comparison: its
+// disposition with the model-visible content of the packet it carries,
+// then any copy to the CPU and the mirror copies. A dropped packet's
+// content is not rendered. The error is the carried packet's parse
+// error; a mirror copy that does not parse renders as {}.
+func (h *Harness) signature(dst []byte, o *bmv2.Outcome) ([]byte, error) {
 	var err error
 	switch o.Disposition {
 	case bmv2.Punted:
-		sig, err = h.fieldSignature(o.Packet)
-		sig = "punt{" + sig + "}"
+		dst = append(dst, "punt{"...)
+		dst, err = h.fieldSignature(dst, o.Packet)
+		dst = append(dst, '}')
 	case bmv2.Dropped:
-		sig = "drop{}"
+		dst = append(dst, "drop{}"...)
 	default:
-		sig, err = h.fieldSignature(o.Packet)
-		sig = fmt.Sprintf("fwd[%d]{%s}", o.EgressPort, sig)
+		dst = append(dst, "fwd["...)
+		dst = strconv.AppendUint(dst, uint64(o.EgressPort), 10)
+		dst = append(dst, "]{"...)
+		dst, err = h.fieldSignature(dst, o.Packet)
+		dst = append(dst, '}')
 	}
 	if o.CopyToCPU {
-		sig += "+copy"
+		dst = append(dst, "+copy"...)
 	}
 	for _, m := range o.Mirrors {
-		fs, _ := h.fieldSignature(m.Packet)
-		sig += fmt.Sprintf("+mirror[%d]{%s}", m.Session, fs)
+		dst = append(dst, "+mirror["...)
+		dst = strconv.AppendUint(dst, uint64(m.Session), 10)
+		dst = append(dst, "]{"...)
+		dst, _ = h.fieldSignature(dst, m.Packet)
+		dst = append(dst, '}')
 	}
-	return sig, err
+	return dst, err
 }
 
 // entryUpdates wraps each entry in an update of type typ.
