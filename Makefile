@@ -76,10 +76,16 @@ daemon-smoke:
 # through the parser and ir.Compile must not panic or hang). Each target
 # minimizes a new input for at most 1 s (-fuzzminimizetime; Go's default
 # is 60 s, during which nothing is fuzzed), so the 10-s budget is spent
-# fuzzing.
+# fuzzing. The two generation targets first delete the corpus earlier
+# runs cached for them under GOCACHE and start from their seed corpus:
+# each of their inputs takes a whole generation to replay, and -fuzztime
+# counts that replay ("gathering baseline coverage"), so a cached corpus
+# of a few hundred inputs would use up the 10 s before fuzzing began.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDifferentialEngines' -fuzztime 10s -fuzzminimizetime 1s ./internal/p4/compile
+	rm -rf "$$($(GO) env GOCACHE)/fuzz/switchv/internal/symbolic/FuzzWitnessVsSolver"
 	$(GO) test -run '^$$' -fuzz 'FuzzWitnessVsSolver' -fuzztime 10s -fuzzminimizetime 1s ./internal/symbolic
+	rm -rf "$$($(GO) env GOCACHE)/fuzz/switchv/internal/symbolic/FuzzSlicedVsFullBlast"
 	$(GO) test -run '^$$' -fuzz 'FuzzSlicedVsFullBlast' -fuzztime 10s -fuzzminimizetime 1s ./internal/symbolic
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeWriteRequest' -fuzztime 10s -fuzzminimizetime 1s ./internal/p4rt
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeReadResponse' -fuzztime 10s -fuzzminimizetime 1s ./internal/p4rt

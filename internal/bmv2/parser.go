@@ -342,8 +342,8 @@ func DeparseFields(prog *ir.Program, fields []value.V, payload []byte) ([]byte, 
 
 // ParseFields decodes packet bytes onto a fresh field assignment (one
 // value per program field, in ID order), returning the opaque payload.
-// The SwitchV harness uses this to compare switch and simulator outputs
-// on model-visible fields only.
+// A caller that parses many frames, like the SwitchV harness rendering
+// outcomes for comparison, reuses one field space through Layout.Parse.
 func ParseFields(prog *ir.Program, data []byte) ([]value.V, []byte, error) {
 	fs := newFieldSpace(prog)
 	payload, err := LayoutOf(prog).parse(fs, data)

@@ -11,14 +11,22 @@
 // its blocker is its other literal. reduceDB marks deleted clauses and
 // compacts the arena once they hold more than half of it.
 //
+// Values are indexed by literal: assigning a variable sets both of its
+// literals' values and backtracking clears both, so a literal's value is
+// one load (vals[l]). propagate compacts each watch list in place, reads
+// a long clause's literals straight from the arena, and assigns the
+// literals it implies without enqueue's re-check.
+//
 // The search is pinned: storage may change, but no decision,
 // propagation, learnt clause, deleted clause or model may
 // (TestSearchPinned). A clause's literal order reaches the search in
 // three places, and each must see the same order it always did: analyze
 // bumps a conflict clause's variables in stored order, analyze skips a
 // reason clause's implied literal, and clauseLocked finds that literal.
-// A reference's numeric value reaches nothing; references are only
-// compared for equality.
+// Each watch list keeps its order, and the heap its sift order, since
+// the first decides which clause propagates or conflicts first and the
+// second breaks ties between equal activities. A reference's numeric
+// value reaches nothing; references are only compared for equality.
 package sat
 
 import (
@@ -121,7 +129,7 @@ type Solver struct {
 
 	watches [][]watcher // indexed by Lit
 
-	assigns  []lbool
+	vals     []lbool // indexed by Lit; a variable's two literals are opposite or both lUndef
 	level    []int32
 	reason   []int32 // clause ref or noReason
 	phase    []bool
@@ -184,8 +192,8 @@ func New() *Solver {
 
 // NewVar allocates a fresh variable.
 func (s *Solver) NewVar() Var {
-	v := Var(len(s.assigns))
-	s.assigns = append(s.assigns, lUndef)
+	v := Var(len(s.level))
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, noReason)
 	s.phase = append(s.phase, false)
@@ -198,18 +206,7 @@ func (s *Solver) NewVar() Var {
 }
 
 // NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return len(s.assigns) }
-
-func (s *Solver) litValue(l Lit) lbool {
-	v := s.assigns[l.Var()]
-	if v == lUndef {
-		return lUndef
-	}
-	if l.Neg() {
-		return -v
-	}
-	return v
-}
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // AddClause adds a problem clause. It returns false if the formula became
 // trivially unsatisfiable.
@@ -236,7 +233,7 @@ func (s *Solver) addBuf() bool {
 		if prev >= 0 && l == prev.Not() {
 			return true // tautology
 		}
-		switch s.litValue(l) {
+		switch s.vals[l] {
 		case lTrue:
 			return true // already satisfied at level 0
 		case lFalse:
@@ -348,25 +345,27 @@ func (s *Solver) watchClause(cref int32) {
 }
 
 // enqueue assigns a literal true with a reason clause (noReason for
-// decisions and unit facts).
+// decisions and unit facts). It reports false if the literal is false.
 func (s *Solver) enqueue(l Lit, from int32) bool {
-	switch s.litValue(l) {
+	switch s.vals[l] {
 	case lTrue:
 		return true
 	case lFalse:
 		return false
 	}
+	s.assign(l, from)
+	return true
+}
+
+// assign makes an unassigned literal true with a reason clause and puts
+// it on the trail.
+func (s *Solver) assign(l Lit, from int32) {
+	s.vals[l], s.vals[l.Not()] = lTrue, lFalse
 	v := l.Var()
-	if l.Neg() {
-		s.assigns[v] = lFalse
-	} else {
-		s.assigns[v] = lTrue
-	}
 	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.phase[v] = !l.Neg()
 	s.trail = append(s.trail, l)
-	return true
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
@@ -374,77 +373,84 @@ func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 // propagate performs unit propagation; it returns the ref of a conflicting
 // clause, or noReason.
 //
-// A long clause visited past its blocker is kept as [other watched
+// Each watch list is compacted in place: a watcher that stays is written
+// to the list's next kept slot, so kept watchers keep their order. A long
+// clause visited past its blocker is kept, in the arena, as [other watched
 // literal, ¬p, ...]. A binary clause is decided from its watcher and its
 // arena copy is left in whatever order it has, except on a conflict,
 // where it is stored as [other, ¬p] like a long clause before analyze
 // reads it (see analyze and clauseLocked for the other two places that
 // read a binary clause's order).
 func (s *Solver) propagate() int32 {
+	vals, arena := s.vals, s.arena
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.Stats.Propagations++
 		falseLit := p.Not()
 		ws := s.watches[p]
-		kept := ws[:0]
+		j := 0 // ws[:j] holds the watchers kept so far
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			bv := s.litValue(w.blocker)
+			bv := vals[w.blocker]
 			if bv == lTrue {
-				kept = append(kept, w)
+				ws[j] = w
+				j++
 				continue
 			}
 			if w.binary() {
-				kept = append(kept, w)
+				ws[j] = w
+				j++
 				if bv == lFalse {
-					if ls := s.lits(w.cref()); ls[0] == falseLit {
-						ls[0], ls[1] = ls[1], ls[0]
+					if c := int(w.cref()) + 1; arena[c] == falseLit {
+						arena[c], arena[c+1] = arena[c+1], falseLit
 					}
-					kept = append(kept, ws[i+1:]...)
-					s.watches[p] = kept
+					j += copy(ws[j:], ws[i+1:])
+					s.watches[p] = ws[:j]
 					s.qhead = len(s.trail)
 					return w.cref()
 				}
-				s.enqueue(w.blocker, w.cref())
+				s.assign(w.blocker, w.cref())
 				continue
 			}
+			// The clause's literals are arena[c:end]. Ensure arena[c] is
+			// the other watched literal.
 			cref := w.cref()
-			ls := s.lits(cref)
-			// Ensure ls[0] is the other watched literal.
-			if ls[0] == falseLit {
-				ls[0], ls[1] = ls[1], ls[0]
+			c := int(cref) + 1
+			end := c + int(arena[cref]>>hdrShift)
+			if arena[c] == falseLit {
+				arena[c], arena[c+1] = arena[c+1], falseLit
 			}
-			first := ls[0]
-			if first != w.blocker && s.litValue(first) == lTrue {
-				kept = append(kept, watcher{w.tag, first})
+			first := arena[c]
+			if first != w.blocker && vals[first] == lTrue {
+				ws[j] = watcher{w.tag, first}
+				j++
 				continue
 			}
 			// Find a new literal to watch.
-			found := false
-			for k := 2; k < len(ls); k++ {
-				if s.litValue(ls[k]) != lFalse {
-					ls[1], ls[k] = ls[k], ls[1]
-					s.watches[ls[1].Not()] = append(s.watches[ls[1].Not()], watcher{w.tag, first})
-					found = true
-					break
-				}
+			k := c + 2
+			for k < end && vals[arena[k]] == lFalse {
+				k++
 			}
-			if found {
+			if k < end {
+				l := arena[k]
+				arena[c+1], arena[k] = l, falseLit
+				s.watches[l.Not()] = append(s.watches[l.Not()], watcher{w.tag, first})
 				continue
 			}
 			// Clause is unit or conflicting.
-			kept = append(kept, watcher{w.tag, first})
-			if s.litValue(first) == lFalse {
-				// Conflict: keep remaining watchers, restore list.
-				kept = append(kept, ws[i+1:]...)
-				s.watches[p] = kept
+			ws[j] = watcher{w.tag, first}
+			j++
+			if vals[first] == lFalse {
+				// Conflict: keep the remaining watchers.
+				j += copy(ws[j:], ws[i+1:])
+				s.watches[p] = ws[:j]
 				s.qhead = len(s.trail)
 				return cref
 			}
-			s.enqueue(first, cref)
+			s.assign(first, cref)
 		}
-		s.watches[p] = kept
+		s.watches[p] = ws[:j]
 	}
 	return noReason
 }
@@ -553,8 +559,9 @@ func (s *Solver) backtrackTo(level int) {
 	}
 	bound := s.trailLim[level]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].Var()
-		s.assigns[v] = lUndef
+		l := s.trail[i]
+		s.vals[l], s.vals[l.Not()] = lUndef, lUndef
+		v := l.Var()
 		s.reason[v] = noReason
 		if s.heapIdx[v] < 0 {
 			s.heapInsert(v)
@@ -569,7 +576,7 @@ func (s *Solver) backtrackTo(level int) {
 func (s *Solver) pickBranchVar() Var {
 	for len(s.heap) > 0 {
 		v := s.heapPop()
-		if s.assigns[v] == lUndef {
+		if s.vals[MkLit(v, false)] == lUndef {
 			return v
 		}
 	}
@@ -609,8 +616,7 @@ func (s *Solver) clauseLocked(cref int32) bool {
 }
 
 func (s *Solver) implies(cref int32, l Lit) bool {
-	v := l.Var()
-	return s.reason[v] == cref && s.assigns[v] != lUndef
+	return s.reason[l.Var()] == cref && s.vals[l] != lUndef
 }
 
 func (s *Solver) detachClause(cref int32) {
@@ -733,7 +739,7 @@ func (s *Solver) Solve(assumptions ...Lit) Result {
 		// Decide: assumptions first, then VSIDS.
 		if s.decisionLevel() < len(assumptions) {
 			a := assumptions[s.decisionLevel()]
-			switch s.litValue(a) {
+			switch s.vals[a] {
 			case lTrue:
 				// Already satisfied; open an empty decision level so the
 				// index keeps advancing.
@@ -770,7 +776,7 @@ func (s *Solver) addLearnt(learnt []Lit) {
 }
 
 // Value reports the model value of a variable after Sat.
-func (s *Solver) Value(v Var) bool { return s.assigns[v] == lTrue }
+func (s *Solver) Value(v Var) bool { return s.vals[MkLit(v, false)] == lTrue }
 
 // LitValue reports the model value of a literal after Sat.
 func (s *Solver) LitValue(l Lit) bool {

@@ -187,7 +187,34 @@ func TestSearchPinned(t *testing.T) {
 	}
 }
 
-// checkInvariants checks the clause storage after a Solve: every trail
+// TestBacktrackKeepsInvariants: a conflict-free Sat decides and implies
+// every variable, and backtracking to level 0 afterwards must leave each
+// of them unassigned, with both literal values undefined and back in the
+// heap. (The corpus cannot show a backtrack that clears one literal's
+// value: the stale value derails its first search.)
+func TestBacktrackKeepsInvariants(t *testing.T) {
+	s := New()
+	newVars(s, 8)
+	for v := Var(0); v < 8; v += 2 {
+		s.AddClause(MkLit(v, false), MkLit(v+1, false))
+	}
+	if r := s.Solve(); r != Sat || s.Stats.Conflicts != 0 || s.decisionLevel() == 0 {
+		t.Fatalf("Solve = %v after %d conflicts at level %d; want a conflict-free Sat above level 0", r, s.Stats.Conflicts, s.decisionLevel())
+	}
+	checkInvariants(t, s)
+	s.backtrackTo(0)
+	if len(s.trail) != 0 {
+		t.Fatalf("trail %v left at level 0", s.trail)
+	}
+	checkInvariants(t, s)
+}
+
+// checkInvariants checks the solver's state after a Solve. The values: a
+// variable's two literals hold opposite values when it is assigned and
+// are both undefined otherwise, the assigned variables are exactly the
+// trail's, every trail literal is true, every unassigned variable sits
+// in the heap at its heapIdx, and every heap slot's variable has that
+// slot as its heapIdx. The clause storage: every trail
 // literal's reason clause contains it with all other literals false,
 // every watcher points at a live clause through one of its first two
 // literals, and the arena holds exactly the live clauses plus the
@@ -195,6 +222,37 @@ func TestSearchPinned(t *testing.T) {
 // a literal implied by a binary learnt clause.
 func checkInvariants(t *testing.T, s *Solver) (binaryLearntReason bool) {
 	t.Helper()
+	if len(s.vals) != 2*s.NumVars() {
+		t.Fatalf("%d literal values for %d variables", len(s.vals), s.NumVars())
+	}
+	onTrail := make([]bool, s.NumVars())
+	for _, l := range s.trail {
+		if onTrail[l.Var()] {
+			t.Fatalf("variable %d is on the trail twice", l.Var())
+		}
+		onTrail[l.Var()] = true
+		if s.vals[l] != lTrue {
+			t.Fatalf("trail literal %v has value %d, want true", l, s.vals[l])
+		}
+	}
+	for v := Var(0); int(v) < s.NumVars(); v++ {
+		pos, neg := s.vals[MkLit(v, false)], s.vals[MkLit(v, true)]
+		if pos != -neg {
+			t.Fatalf("variable %d: literal values %d and %d are not opposite", v, pos, neg)
+		}
+		if assigned := pos != lUndef; assigned != onTrail[v] {
+			t.Fatalf("variable %d: assigned=%v but on the trail=%v", v, assigned, onTrail[v])
+		}
+		if i := s.heapIdx[v]; pos == lUndef && (i < 0 || int(i) >= len(s.heap) || s.heap[i] != v) {
+			t.Fatalf("unassigned variable %d is not in the heap at its index %d", v, i)
+		}
+	}
+	for i, v := range s.heap {
+		if s.heapIdx[v] != int32(i) {
+			t.Fatalf("heap slot %d holds variable %d, whose index is %d", i, v, s.heapIdx[v])
+		}
+	}
+
 	live := map[int32]bool{}
 	for _, cr := range s.clauses {
 		live[cr] = true
@@ -236,7 +294,7 @@ func checkInvariants(t *testing.T, s *Solver) (binaryLearntReason bool) {
 			t.Fatalf("reason %v of %v does not contain it", ls, l)
 		}
 		for _, q := range ls {
-			if q != l && s.litValue(q) != lFalse {
+			if q != l && s.vals[q] != lFalse {
 				t.Fatalf("reason %v of %v: %v is not false", ls, l, q)
 			}
 		}

@@ -522,6 +522,7 @@ func TestCompareOverlapKeepsPacketOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sg := newSigner(prog)
 	var want []Incident
 	for i := range all {
 		if failed[i] != nil {
@@ -529,7 +530,7 @@ func TestCompareOverlapKeepsPacketOrder(t *testing.T) {
 			continue
 		}
 		sim.Reset()
-		want = append(want, ref.comparePacket(sim, &all[i], injected[i], nil)...)
+		want = append(want, comparePacket(sim, sg, &all[i], injected[i], nil)...)
 	}
 
 	n := kindCounts(rep.Incidents)

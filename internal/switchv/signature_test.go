@@ -59,12 +59,12 @@ func fmtSignature(h *Harness, o *bmv2.Outcome) (string, error) {
 	return sig, err
 }
 
-// checkSignature requires signature to render o exactly as fmtSignature
-// does, with the same error, and returns the rendering.
-func checkSignature(t *testing.T, h *Harness, o *bmv2.Outcome, what string) string {
+// checkSignature requires sg to render o exactly as fmtSignature does,
+// with the same error, and returns the rendering.
+func checkSignature(t *testing.T, h *Harness, sg *signer, o *bmv2.Outcome, what string) string {
 	t.Helper()
 	want, wantErr := fmtSignature(h, o)
-	got, err := h.signature([]byte("prefix:"), o)
+	got, err := sg.signature([]byte("prefix:"), o)
 	if string(got) != "prefix:"+want {
 		t.Errorf("%s: signature\n%q\nwant\n%q", what, got, "prefix:"+want)
 	}
@@ -92,7 +92,9 @@ func (d *recordingPlane) InjectFrame(req p4rt.InjectRequest) (p4rt.InjectResult,
 // outcome and every simulator behavior of the seed-42 798-entry
 // middleblock round (Table 3's Inst1) byte for byte as the fmt-based
 // rendering did, and so do forwarded, punted, dropped, copied and
-// mirrored outcomes and frames the parser rejects.
+// mirrored outcomes and frames the parser rejects. One signer renders
+// them all, as one does a round, so no frame's fields may leak into the
+// next one's rendering.
 func TestSignatureMatchesFmt(t *testing.T) {
 	prog := models.MustLoad("middleblock")
 	entries := workload.MustEntries(prog, 798, 42)
@@ -118,6 +120,7 @@ func TestSignatureMatchesFmt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sg := newSigner(prog)
 	seen := map[string]int{}
 	note := func(sig string) {
 		kind, _, _ := strings.Cut(sig, "{")
@@ -128,14 +131,14 @@ func TestSignatureMatchesFmt(t *testing.T) {
 	}
 	behaviors := 0
 	for i, req := range dp.reqs {
-		note(checkSignature(t, h, switchOutcome(dp.results[i]), fmt.Sprintf("switch outcome %d", i)))
+		note(checkSignature(t, h, sg, switchOutcome(dp.results[i]), fmt.Sprintf("switch outcome %d", i)))
 		sim.Reset()
 		set, err := sim.BehaviorSet(bmv2.Input{Port: req.Port, Packet: req.Frame}, maxBehaviors)
 		if err != nil {
 			t.Fatalf("packet %d: %v", i, err)
 		}
 		for j, b := range set {
-			note(checkSignature(t, h, b, fmt.Sprintf("packet %d behavior %d", i, j)))
+			note(checkSignature(t, h, sg, b, fmt.Sprintf("packet %d behavior %d", i, j)))
 			behaviors++
 		}
 	}
@@ -165,7 +168,7 @@ func TestSignatureMatchesFmt(t *testing.T) {
 			Mirrors: []bmv2.MirrorCopy{{Session: 1, Packet: bad}, {Session: 4, Packet: frame}}}, "drop{}+mirror[1]{}+mirror[4]{"},
 		{"empty frame", &bmv2.Outcome{Disposition: bmv2.Forwarded, EgressPort: 0}, "fwd[0]{}"},
 	} {
-		if got := checkSignature(t, h, tc.o, tc.name); !strings.Contains(got, tc.want) {
+		if got := checkSignature(t, h, sg, tc.o, tc.name); !strings.Contains(got, tc.want) {
 			t.Errorf("%s: rendering %q lacks %q", tc.name, got, tc.want)
 		}
 	}

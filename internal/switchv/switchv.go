@@ -19,8 +19,10 @@ import (
 	"switchv/internal/fuzzer"
 	"switchv/internal/oracle"
 	"switchv/internal/p4/check"
+	"switchv/internal/p4/ir"
 	"switchv/internal/p4/p4info"
 	"switchv/internal/p4/pdpi"
+	"switchv/internal/p4/value"
 	"switchv/internal/p4rt"
 	"switchv/internal/packet"
 	"switchv/internal/symbolic"
@@ -679,11 +681,13 @@ type injection struct {
 // each injection, in packet order, as soon as it has returned. A failed
 // injection reports its incident; any other packet is simulated and
 // compared (comparePacket) on one engine per round, reset before each
-// packet, so each verdict is independent of the packets before it. The
-// incidents come back in packet order.
+// packet, so each verdict is independent of the packets before it, and
+// rendered through one signer per round. The incidents come back in
+// packet order.
 func (h *Harness) compareRound(store *pdpi.Store, injections <-chan injection, cov *coverage.Map) []Incident {
 	var incidents []Incident
 	sim, simErr := newEngine(h.Info.Program(), store)
+	sg := newSigner(h.Info.Program())
 	for in := range injections {
 		switch {
 		case in.failed != nil:
@@ -693,7 +697,7 @@ func (h *Harness) compareRound(store *pdpi.Store, injections <-chan injection, c
 				Detail: fmt.Sprintf("goal %s: building simulator: %v", in.pkt.GoalKey, simErr)})
 		default:
 			sim.Reset()
-			incidents = append(incidents, h.comparePacket(sim, in.pkt, in.res, cov)...)
+			incidents = append(incidents, comparePacket(sim, sg, in.pkt, in.res, cov)...)
 		}
 	}
 	return incidents
@@ -717,14 +721,14 @@ func (h *Harness) injectPacket(pkt *symbolic.TestPacket) (p4rt.InjectResult, *In
 
 // comparePacket checks one observed switch behavior against the
 // simulator's valid behavior set (sim is the round's engine, reset for
-// this packet). It also checks the packet itself: a table goal's packet
-// that none of its valid behaviors hits (symbolic.HitsGoal) is a
-// goal-missed incident, a defect of the validator's own generation,
-// reported beside the behavior verdict. When cov is non-nil, the
-// simulator's execution traces (which tables matched which entries,
-// which actions ran) are harvested into it — the data-plane half of the
-// coverage map.
-func (h *Harness) comparePacket(sim bmv2.Simulator, pkt *symbolic.TestPacket, swRes p4rt.InjectResult, cov *coverage.Map) []Incident {
+// this packet, and sg its signer). It also checks the packet itself: a
+// table goal's packet that none of its valid behaviors hits
+// (symbolic.HitsGoal) is a goal-missed incident, a defect of the
+// validator's own generation, reported beside the behavior verdict.
+// When cov is non-nil, the simulator's execution traces (which tables
+// matched which entries, which actions ran) are harvested into it — the
+// data-plane half of the coverage map.
+func comparePacket(sim bmv2.Simulator, sg *signer, pkt *symbolic.TestPacket, swRes p4rt.InjectResult, cov *coverage.Map) []Incident {
 	behaviors, err := sim.BehaviorSet(bmv2.Input{Port: pkt.Port, Packet: pkt.Data}, maxBehaviors)
 	if err != nil {
 		return []Incident{{Tool: "p4-symbolic", Kind: "simulator-error",
@@ -740,7 +744,7 @@ func (h *Harness) comparePacket(sim bmv2.Simulator, pkt *symbolic.TestPacket, sw
 		hit = hit || symbolic.HitsGoal(b, pkt.GoalKey)
 	}
 	var incidents []Incident
-	if inc := h.judge(behaviors, pkt, swRes); inc != nil {
+	if inc := sg.judge(behaviors, pkt, swRes); inc != nil {
 		incidents = append(incidents, *inc)
 	}
 	if !hit {
@@ -751,10 +755,23 @@ func (h *Harness) comparePacket(sim bmv2.Simulator, pkt *symbolic.TestPacket, sw
 	return incidents
 }
 
+// signer renders behaviors for comparison (signature). It parses every
+// frame into one field space it reuses, so each compare round makes its
+// own, like its engine, and concurrent rounds share none.
+type signer struct {
+	prog   *ir.Program
+	layout *bmv2.Layout
+	fields []value.V
+}
+
+func newSigner(prog *ir.Program) *signer {
+	return &signer{prog: prog, layout: bmv2.LayoutOf(prog), fields: make([]value.V, len(prog.Fields))}
+}
+
 // judge returns the incident for a switch behavior outside the valid
 // behavior set, or nil when the set holds it.
-func (h *Harness) judge(behaviors []*bmv2.Outcome, pkt *symbolic.TestPacket, swRes p4rt.InjectResult) *Incident {
-	swSig, err := h.signature(nil, switchOutcome(swRes))
+func (sg *signer) judge(behaviors []*bmv2.Outcome, pkt *symbolic.TestPacket, swRes p4rt.InjectResult) *Incident {
+	swSig, err := sg.signature(nil, switchOutcome(swRes))
 	if err != nil {
 		return &Incident{Tool: "p4-symbolic", Kind: "switch-output-malformed",
 			Detail: fmt.Sprintf("goal %s: %v", pkt.GoalKey, err)}
@@ -762,7 +779,7 @@ func (h *Harness) judge(behaviors []*bmv2.Outcome, pkt *symbolic.TestPacket, swR
 	var sig []byte
 	var simSigs []string
 	for _, b := range behaviors {
-		if sig, err = h.signature(sig[:0], b); err != nil {
+		if sig, err = sg.signature(sig[:0], b); err != nil {
 			return &Incident{Tool: "p4-symbolic", Kind: "simulator-output-malformed",
 				Detail: fmt.Sprintf("goal %s: %v", pkt.GoalKey, err)}
 		}
@@ -780,22 +797,21 @@ func (h *Harness) judge(behaviors []*bmv2.Outcome, pkt *symbolic.TestPacket, swR
 // header fields plus opaque payload. Unmodeled wire bytes (e.g. TCP
 // sequence numbers) are deliberately excluded, since the model cannot
 // constrain them. A frame that does not parse appends nothing.
-func (h *Harness) fieldSignature(dst, frame []byte) ([]byte, error) {
-	prog := h.Info.Program()
-	fields, payload, err := bmv2.ParseFields(prog, frame)
+func (sg *signer) fieldSignature(dst, frame []byte) ([]byte, error) {
+	payload, err := sg.layout.Parse(sg.fields, bmv2.Input{Packet: frame})
 	if err != nil {
 		return dst, err
 	}
-	for i, f := range prog.Fields {
+	for i, f := range sg.prog.Fields {
 		if f.Header == "" {
 			continue // metadata is not part of the wire image
 		}
-		if fields[i].IsZero() {
+		if sg.fields[i].IsZero() {
 			continue
 		}
 		dst = append(dst, f.Name...)
 		dst = append(dst, '=')
-		dst = fields[i].Append(dst)
+		dst = sg.fields[i].Append(dst)
 		dst = append(dst, ';')
 	}
 	dst = append(dst, "payload="...)
@@ -824,12 +840,12 @@ func switchOutcome(r p4rt.InjectResult) *bmv2.Outcome {
 // then any copy to the CPU and the mirror copies. A dropped packet's
 // content is not rendered. The error is the carried packet's parse
 // error; a mirror copy that does not parse renders as {}.
-func (h *Harness) signature(dst []byte, o *bmv2.Outcome) ([]byte, error) {
+func (sg *signer) signature(dst []byte, o *bmv2.Outcome) ([]byte, error) {
 	var err error
 	switch o.Disposition {
 	case bmv2.Punted:
 		dst = append(dst, "punt{"...)
-		dst, err = h.fieldSignature(dst, o.Packet)
+		dst, err = sg.fieldSignature(dst, o.Packet)
 		dst = append(dst, '}')
 	case bmv2.Dropped:
 		dst = append(dst, "drop{}"...)
@@ -837,7 +853,7 @@ func (h *Harness) signature(dst []byte, o *bmv2.Outcome) ([]byte, error) {
 		dst = append(dst, "fwd["...)
 		dst = strconv.AppendUint(dst, uint64(o.EgressPort), 10)
 		dst = append(dst, "]{"...)
-		dst, err = h.fieldSignature(dst, o.Packet)
+		dst, err = sg.fieldSignature(dst, o.Packet)
 		dst = append(dst, '}')
 	}
 	if o.CopyToCPU {
@@ -847,7 +863,7 @@ func (h *Harness) signature(dst []byte, o *bmv2.Outcome) ([]byte, error) {
 		dst = append(dst, "+mirror["...)
 		dst = strconv.AppendUint(dst, uint64(m.Session), 10)
 		dst = append(dst, "]{"...)
-		dst, _ = h.fieldSignature(dst, m.Packet)
+		dst, _ = sg.fieldSignature(dst, m.Packet)
 		dst = append(dst, '}')
 	}
 	return dst, err
